@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "DETERMINISTIC_LIMIT",
@@ -137,19 +138,86 @@ def _trial_primes() -> list[int]:
     return _TRIAL_PRIMES
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Strong (Miller-Rabin) test base a; n odd and >= 3."""
+# Moduli of the form 4^h + s1*2^h + s0 with at least this many bits are
+# reduced by shifts and adds (_l_form_reducer); below it CPython's builtin
+# pow and % are faster.  Builtin time over reducer time, measured on CPython
+# 3.11 (2-vCPU x86-64) for L1-L4 values and each of the base-2, Lucas and
+# random-base tests: 0.6-0.8 at 512-640 bits, 0.8-1.2 at 768, 0.9-1.3 at
+# 896, 1.0-2.0 at 1024 and 2-3.4 at 4096.
+_L_FORM_MIN_BITS = 1024
+
+_WINDOW_BITS = 5
+
+
+def _l_form_reducer(n: int) -> Callable[[int], int] | None:
+    """x -> x mod n, for any int x, when n = 4^h + s1*2^h + s0 with s1, s0
+    in {1, -1} and h >= 3; None for every other n.
+
+    Since 4^h = -(s1*2^h + s0) (mod n), the bits of x from 2h up fold back
+    onto the low 2h bits with one shift and two subtractions, so a
+    reduction costs a few passes over x instead of a long division
+    (Crandall-Pomerance, Prime Numbers, 9.2).
+    """
+    h = n.bit_length() >> 1
+    rest = n - (1 << 2 * h)
+    s1 = 1 if rest > 0 else -1
+    s0 = rest - s1 * (1 << h)
+    if h < 3 or s0 not in (1, -1):
+        return None
+    width = 2 * h
+    mask = (1 << width) - 1
+
+    def reduce(x: int) -> int:
+        # Each fold shrinks |x| until it is below 2^(2h+1), at most 3n.
+        while x.bit_length() > width + 1:
+            high = x >> width
+            x = (x & mask) - s0 * high - s1 * (high << h)
+        while x < 0:
+            x += n
+        while x >= n:
+            x -= n
+        return x
+
+    return reduce
+
+
+def _pow_reduced(a: int, e: int, reduce: Callable[[int], int]) -> int:
+    """a**e mod n for 0 <= a < n and e >= 1, where reduce(x) = x mod n:
+    left to right in fixed windows, with reduce in place of %.  For base 2
+    the table holds 2^w, so its multiplies cost no more than shifts."""
+    table = [1, a]
+    for _ in range(2, 1 << _WINDOW_BITS):
+        table.append(reduce(table[-1] * a))
+    bits = bin(e)[2:]
+    head = len(bits) % _WINDOW_BITS or _WINDOW_BITS
+    x = table[int(bits[:head], 2)]
+    for i in range(head, len(bits), _WINDOW_BITS):
+        for _ in range(_WINDOW_BITS):
+            x = reduce(x * x)
+        w = int(bits[i : i + _WINDOW_BITS], 2)
+        if w:
+            x = reduce(x * table[w])
+    return x
+
+
+def _strong_probable_prime(n: int, a: int, reduce: Callable[[int], int] | None = None) -> bool:
+    """Strong (Miller-Rabin) test base a; n odd and >= 3.  reduce, when
+    given, computes x mod n and replaces builtin pow and %."""
     a %= n
     if a == 0:
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    x = pow(a, d, n)
+    if reduce is None:
+        x = pow(a, d, n)
+        reduce = n.__rmod__  # x -> x % n
+    else:
+        x = _pow_reduced(a, d, reduce)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
-        x = x * x % n
+        x = reduce(x * x)
         if x == n - 1:
             return True
     return False
@@ -184,34 +252,37 @@ def _selfridge_d(n: int) -> int | None:
         d = -(d + 2) if d > 0 else -(d - 2)
 
 
-def _half_mod(x: int, n: int) -> int:
-    x %= n
+def _half_mod(x: int, n: int, reduce: Callable[[int], int]) -> int:
+    x = reduce(x)
     return x >> 1 if x % 2 == 0 else (x + n) >> 1
 
 
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameters; n odd, >= 3, not a square."""
+def _strong_lucas_probable_prime(n: int, reduce: Callable[[int], int] | None = None) -> bool:
+    """Strong Lucas test with Selfridge parameters; n odd, >= 3, not a square.
+    reduce, when given, computes x mod n in place of builtin %."""
     d_sel = _selfridge_d(n)
     if d_sel is None:
         return False
+    if reduce is None:
+        reduce = n.__rmod__  # x -> x % n
     p, q = 1, (1 - d_sel) // 4
     k = n + 1
     s = (k & -k).bit_length() - 1
     d = k >> s
-    u, v, qk = 1, p, q % n
+    u, v, qk = 1, p, reduce(q)
     for bit in bin(d)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
+        u, v = reduce(u * v), reduce(v * v - 2 * qk)
+        qk = reduce(qk * qk)
         if bit == "1":
-            u, v = _half_mod(p * u + v, n), _half_mod(d_sel * u + p * v, n)
-            qk = qk * q % n
+            u, v = _half_mod(p * u + v, n, reduce), _half_mod(d_sel * u + p * v, n, reduce)
+            qk = reduce(qk * q)
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
+        v = reduce(v * v - 2 * qk)
         if v == 0:
             return True
-        qk = qk * qk % n
+        qk = reduce(qk * qk)
     return False
 
 
@@ -261,14 +332,15 @@ def is_prime(
     root = math.isqrt(n)
     if root * root == n:
         return PrimalityVerdict(n, "composite", f"square_of={root}")
-    if not _strong_probable_prime(n, 2):
+    reduce = _l_form_reducer(n) if n.bit_length() >= _L_FORM_MIN_BITS else None
+    if not _strong_probable_prime(n, 2, reduce):
         return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
-    if not _strong_lucas_probable_prime(n):
+    if not _strong_lucas_probable_prime(n, reduce):
         return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
     rng = random.Random(seed)
     for i in range(extra_rounds):
         a = rng.randrange(3, n - 1)
-        if not _strong_probable_prime(n, a):
+        if not _strong_probable_prime(n, a, reduce):
             return PrimalityVerdict(n, "composite", f"mr_witness={a}", rounds=2 + i + 1)
     return PrimalityVerdict(
         n,

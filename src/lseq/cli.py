@@ -956,7 +956,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe then shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`lseq ... | head`).  Later flushes, including
+        # the one at interpreter exit, go to devnull; exit as SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (
         ValueError,
         BudgetExceededError,

@@ -344,9 +344,16 @@ def _worker(spec_dict: dict[str, Any], pos: int, index: list[int]) -> tuple[int,
 
 
 class _CheckpointWriter:
-    """Append-only journal: header, then record/cursor lines per candidate."""
+    """Append-only journal: header, then record/cursor lines per candidate.
 
-    def __init__(self, path: str, fsync: bool = False):
+    valid_length, when given, is the size of the journal's complete prefix;
+    anything after it (a torn final line) is cut off before appending, so
+    the next record starts a line of its own.
+    """
+
+    def __init__(self, path: str, fsync: bool = False, valid_length: int | None = None):
+        if valid_length is not None:
+            os.truncate(path, valid_length)
         self._handle: IO[str] = open(path, "a", encoding="ascii")
         self._fsync = fsync
 
@@ -481,22 +488,32 @@ def run_scan(
     return _execute(spec, candidates, [], _effective_jobs(jobs), limit, writer)
 
 
-def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord]]:
+# JSON type of each field of a journal record line.
+_RECORD_FIELDS = {"pos": int, "index": list, "verdict": str, "detail": dict, "elapsed_ms": int}
+
+
+def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord], int]:
+    """Header, the records in position order up to the first gap, and the
+    byte length of the journal's complete lines."""
     try:
         with open(path, encoding="ascii") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ResumeError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    # Only newline-terminated lines count: text after the last newline is a
+    # torn write from an interrupted run and is discarded.
+    lines = raw.split("\n")[:-1]
     entries: list[dict[str, Any]] = []
-    for line in raw.split("\n"):
+    for number, line in enumerate(lines, 1):
         if not line:
             continue
         try:
-            entries.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError:
-            # A torn final line from an interrupted write is discarded; the
-            # journal remains valid up to the last complete line.
-            break
+            raise ResumeError(f"{path!r} line {number} is not valid JSON") from None
+        if not isinstance(entry, dict):
+            raise ResumeError(f"{path!r} line {number} is not a JSON object")
+        entries.append(entry)
     if not entries or entries[0].get("type") != "header":
         raise ResumeError(f"{path!r} does not start with a checkpoint header")
     header = entries[0]
@@ -504,6 +521,16 @@ def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord]]:
     for entry in entries[1:]:
         if entry.get("type") != "record":
             continue
+        for name, kind in _RECORD_FIELDS.items():
+            # type(), not isinstance(): JSON true/false must not pass as int.
+            if type(entry.get(name)) is not kind:
+                raise ResumeError(
+                    f"{path!r} has a record whose {name!r} is missing or not of type {kind.__name__}"
+                )
+        if not all(type(i) is int for i in entry["index"]):
+            raise ResumeError(f"{path!r} has a record whose 'index' is not a list of integers")
+        if entry["pos"] in by_pos:
+            raise ResumeError(f"{path!r} has two records at position {entry['pos']}")
         by_pos[entry["pos"]] = ScanRecord(
             index=tuple(entry["index"]),
             verdict=entry["verdict"],
@@ -515,7 +542,7 @@ def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord]]:
     while pos in by_pos:
         records.append(by_pos[pos])
         pos += 1
-    return header, records
+    return header, records, raw.rfind("\n") + 1
 
 
 def resume(
@@ -529,11 +556,13 @@ def resume(
     candidates).  Refuses to run when the stored spec hash or the engine
     fingerprint does not match what this engine would recompute; a finished
     scan is returned unchanged."""
-    header, records = _read_checkpoint(report_path)
+    header, records, valid_length = _read_checkpoint(report_path)
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ResumeError(
             f"checkpoint format {header.get('format')!r} is not {CHECKPOINT_FORMAT}"
         )
+    if not isinstance(header.get("spec"), dict):
+        raise ResumeError("checkpoint header has no spec object")
     spec = ScanSpec.from_dict(header["spec"])
     if header.get("spec_sha256") != spec.sha256():
         raise ResumeError("stored spec hash does not match the stored spec")
@@ -547,7 +576,9 @@ def resume(
             raise ResumeError(
                 f"record {pos} index {rec.index} does not match candidate {candidates[pos]}"
             )
-    writer = _CheckpointWriter(report_path, fsync=fsync) if len(records) < len(candidates) else None
+    writer = None
+    if len(records) < len(candidates):
+        writer = _CheckpointWriter(report_path, fsync=fsync, valid_length=valid_length)
     return _execute(spec, candidates, records, _effective_jobs(jobs), limit, writer)
 
 

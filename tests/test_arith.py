@@ -1,9 +1,12 @@
 """Tests for primality, factorization, and multiplicative-order routines."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
+from lseq import arith
 from lseq.arith import (
     FactorBudgetError,
     OrderSearchError,
@@ -15,6 +18,7 @@ from lseq.arith import (
     sieve_primes,
 )
 from lseq.lfamily import LFamily, eval_exact, residue
+from lseq.search import scan_l3_pow2
 
 
 def naive_is_prime(n: int) -> bool:
@@ -257,3 +261,81 @@ def test_lemma2_witness_rejects():
         lemma2_witness(0)
     with pytest.raises(ValueError):
         lemma2_witness(-2)
+
+
+# --- shift-add reduction modulo L-form values --------------------------------
+
+FLOOR_H = arith._L_FORM_MIN_BITS // 2
+
+
+@pytest.mark.parametrize("family", list(LFamily))
+@pytest.mark.parametrize("h", [FLOOR_H - 1, FLOOR_H, FLOOR_H + 1])
+def test_l_form_reducer_matches_mod(family, h):
+    # L1/L2 values have 2h+1 bits and L3/L4 values 2h, so these indices put
+    # each family just under, at and over the size floor.
+    n = eval_exact(family, h)
+    reduce = arith._l_form_reducer(n)
+    assert reduce is not None
+    rng = random.Random(h)
+    xs = [0, 1, n - 1, n, n + 1, 2 * n, 3 * n - 1, n * n - 1, n**3 + 5, -1, -n, -n - 1, -(n**2)]
+    xs += [rng.randrange(n * n) for _ in range(200)]
+    xs += [-rng.randrange(1, n * n) for _ in range(100)]
+    for x in xs:
+        assert reduce(x) == x % n
+
+
+def test_l_form_reducer_rejects_other_moduli():
+    h = FLOOR_H
+    four = 1 << 2 * h
+    # L1(h) - 2 = L2(h) and L3(h) - 2 = L4(h) are L-form themselves, so the
+    # near misses are taken on the other side.
+    near_misses = [
+        eval_exact(LFamily.L1, h) + 2,
+        eval_exact(LFamily.L2, h) - 2,
+        eval_exact(LFamily.L3, h) + 2,
+        eval_exact(LFamily.L4, h) - 2,
+        four + 3,
+        four - 3,
+        four + 1,
+        four + (1 << h),
+        four + (1 << h + 1) + 1,
+        2**1279 - 1,
+        eval_exact(LFamily.L1, 2),  # h < 3
+    ]
+    for n in near_misses:
+        assert arith._l_form_reducer(n) is None, n
+
+
+def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
+    cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]  # base-2 pseudoprimes
+    cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]  # base-2 pseudoprimes
+    cases.append(eval_exact(LFamily.L4, 597))  # probable prime, 1194 bits
+    cases += [eval_exact(family, h) for family in LFamily for h in range(FLOOR_H, FLOOR_H + 12)]
+    reduced = []
+    real = arith._l_form_reducer
+
+    def spy(n):
+        reduce = real(n)
+        reduced.append(reduce is not None)
+        return reduce
+
+    monkeypatch.setattr(arith, "_l_form_reducer", spy)
+    with_reducer = [is_prime(n) for n in cases]
+    monkeypatch.setattr(arith, "_l_form_reducer", lambda n: None)
+    builtin = [is_prime(n) for n in cases]
+    assert with_reducer == builtin
+    # Every value past trial division took the reducer path.
+    assert reduced and all(reduced)
+    assert len(reduced) == sum(v.rounds > 0 for v in builtin)
+    evidence = [v.evidence for v in with_reducer]
+    assert evidence[:5] == ["lucas_witness"] * 5
+    assert with_reducer[5].classification == "probable_prime"
+    assert with_reducer[5].rounds == 4
+    assert "mr_witness=2" in evidence
+
+
+def test_l3_pow2_scan_bytes_pinned():
+    # sha256 of the report made by builtin pow and % before shift-add
+    # reduction existed; the reducer must not change a byte.
+    digest = hashlib.sha256(scan_l3_pow2(11).canonical_bytes()).hexdigest()
+    assert digest == "0e721f48d214a0a89b8235fcba9d379c1ce3f134e346b842d88df710357dcc31"

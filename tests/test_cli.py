@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lseq
 from lseq.cli import main
 
 
@@ -277,6 +281,83 @@ def test_resume_missing_file(capsys):
     code, _, err = run_cli(capsys, "resume", "--path", "/nonexistent/scan.jsonl")
     assert code == 2
     assert err.startswith("error:")
+
+
+def _rewrite_first_record(path, change):
+    lines = path.read_text(encoding="ascii").splitlines()
+    record = json.loads(lines[1])
+    assert record["type"] == "record"
+    change(record)
+    lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda r: r.pop("verdict"), "'verdict' is missing"),
+        (lambda r: r.pop("pos"), "'pos' is missing"),
+        (lambda r: r.update(pos="0"), "'pos' is missing or not of type int"),
+        (lambda r: r.update(pos=True), "'pos' is missing or not of type int"),
+        (lambda r: r.update(index=1), "'index' is missing or not of type list"),
+        (lambda r: r.update(index=["1"]), "'index' is not a list of integers"),
+        (lambda r: r.update(verdict=None), "'verdict' is missing or not of type str"),
+        (lambda r: r.update(detail=[]), "'detail' is missing or not of type dict"),
+        (lambda r: r.update(elapsed_ms=1.5), "'elapsed_ms' is missing or not of type int"),
+    ],
+    ids=["no-verdict", "no-pos", "pos-str", "pos-bool", "index-int", "index-strs",
+         "verdict-null", "detail-list", "elapsed-float"],
+)
+def test_resume_malformed_record_exits_2(tmp_path, capsys, change, message):
+    path = tmp_path / "scan.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "12",
+        "--checkpoint", str(path), "--limit", "3",
+    )
+    assert code == 1
+    _rewrite_first_record(path, change)
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_resume_malformed_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    for text in ('{"type":"header"}\n', "[1, 2]\n", '{"type":"header","format":1,"spec":7}\n'):
+        path.write_text(text, encoding="ascii")
+        code, _, err = run_cli(capsys, "resume", "--path", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--kind", "congruence-audit", "--n-max", "50", "--json"],
+        ["eval", "--family", "L1", "--n", "9"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # The reader is gone before the first write, as with `| head -c 0`.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lseq.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_lseq_jobs_env(tmp_path, capsys, monkeypatch):

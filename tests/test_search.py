@@ -225,6 +225,44 @@ def test_resume_tolerates_torn_final_line(tmp_path):
     assert resumed.canonical_bytes() == baseline.canonical_bytes()
 
 
+def test_resume_after_torn_line_makes_progress(tmp_path):
+    # Appending right after a torn fragment fused it with the next record, so
+    # every later resume stopped at that line and redid the same candidates.
+    path = tmp_path / "scan.jsonl"
+    scan_l4_twins(60, checkpoint_path=str(path), limit=10)
+    raw = path.read_text(encoding="ascii")
+    path.write_text(raw[:-7], encoding="ascii")
+    assert resume(str(path), limit=10).completed_through == 20
+    assert resume(str(path), limit=10).completed_through == 30
+    final = resume(str(path))
+    assert final.canonical_bytes() == scan_l4_twins(60).canonical_bytes()
+    for line in path.read_text(encoding="ascii").splitlines():
+        json.loads(line)
+
+
+def test_resume_rejects_invalid_line_before_the_end(tmp_path):
+    path = tmp_path / "scan.jsonl"
+    scan_l4_twins(20, checkpoint_path=str(path), limit=6)
+    lines = path.read_text(encoding="ascii").splitlines()
+    lines[3] = lines[3][:-5]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ResumeError, match="line 4 is not valid JSON"):
+        resume(str(path))
+
+
+def test_resume_rejects_duplicate_position(tmp_path):
+    # A second record for position 0 used to replace the first silently.
+    path = tmp_path / "scan.jsonl"
+    scan_l4_twins(12, checkpoint_path=str(path), limit=4)
+    lines = path.read_text(encoding="ascii").splitlines()
+    record = json.loads(lines[1])
+    record["verdict"] = "twin"
+    lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ResumeError, match="two records at position 0"):
+        resume(str(path))
+
+
 def test_resume_rejects_tampered_spec(tmp_path):
     path = str(tmp_path / "scan.jsonl")
     scan_l4_twins(12, checkpoint_path=path, limit=3)
