@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 __all__ = [
     "DETERMINISTIC_LIMIT",
@@ -55,15 +55,20 @@ class OrderSearchError(Exception):
     """Multiplicative-order computation exceeded its factoring budget."""
 
 
+def _build_sieve(limit: int) -> bytearray:
+    """Eratosthenes sieve: entry n is 1 exactly when n <= limit is prime."""
+    sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return sieve
+
+
 def _small_sieve() -> bytearray:
     global _sieve
     if _sieve is None:
-        sieve = bytearray(b"\x01") * (_SIEVE_LIMIT + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _sieve = sieve
+        _sieve = _build_sieve(_SIEVE_LIMIT)
     return _sieve
 
 
@@ -71,15 +76,18 @@ def sieve_primes(limit: int) -> list[int]:
     """Ascending list of primes <= limit."""
     if limit < 2:
         return []
-    if limit <= _SIEVE_LIMIT:
-        sieve = _small_sieve()
-        return [n for n in range(2, limit + 1) if sieve[n]]
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    sieve = _small_sieve() if limit <= _SIEVE_LIMIT else _build_sieve(limit)
     return [n for n in range(2, limit + 1) if sieve[n]]
+
+
+def _wheel(bound: int) -> Iterator[int]:
+    """Trial divisors up to bound: 2, 3, then every 6k - 1 and 6k + 1."""
+    yield from (d for d in (2, 3) if d <= bound)
+    d, step = 5, 2
+    while d <= bound:
+        yield d
+        d += step
+        step = 6 - step
 
 
 def mod_pow(base: int, exponent: int, m: int) -> int:
@@ -407,26 +415,17 @@ def factor_trial(
         raise ValueError(f"bound must be >= 2, got {bound}")
     counts: dict[int, int] = {}
     m = n
-    for p in (2, 3):
-        if p > bound:
+    for d in _wheel(bound):
+        if d * d > m:
             break
-        while m % p == 0:
-            m //= p
-            counts[p] = counts.get(p, 0) + 1
-    d, step = 5, 2
-    while d <= bound and d * d <= m:
         while m % d == 0:
             m //= d
             counts[d] = counts.get(d, 0) + 1
-        d += step
-        step = 6 - step
-    if m > 1:
-        # Every prime that is both < d and <= bound has been tried, so the
-        # cofactor is proven prime as soon as sqrt(m) lies under both.
-        r = math.isqrt(m)
-        if r < d and r <= bound:
-            counts[m] = counts.get(m, 0) + 1
-            m = 1
+    # Every prime up to min(bound, sqrt(m)) has been tried, so the cofactor
+    # is proven prime as soon as sqrt(m) is within the bound.
+    if m > 1 and math.isqrt(m) <= bound:
+        counts[m] = counts.get(m, 0) + 1
+        m = 1
     if m > 1 and rho_budget > 0:
         rng = random.Random(seed)
         remaining = rho_budget
@@ -528,17 +527,9 @@ def multiplicative_order(
 
 def _first_prime_factor(n: int, trial_bound: int, rho_budget: int, seed: int) -> int:
     """Some prime factor of n, preferring the smallest via trial division."""
-    for p in (2, 3):
-        if n % p == 0:
-            return p
-    limit = min(trial_bound, math.isqrt(n))
-    d = 5
-    while d <= limit:
+    for d in _wheel(min(trial_bound, math.isqrt(n))):
         if n % d == 0:
             return d
-        if n % (d + 2) == 0:
-            return d + 2
-        d += 6
     if math.isqrt(n) <= trial_bound:
         return n
     if is_prime(n).is_prime_or_probable:

@@ -49,7 +49,23 @@ from .lfamily import (
     verify_theorem3,
 )
 from .repunit import RepunitKind, gcd_repunit, repunit
-from .search import ResumeError, ScanReport, ScanSpec, resume, run_scan
+from .search import (
+    SCAN_KINDS,
+    ResumeError,
+    ScanReport,
+    ScanSpec,
+    _header_line,
+    _record_line,
+    _summary,
+    resume,
+    run_scan,
+    scan_l1_pow3,
+    scan_l2_pow2,
+    scan_l2_prime_exponents,
+    scan_l3_pow2,
+    scan_l4_twins,
+    scan_square_divisors,
+)
 
 __all__ = ["main", "VERIFICATIONS"]
 
@@ -416,16 +432,11 @@ def _cmd_repunit(args: argparse.Namespace) -> int:
 
 
 def _report_lines(out: _Output, report: ScanReport) -> None:
+    spec = report.spec
     out.raw_line(
-        {
-            "type": "header",
-            "format": 1,
-            "spec": report.spec.to_dict(),
-            "spec_sha256": report.spec.sha256(),
-            "fingerprint": report.fingerprint,
-        },
-        f"# lseq scan kind={report.spec.kind} spec={report.spec.canonical()}"
-        f" [version={__version__} seed={report.spec.seed} extra_rounds={report.spec.extra_rounds}]",
+        _header_line(spec),
+        f"# lseq scan kind={spec.kind} spec={spec.canonical()}"
+        f" [version={__version__} seed={spec.seed} extra_rounds={spec.extra_rounds}]",
     )
     for pos, rec in enumerate(report.records):
         brief = rec.verdict
@@ -433,58 +444,28 @@ def _report_lines(out: _Output, report: ScanReport) -> None:
             brief += f" {rec.detail['hits']}"
         elif "evidence" in rec.detail and rec.detail["evidence"]:
             brief += f" ({rec.detail['evidence']})"
-        # Same line shape as the checkpoint journal, so redirected structured
-        # output is itself resumable.
-        out.raw_line(
-            {
-                "type": "record",
-                "pos": pos,
-                "index": list(rec.index),
-                "verdict": rec.verdict,
-                "detail": rec.detail,
-                "elapsed_ms": rec.elapsed_ms,
-            },
-            f"{pos:>6}  index={','.join(map(str, rec.index))}  {brief}",
-        )
-    summary: dict[str, Any] = {
+        out.raw_line(_record_line(pos, rec), f"{pos:>6}  index={','.join(map(str, rec.index))}  {brief}")
+    fields, line = _summary(report)
+    summary = {
         "type": "summary",
         "completed_through": report.completed_through,
         "total": report.total,
         "complete": report.complete,
+        **fields,
     }
-    lines = [
-        f"completed {report.completed_through}/{report.total}"
-        + ("" if report.complete else " (incomplete)")
-    ]
-    if report.spec.kind == "l4_twins":
-        twins, flagged = report.twin_pairs()
-        summary["twins"] = [list(t) for t in twins]
-        summary["flagged_unit_pairs"] = [list(t) for t in flagged]
-        lines.append(f"twin pairs: {twins}; unit-flagged pairs: {flagged}")
-    elif report.spec.kind == "square_divisors":
-        hits = report.square_hits()
-        summary["square_hits"] = [list(h) for h in hits]
-        lines.append(f"square hits (n, p, e): {hits}")
-    elif report.spec.kind == "congruence_audit":
-        holds = all(r.verdict == "holds" for r in report.records)
-        summary["all_hold"] = holds
-        lines.append(f"all rules hold: {holds}")
-    else:
-        primes = report.prime_indices()
-        summary["prime_indices"] = _decimal(primes)
-        lines.append(f"prime/probable-prime at: {primes}")
     out.raw_line(_decimal(summary), None)
     if not out.json:
-        for line in lines:
-            print(line)
+        print(
+            f"completed {report.completed_through}/{report.total}"
+            + ("" if report.complete else " (incomplete)")
+        )
+        print(line)
 
 
 def _scan_exit(report: ScanReport) -> int:
-    if not report.complete:
-        return 1
-    if report.spec.kind == "congruence_audit":
-        return 0 if all(r.verdict == "holds" for r in report.records) else 1
-    return 0
+    """1 while incomplete or when a record is "violated" (a congruence rule
+    failed), else 0."""
+    return int(not report.complete or any(r.verdict == "violated" for r in report.records))
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -566,8 +547,6 @@ def _verify_congruences() -> tuple[bool, str]:
         for rule in builtin_congruence_rules(family):
             if not rule.holds_through(10000):
                 return False, f"rule {rule} fails below 10000"
-    from .search import scan_square_divisors
-
     checked = 0
     for family in LFamily:
         report = scan_square_divisors(family, 130, 20)
@@ -666,14 +645,6 @@ def _verify_product_identity() -> tuple[bool, str]:
 
 
 def _verify_desk_scans() -> tuple[bool, str]:
-    from .search import (
-        scan_l1_pow3,
-        scan_l2_pow2,
-        scan_l2_prime_exponents,
-        scan_l3_pow2,
-        scan_l4_twins,
-    )
-
     checks = [
         (set(scan_l2_prime_exponents(1000).prime_indices()), {2, 3, 379}, "L2 prime exponents"),
         (set(scan_l2_pow2(10).prime_indices()), {1, 2, 4}, "L2 power-of-2 exponents"),
@@ -690,8 +661,6 @@ def _verify_desk_scans() -> tuple[bool, str]:
 
 
 def _verify_square_hits() -> tuple[bool, str]:
-    from .search import scan_square_divisors
-
     total = 0
     for family_name, expected in _EXPECTED_SQUARE_HITS.items():
         got = set(scan_square_divisors(family_name, 130, 20).square_hits())
@@ -703,21 +672,18 @@ def _verify_square_hits() -> tuple[bool, str]:
 
 
 def _verify_determinism() -> tuple[bool, str]:
-    from .search import resume as search_resume
-    from .search import run_scan as search_run
-
     spec = ScanSpec(kind="l4_twins", n_max=120, seed=1)
-    baseline = search_run(spec).canonical_bytes()
+    baseline = run_scan(spec).canonical_bytes()
     rng = random.Random(2026)
     total = 119
     with tempfile.TemporaryDirectory() as tmp:
         for i, cut in enumerate(sorted(rng.sample(range(1, total), 3))):
             path = os.path.join(tmp, f"cut{i}.jsonl")
-            search_run(spec, checkpoint_path=path, limit=cut)
-            final = search_resume(path)
+            run_scan(spec, checkpoint_path=path, limit=cut)
+            final = resume(path)
             if final.canonical_bytes() != baseline:
                 return False, f"resumed run after cut at {cut} differs"
-    parallel = search_run(spec, jobs=8).canonical_bytes()
+    parallel = run_scan(spec, jobs=8).canonical_bytes()
     if parallel != baseline:
         return False, "jobs=8 run differs from jobs=1"
     return True, "3 interrupted/resumed runs and a jobs=8 run are byte-identical"
@@ -911,16 +877,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "l2-prime-exponent",
-            "l2-pow2",
-            "l3-pow2",
-            "l3-mixed",
-            "l1-pow3",
-            "l4-twins",
-            "square-divisors",
-            "congruence-audit",
-        ],
+        choices=[kind.replace("_", "-") for kind in SCAN_KINDS],
     )
     p.add_argument("--family", default=None)
     p.add_argument("--n-max", type=int, default=None)

@@ -18,7 +18,6 @@ __all__ = [
     "LValue",
     "CongruenceRule",
     "eval_exact",
-    "eval",
     "lvalue",
     "residue",
     "builtin_congruence_rules",
@@ -81,11 +80,6 @@ def eval_exact(family: LFamily, n: int, *, bit_budget: int = DEFAULT_EVAL_BIT_BU
         )
     x = 1 << n
     return x * x + family.mid_sign * x + family.unit_sign
-
-
-# The operation is exposed under the short name as well; the module never
-# uses the shadowed builtin.
-eval = eval_exact
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ line) and picked up later with resume().
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import IO, Any
+from typing import IO, Any, Callable
 
 from . import __version__
 from .arith import (
@@ -50,18 +52,10 @@ __all__ = [
 
 CHECKPOINT_FORMAT = 1
 
-SCAN_KINDS = (
-    "l2_prime_exponent",
-    "l2_pow2",
-    "l3_pow2",
-    "l3_mixed",
-    "l1_pow3",
-    "l4_twins",
-    "square_divisors",
-    "congruence_audit",
-)
-
 _PRIMEISH = ("prime", "probable_prime")
+
+# The optional bound fields of a ScanSpec; each kind reads some of them.
+_BOUNDS = ("n_max", "p_max", "m_max", "k_max")
 
 
 class ResumeError(Exception):
@@ -70,7 +64,12 @@ class ResumeError(Exception):
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Full parameterization of one scan; embedded verbatim in its report."""
+    """Full parameterization of one scan; embedded verbatim in its report.
+
+    Construction checks the fields against the kind's entry in the kind
+    table: integers must be ints (not bools), the kind's bounds must be at or
+    above their minimums, and fields the kind does not read must be None.
+    """
 
     kind: str
     family: str | None = None
@@ -82,12 +81,33 @@ class ScanSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCAN_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown scan kind {self.kind!r}")
+        for name in ("extra_rounds", "seed"):
+            # type(), not isinstance(): True and False must not pass as int.
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.family is not None:
+            if type(self.family) is not str:
+                raise ValueError(f"family must be a string, got {self.family!r}")
             LFamily.parse(self.family)
+        elif kind.family == "required":
+            raise ValueError(f"{self.kind} scan requires a family")
         if self.extra_rounds < 0:
             raise ValueError(f"extra_rounds must be >= 0, got {self.extra_rounds}")
+        for name, minimum in kind.bounds.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:
+                raise ValueError(
+                    f"scan kind {self.kind!r} requires {name} >= {minimum}, got {value!r}"
+                )
+        used = {*kind.bounds, "family"} if kind.family else set(kind.bounds)
+        unused = [
+            name for name in ("family", *_BOUNDS) if name not in used and getattr(self, name) is not None
+        ]
+        if unused:
+            raise ValueError(f"scan kind {self.kind!r} does not use {', '.join(unused)}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -154,13 +174,9 @@ class ScanReport:
             "fingerprint": self.fingerprint,
             "total": self.total,
             "completed_through": self.completed_through,
+            # The journal's record lines without their informational fields.
             "records": [
-                {
-                    "pos": pos,
-                    "index": list(rec.index),
-                    "verdict": rec.verdict,
-                    "detail": rec.detail,
-                }
+                {k: v for k, v in _record_line(pos, rec).items() if k not in ("type", "elapsed_ms")}
                 for pos, rec in enumerate(self.records)
             ],
         }
@@ -193,56 +209,6 @@ class ScanReport:
         return out
 
 
-def _require(spec: ScanSpec, field_name: str, minimum: int) -> int:
-    value = getattr(spec, field_name)
-    if value is None or value < minimum:
-        raise ValueError(
-            f"scan kind {spec.kind!r} requires {field_name} >= {minimum}, got {value}"
-        )
-    return value
-
-
-def _candidates(spec: ScanSpec) -> list[tuple[int, ...]]:
-    """Deterministic, index-sorted candidate list for a spec."""
-    kind = spec.kind
-    if kind == "l2_prime_exponent":
-        p_max = _require(spec, "p_max", 2)
-        return [(p,) for p in sieve_primes(p_max)]
-    if kind == "l2_pow2":
-        n_max = _require(spec, "n_max", 1)
-        return [(n,) for n in range(1, n_max + 1)]
-    if kind == "l3_pow2":
-        n_max = _require(spec, "n_max", 0)
-        return [(n,) for n in range(0, n_max + 1)]
-    if kind == "l3_mixed":
-        m_max = _require(spec, "m_max", 1)
-        n_max = _require(spec, "n_max", 1)
-        return [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    if kind == "l1_pow3":
-        k_max = _require(spec, "k_max", 0)
-        return [(k,) for k in range(0, k_max + 1)]
-    if kind == "l4_twins":
-        n_max = _require(spec, "n_max", 2)
-        return [(n,) for n in range(1, n_max)]
-    if kind == "square_divisors":
-        if spec.family is None:
-            raise ValueError("square_divisors scan requires a family")
-        _require(spec, "n_max", 1)
-        p_max = _require(spec, "p_max", 3)
-        return [(p,) for p in sieve_primes(p_max) if p != 2]
-    if kind == "congruence_audit":
-        _require(spec, "n_max", 1)
-        families = [LFamily.parse(spec.family)] if spec.family else list(LFamily)
-        out = []
-        for fam_pos, fam in enumerate(LFamily):
-            if fam not in families:
-                continue
-            for rule_pos in range(len(builtin_congruence_rules(fam))):
-                out.append((fam_pos + 1, rule_pos))
-        return out
-    raise AssertionError(f"unhandled kind {kind!r}")
-
-
 def _candidate_seed(spec: ScanSpec, label: tuple[int, ...]) -> int:
     text = f"{spec.seed}|{spec.kind}|" + "|".join(map(str, label))
     return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest()[:8], "big")
@@ -261,65 +227,80 @@ def _classify(spec: ScanSpec, family: LFamily, n: int, label: tuple[int, ...]) -
     }
 
 
-def _evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
-    """Pure candidate evaluation; the only inputs are spec and index."""
-    kind = spec.kind
-    if kind == "l2_prime_exponent":
-        result = _classify(spec, LFamily.L2, index[0], index)
-        return result.pop("classification"), {"sequence_index": index[0], **result}
-    if kind == "l2_pow2":
-        n = 2 ** index[0]
-        result = _classify(spec, LFamily.L2, n, index)
-        return result.pop("classification"), {"sequence_index": n, **result}
-    if kind == "l3_pow2":
-        n = 2 ** index[0]
-        result = _classify(spec, LFamily.L3, n, index)
-        return result.pop("classification"), {"sequence_index": n, **result}
-    if kind == "l3_mixed":
-        n = 3 ** index[0] * 2 ** index[1]
-        result = _classify(spec, LFamily.L3, n, index)
-        return result.pop("classification"), {"sequence_index": n, **result}
-    if kind == "l1_pow3":
-        n = 3 ** index[0]
-        result = _classify(spec, LFamily.L1, n, index)
-        return result.pop("classification"), {"sequence_index": n, **result}
-    if kind == "l4_twins":
-        n = index[0]
-        left = _classify(spec, LFamily.L4, n, (n, 0))
-        right = _classify(spec, LFamily.L4, n + 1, (n, 1))
-        sides = {left["classification"], right["classification"]}
-        if sides <= set(_PRIMEISH):
-            verdict = "twin"
-        elif "unit" in sides and (sides - {"unit"}) <= set(_PRIMEISH):
-            verdict = "unit_twin"
-        else:
-            verdict = "not_twin"
-        return verdict, {"left": left, "right": right}
-    if kind == "square_divisors":
-        return _evaluate_square(spec, index[0])
-    if kind == "congruence_audit":
-        fam = list(LFamily)[index[0] - 1]
-        rule = builtin_congruence_rules(fam)[index[1]]
-        violation = rule.first_violation(spec.n_max)
-        detail = {
-            "family": fam.name,
-            "modulus": rule.modulus,
-            "step": rule.step,
-            "offsets": list(rule.offsets),
-            "description": rule.description,
-            "n_max": spec.n_max,
-            "first_violation": violation,
-        }
-        return ("holds" if violation is None else "violated"), detail
-    raise AssertionError(f"unhandled kind {kind!r}")
+# --- the scan kinds -------------------------------------------------------
+#
+# Candidate evaluation is pure: its only inputs are the spec and the index.
+# The functions below look up is_prime, eval_exact, residue and
+# multiplicative_order as module globals when called, so replacing those
+# names on this module intercepts every call.
 
 
-def _evaluate_square(spec: ScanSpec, p: int) -> tuple[str, dict[str, Any]]:
+@dataclass(frozen=True)
+class _Kind:
+    """One scan kind.
+
+    bounds maps each bound field the kind reads to its minimum (in checking
+    order); family is "required", "optional" or None when the kind does not
+    read it.  summary returns the summary's JSON fields and its table line.
+    """
+
+    bounds: dict[str, int]
+    candidates: Callable[[ScanSpec], list[tuple[int, ...]]]
+    evaluate: Callable[[ScanSpec, tuple[int, ...]], tuple[str, dict[str, Any]]]
+    summary: Callable[[ScanReport], tuple[dict[str, Any], str]]
+    family: str | None = None
+
+
+def _prime_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
+    primes = report.prime_indices()
+    return {"prime_indices": primes}, f"prime/probable-prime at: {primes}"
+
+
+def _prime_kind(
+    family: LFamily,
+    sequence_index: Callable[..., int],
+    bounds: dict[str, int],
+    candidates: Callable[[ScanSpec], list[tuple[int, ...]]],
+) -> _Kind:
+    """A kind that classifies the family's value at sequence_index(*index)."""
+
+    def evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
+        n = sequence_index(*index)
+        result = _classify(spec, family, n, index)
+        return result.pop("classification"), {"sequence_index": n, **result}
+
+    return _Kind(bounds, candidates, evaluate, _prime_summary)
+
+
+def _evaluate_twins(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
+    n = index[0]
+    left = _classify(spec, LFamily.L4, n, (n, 0))
+    right = _classify(spec, LFamily.L4, n + 1, (n, 1))
+    sides = {left["classification"], right["classification"]}
+    if sides <= set(_PRIMEISH):
+        verdict = "twin"
+    elif "unit" in sides and (sides - {"unit"}) <= set(_PRIMEISH):
+        verdict = "unit_twin"
+    else:
+        verdict = "not_twin"
+    return verdict, {"left": left, "right": right}
+
+
+def _twin_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
+    twins, flagged = report.twin_pairs()
+    return (
+        {"twins": twins, "flagged_unit_pairs": flagged},
+        f"twin pairs: {twins}; unit-flagged pairs: {flagged}",
+    )
+
+
+def _evaluate_square(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
     """Find every index n <= n_max with p^e | value, e >= 2, for one prime p.
 
     Divisibility by p repeats with period ord_p(2) in the index, so only the
     residue classes where p divides at all are swept for higher powers.
     """
+    p = index[0]
     family = LFamily.parse(spec.family)
     order = multiplicative_order(2, p).order
     roots = [l for l in range(1, order + 1) if residue(family, l, p) == 0]
@@ -335,12 +316,115 @@ def _evaluate_square(spec: ScanSpec, p: int) -> tuple[str, dict[str, Any]]:
     return ("hits" if hits else "none"), {"order": order, "roots": roots, "hits": hits}
 
 
-def _worker(spec_dict: dict[str, Any], pos: int, index: list[int]) -> tuple[int, str, dict[str, Any], int]:
-    spec = ScanSpec(**spec_dict)
-    start = time.perf_counter()
-    verdict, detail = _evaluate(spec, tuple(index))
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return pos, verdict, detail, elapsed_ms
+def _square_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
+    hits = report.square_hits()
+    return {"square_hits": hits}, f"square hits (n, p, e): {hits}"
+
+
+def _audit_candidates(spec: ScanSpec) -> list[tuple[int, ...]]:
+    """(family position from 1, rule position) for the audited families."""
+    return [
+        (fam_pos, rule_pos)
+        for fam_pos, fam in enumerate(LFamily, 1)
+        if spec.family is None or fam is LFamily.parse(spec.family)
+        for rule_pos in range(len(builtin_congruence_rules(fam)))
+    ]
+
+
+def _evaluate_audit(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
+    fam = list(LFamily)[index[0] - 1]
+    rule = builtin_congruence_rules(fam)[index[1]]
+    violation = rule.first_violation(spec.n_max)
+    detail = {
+        "family": fam.name,
+        "modulus": rule.modulus,
+        "step": rule.step,
+        "offsets": list(rule.offsets),
+        "description": rule.description,
+        "n_max": spec.n_max,
+        "first_violation": violation,
+    }
+    return ("holds" if violation is None else "violated"), detail
+
+
+def _audit_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
+    holds = all(r.verdict == "holds" for r in report.records)
+    return {"all_hold": holds}, f"all rules hold: {holds}"
+
+
+_KINDS: dict[str, _Kind] = {
+    "l2_prime_exponent": _prime_kind(
+        LFamily.L2, lambda p: p, {"p_max": 2}, lambda s: [(p,) for p in sieve_primes(s.p_max)]
+    ),
+    "l2_pow2": _prime_kind(
+        LFamily.L2, lambda n: 2**n, {"n_max": 1}, lambda s: [(n,) for n in range(1, s.n_max + 1)]
+    ),
+    "l3_pow2": _prime_kind(
+        LFamily.L3, lambda n: 2**n, {"n_max": 0}, lambda s: [(n,) for n in range(s.n_max + 1)]
+    ),
+    "l3_mixed": _prime_kind(
+        LFamily.L3,
+        lambda m, n: 3**m * 2**n,
+        {"m_max": 1, "n_max": 1},
+        lambda s: [(m, n) for m in range(1, s.m_max + 1) for n in range(1, s.n_max + 1)],
+    ),
+    "l1_pow3": _prime_kind(
+        LFamily.L1, lambda k: 3**k, {"k_max": 0}, lambda s: [(k,) for k in range(s.k_max + 1)]
+    ),
+    "l4_twins": _Kind(
+        {"n_max": 2}, lambda s: [(n,) for n in range(1, s.n_max)], _evaluate_twins, _twin_summary
+    ),
+    "square_divisors": _Kind(
+        {"n_max": 1, "p_max": 3},
+        lambda s: [(p,) for p in sieve_primes(s.p_max) if p != 2],
+        _evaluate_square,
+        _square_summary,
+        family="required",
+    ),
+    "congruence_audit": _Kind(
+        {"n_max": 1}, _audit_candidates, _evaluate_audit, _audit_summary, family="optional"
+    ),
+}
+
+SCAN_KINDS = tuple(_KINDS)
+
+
+def _summary(report: ScanReport) -> tuple[dict[str, Any], str]:
+    """The report's kind-specific summary: JSON fields and one table line."""
+    return _KINDS[report.spec.kind].summary(report)
+
+
+def _timed(spec: ScanSpec, index: tuple[int, ...]) -> ScanRecord:
+    began = time.perf_counter()
+    verdict, detail = _KINDS[spec.kind].evaluate(spec, index)
+    return ScanRecord(index, verdict, detail, int((time.perf_counter() - began) * 1000))
+
+
+# --- journal lines --------------------------------------------------------
+
+
+def _header_line(spec: ScanSpec) -> dict[str, Any]:
+    """First line of a journal and of the CLI's structured scan output."""
+    return {
+        "type": "header",
+        "format": CHECKPOINT_FORMAT,
+        "spec": spec.to_dict(),
+        "spec_sha256": spec.sha256(),
+        "fingerprint": engine_fingerprint(spec),
+    }
+
+
+def _record_line(pos: int, rec: ScanRecord) -> dict[str, Any]:
+    """The journal line of one record; the CLI's structured output uses the
+    same lines, so it can itself be resumed."""
+    return {
+        "type": "record",
+        "pos": pos,
+        "index": list(rec.index),
+        "verdict": rec.verdict,
+        "detail": rec.detail,
+        "elapsed_ms": rec.elapsed_ms,
+    }
 
 
 class _CheckpointWriter:
@@ -364,27 +448,10 @@ class _CheckpointWriter:
             os.fsync(self._handle.fileno())
 
     def header(self, spec: ScanSpec) -> None:
-        self._emit(
-            {
-                "type": "header",
-                "format": CHECKPOINT_FORMAT,
-                "spec": spec.to_dict(),
-                "spec_sha256": spec.sha256(),
-                "fingerprint": engine_fingerprint(spec),
-            }
-        )
+        self._emit(_header_line(spec))
 
     def record(self, pos: int, rec: ScanRecord) -> None:
-        self._emit(
-            {
-                "type": "record",
-                "pos": pos,
-                "index": list(rec.index),
-                "verdict": rec.verdict,
-                "detail": rec.detail,
-                "elapsed_ms": rec.elapsed_ms,
-            }
-        )
+        self._emit(_record_line(pos, rec))
         self._emit({"type": "cursor", "completed_through": pos + 1})
 
     def close(self) -> None:
@@ -419,37 +486,23 @@ def _execute(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     start = len(done)
-    end = len(candidates) if limit is None else min(len(candidates), start + limit)
+    todo = candidates[start:] if limit is None else candidates[start : start + limit]
     records = list(done)
+    evaluate = functools.partial(_timed, spec)
+    parallel = jobs > 1 and len(todo) > 1
     try:
-        if jobs <= 1 or end - start <= 1:
-            for pos in range(start, end):
-                began = time.perf_counter()
-                verdict, detail = _evaluate(spec, candidates[pos])
-                elapsed_ms = int((time.perf_counter() - began) * 1000)
-                rec = ScanRecord(candidates[pos], verdict, detail, elapsed_ms)
+        with ProcessPoolExecutor(jobs) if parallel else contextlib.nullcontext() as pool:
+            # Results come back in candidate order, so one writer emits them
+            # as they arrive.  About eight chunks per worker keep workers busy
+            # while the costlier candidates at the end are still running.
+            if parallel:
+                results = pool.map(evaluate, todo, chunksize=max(1, len(todo) // (8 * jobs)))
+            else:
+                results = map(evaluate, todo)
+            for pos, rec in enumerate(results, start):
                 records.append(rec)
                 if writer:
                     writer.record(pos, rec)
-        else:
-            spec_dict = spec.to_dict()
-            pending: dict[int, ScanRecord] = {}
-            next_pos = start
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_worker, spec_dict, pos, list(candidates[pos]))
-                    for pos in range(start, end)
-                ]
-                for future in as_completed(futures):
-                    pos, verdict, detail, elapsed_ms = future.result()
-                    pending[pos] = ScanRecord(candidates[pos], verdict, detail, elapsed_ms)
-                    # Single writer: emit strictly in candidate order.
-                    while next_pos in pending:
-                        rec = pending.pop(next_pos)
-                        records.append(rec)
-                        if writer:
-                            writer.record(next_pos, rec)
-                        next_pos += 1
     finally:
         if writer:
             writer.close()
@@ -476,7 +529,7 @@ def run_scan(
     then incomplete but resumable); jobs > 1 fans candidates out to worker
     processes without changing any output content.
     """
-    candidates = _candidates(spec)
+    candidates = _KINDS[spec.kind].candidates(spec)
     writer = None
     if checkpoint_path is not None:
         if os.path.exists(checkpoint_path) and os.path.getsize(checkpoint_path) > 0:
@@ -568,7 +621,7 @@ def resume(
         raise ResumeError("stored spec hash does not match the stored spec")
     if header.get("fingerprint") != engine_fingerprint(spec):
         raise ResumeError("engine fingerprint changed; refusing to mix results")
-    candidates = _candidates(spec)
+    candidates = _KINDS[spec.kind].candidates(spec)
     if len(records) > len(candidates):
         raise ResumeError("checkpoint has more records than candidates")
     for pos, rec in enumerate(records):
@@ -584,69 +637,59 @@ def resume(
 
 def scan_l2_prime_exponents(p_max: int, **kwargs: Any) -> ScanReport:
     """Classify the L2 value at every prime index p <= p_max."""
-    return _run_convenience(ScanSpec(kind="l2_prime_exponent", p_max=p_max, **_spec_kwargs(kwargs)), kwargs)
+    return _run_convenience(kwargs, kind="l2_prime_exponent", p_max=p_max)
 
 
 def scan_l2_pow2(n_max: int, **kwargs: Any) -> ScanReport:
     """Classify the L2 value at indices 2^n for 1 <= n <= n_max."""
-    return _run_convenience(ScanSpec(kind="l2_pow2", n_max=n_max, **_spec_kwargs(kwargs)), kwargs)
+    return _run_convenience(kwargs, kind="l2_pow2", n_max=n_max)
 
 
 def scan_l3_pow2(n_max: int, **kwargs: Any) -> ScanReport:
     """Classify the L3 value at indices 2^n for 0 <= n <= n_max."""
-    return _run_convenience(ScanSpec(kind="l3_pow2", n_max=n_max, **_spec_kwargs(kwargs)), kwargs)
+    return _run_convenience(kwargs, kind="l3_pow2", n_max=n_max)
 
 
 def scan_l3_mixed(m_max: int, n_max: int, **kwargs: Any) -> ScanReport:
     """Classify the L3 value at indices 3^m * 2^n over the (m, n) grid."""
-    return _run_convenience(
-        ScanSpec(kind="l3_mixed", m_max=m_max, n_max=n_max, **_spec_kwargs(kwargs)), kwargs
-    )
+    return _run_convenience(kwargs, kind="l3_mixed", m_max=m_max, n_max=n_max)
 
 
 def scan_l1_pow3(k_max: int, **kwargs: Any) -> ScanReport:
     """Classify the L1 value at indices 3^k for 0 <= k <= k_max (the only
     indices where L1 can be prime)."""
-    return _run_convenience(ScanSpec(kind="l1_pow3", k_max=k_max, **_spec_kwargs(kwargs)), kwargs)
+    return _run_convenience(kwargs, kind="l1_pow3", k_max=k_max)
 
 
 def scan_l4_twins(n_max: int, **kwargs: Any) -> ScanReport:
     """Find all n < n_max with L4(n) and L4(n+1) both prime; the pair
     starting at the unit L4(1) = 1 is flagged separately."""
-    return _run_convenience(ScanSpec(kind="l4_twins", n_max=n_max, **_spec_kwargs(kwargs)), kwargs)
+    return _run_convenience(kwargs, kind="l4_twins", n_max=n_max)
 
 
 def scan_square_divisors(family: LFamily | str, n_max: int, p_max: int, **kwargs: Any) -> ScanReport:
     """Report every (n, p, e) with p^e dividing the value at n, e >= 2, over
     odd primes p <= p_max and indices n <= n_max."""
-    name = family.name if isinstance(family, LFamily) else LFamily.parse(family).name
-    return _run_convenience(
-        ScanSpec(kind="square_divisors", family=name, n_max=n_max, p_max=p_max, **_spec_kwargs(kwargs)),
-        kwargs,
-    )
+    return _run_convenience(kwargs, kind="square_divisors", family=family, n_max=n_max, p_max=p_max)
 
 
 def scan_congruence_audit(n_max: int, family: LFamily | str | None = None, **kwargs: Any) -> ScanReport:
     """Check every builtin congruence rule over its covered indices <= n_max."""
-    name = None
-    if family is not None:
-        name = family.name if isinstance(family, LFamily) else LFamily.parse(family).name
-    return _run_convenience(
-        ScanSpec(kind="congruence_audit", family=name, n_max=n_max, **_spec_kwargs(kwargs)), kwargs
-    )
+    return _run_convenience(kwargs, kind="congruence_audit", family=family, n_max=n_max)
 
 
 _SPEC_KEYS = ("seed", "extra_rounds")
 _RUN_KEYS = ("jobs", "checkpoint_path", "limit", "fsync")
 
 
-def _spec_kwargs(kwargs: dict[str, Any]) -> dict[str, Any]:
+def _run_convenience(kwargs: dict[str, Any], **fields: Any) -> ScanReport:
+    """run_scan of ScanSpec(**fields) with the spec keys of kwargs; the run
+    keys of kwargs go to run_scan.  A family is stored by its canonical name."""
+    family = fields.get("family")
+    if family is not None:
+        fields["family"] = family.name if isinstance(family, LFamily) else LFamily.parse(family).name
     unknown = set(kwargs) - set(_SPEC_KEYS) - set(_RUN_KEYS)
     if unknown:
         raise TypeError(f"unexpected keyword arguments {sorted(unknown)}")
-    return {key: kwargs[key] for key in _SPEC_KEYS if key in kwargs}
-
-
-def _run_convenience(spec: ScanSpec, kwargs: dict[str, Any]) -> ScanReport:
-    run = {key: kwargs[key] for key in _RUN_KEYS if key in kwargs}
-    return run_scan(spec, **run)
+    spec = ScanSpec(**fields, **{key: kwargs[key] for key in _SPEC_KEYS if key in kwargs})
+    return run_scan(spec, **{key: kwargs[key] for key in _RUN_KEYS if key in kwargs})

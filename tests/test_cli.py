@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 import lseq
 from lseq.cli import main
+from lseq.search import SCAN_KINDS
 
 
 def run_cli(capsys, *argv):
@@ -404,3 +407,131 @@ def test_verify_paper_unknown_anchor(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
     assert code == 2
     assert "unknown" in err
+
+
+def _spec_sha256(spec):
+    return hashlib.sha256(
+        json.dumps(spec, sort_keys=True, separators=(",", ":")).encode("ascii")
+    ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["l4-twins", "--n-max", "12"], "n_max", "20"),
+        (["l4-twins", "--n-max", "12"], "n_max", 20.0),
+        (["l3-pow2", "--n-max", "6"], "n_max", True),
+    ],
+    ids=["n_max-str", "n_max-float", "n_max-true"],
+)
+def test_resume_mistyped_spec_field_exits_2(tmp_path, capsys, argv, field, value):
+    # The header's spec_sha256 is recomputed, so only the field check can
+    # catch the mistyped value.
+    path = tmp_path / "scan.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--kind", *argv, "--checkpoint", str(path), "--limit", "2"
+    )
+    assert code == 1
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = json.loads(lines[0])
+    header["spec"][field] = value
+    header["spec_sha256"] = _spec_sha256(header["spec"])
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"requires {field} >= " in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["l3-pow2", "--n-max", "1", "--m-max", "3"], "m_max"),
+        (["l2-pow2", "--n-max", "3", "--family", "L1"], "family"),
+    ],
+    ids=["l3-pow2-m_max", "l2-pow2-family"],
+)
+def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
+    code, out, err = run_cli(capsys, "scan", "--kind", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: scan kind '{argv[0].replace('-', '_')}' does not use {field}\n"
+
+
+# sha256 of the table stdout and of the --json stdout (each line re-dumped
+# without elapsed_ms), taken before the scan kinds moved into one table.
+PINNED_SCANS = [
+    (
+        ["l2-prime-exponent", "--p-max", "200"],
+        "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
+        "be32a9ba41d308f6c2c0fad7b5734514fe374cb6b30f33725dc3ae0a6c767686",
+    ),
+    (
+        ["l2-pow2", "--n-max", "8"],
+        "4253c12b256d5452e8403ca2adac3b0bdd4a3b283d27166030050f837c4d685d",
+        "8d498111a5b54fb35f321f7a9d03795554ed4095016cccc10173958c00548d72",
+    ),
+    (
+        ["l3-pow2", "--n-max", "9"],
+        "f562afe4ea6c6947cd78236d4f20a1e7b640f43836922d335b80b5179438e2cb",
+        "484e0a96c3cc19aa439b24e79a75a455f5fa386e799c73374d006291a70c46b8",
+    ),
+    (
+        ["l3-mixed", "--m-max", "2", "--n-max", "3"],
+        "612a32f4e6489a0481b4c2ad87ffbe1a40eb94bd2819a8efc1fb13eb214eac42",
+        "90c456d45c28b2ff1eec17ce87f7094072dddf59c85fe4ed106a486f34c03b47",
+    ),
+    (
+        ["l1-pow3", "--k-max", "4"],
+        "52ddb13a3c1291e66512737dd59c9229e5dd7f6935e4cd3a7a3fdf3b3a4ef687",
+        "89f9b8fc477f75426cf2353fb84f108a8d6b93fe77268a2e1f2803b5f0f32313",
+    ),
+    (
+        ["l4-twins", "--n-max", "60"],
+        "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
+        "03eaface54c54d8da77c48c250af547547197eb07b69c85b876c3d47810f8ea3",
+    ),
+    (
+        ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
+        "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
+        "f8a1aeffa266a5b92f860e059eb8a5074577a8047add2c57d354a045051b5e51",
+    ),
+    (
+        ["congruence-audit", "--n-max", "200"],
+        "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
+        "7365d59088458e5622f702b64143f90ffb78e4ead9cec401b4e74f188216f634",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, table_sha, json_sha", PINNED_SCANS, ids=[argv[0] for argv, _, _ in PINNED_SCANS]
+)
+def test_scan_output_is_pinned(capsys, argv, table_sha, json_sha):
+    code, table, _ = run_cli(capsys, "scan", "--kind", *argv)
+    assert code == 0
+    assert hashlib.sha256(table.encode("ascii")).hexdigest() == table_sha
+    code, out, _ = run_cli(capsys, "scan", "--kind", *argv, "--json")
+    assert code == 0
+    lines = json_lines(out)
+    for line in lines:
+        line.pop("elapsed_ms", None)
+    stripped = "".join(json.dumps(l, sort_keys=True, separators=(",", ":")) + "\n" for l in lines)
+    assert hashlib.sha256(stripped.encode("ascii")).hexdigest() == json_sha
+
+
+def test_docs_list_every_scan_kind(capsys):
+    kinds = [kind.replace("_", "-") for kind in SCAN_KINDS]
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    listed = re.search(r"^Kinds: (.*?)\. Bounds", readme, re.MULTILINE | re.DOTALL)
+    assert listed is not None
+    assert re.findall(r"`([a-z0-9-]+)`", listed.group(1)) == kinds
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--help"])
+    assert exit_info.value.code == 0
+    offered = re.search(r"--kind \{([^}]*)\}", capsys.readouterr().out)
+    assert offered is not None
+    assert offered.group(1).split(",") == kinds
