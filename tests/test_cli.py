@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import lseq
-from lseq.cli import main
+from lseq.cli import _build_parser, main
 from lseq.search import SCAN_KINDS
 
 
@@ -535,3 +536,171 @@ def test_docs_list_every_scan_kind(capsys):
     offered = re.search(r"--kind \{([^}]*)\}", capsys.readouterr().out)
     assert offered is not None
     assert offered.group(1).split(",") == kinds
+
+
+def _digest(code, out, err):
+    return hashlib.sha256(json.dumps([code, out, err]).encode("utf-8")).hexdigest()
+
+
+# Every subcommand but the scans (pinned above) in both forms, and one error
+# path (exit 2) each: sha256 of [exit code, stdout, stderr] for the table
+# form and for --json, taken before the subcommands moved into one table.
+_FAST_CHECKS = (
+    "golden-values,congruence-orbits,gcd-insularity-l1,gcd-insularity-l3,"
+    "gcd-insularity-repunit,seven-power-orbit,product-identity,square-divisors"
+)
+PINNED_COMMANDS = [
+    (["eval", "--family", "L1", "--n", "9"],
+     "1347b0c7ca0297a2d90333ac4f97207615e9c162ea41f566fba7669acf0995b9",
+     "68303fbf99ae53bf7bac65d899bede1cd3d4d1c71eb13c6ff3fc7ba2a0b08738"),
+    (["eval", "--family", "L2", "--n", "100", "--digits-cap", "20"],
+     "493d73cf169a146beb119fc6912abc0c5bb0c727d285368d8407443ba5ab7ca7",
+     "1379292029deed3859b0b58779cf88f76697259b0b8c65a37d84efce0cd67a00"),
+    (["eval", "--family", "L9", "--n", "3"],
+     "683932ce907ba7145a35972d94e45c181133fd36efa7995108978b97f81107d9",
+     "683932ce907ba7145a35972d94e45c181133fd36efa7995108978b97f81107d9"),
+    (["residue", "--family", "L2", "--n", "16", "--m", "641"],
+     "52ea4352381445f6321cdc2b24c1bd8bab69086ed5bd94b3df2fd3e72b17c587",
+     "6d6e103ac539e46dbcd9b1a3f8403d9cd1405c1345551a402eb7fc083e0d1d21"),
+    (["residue", "--family", "L1", "--n", "10", "--m", "0"],
+     "7f0991b104c1e1ccc252b245b326907dff74b7a38957effb76fc3b1bb21ac534",
+     "7f0991b104c1e1ccc252b245b326907dff74b7a38957effb76fc3b1bb21ac534"),
+    (["prime-check", "--n", "262657"],
+     "0c5521d84f2a55a6db212a0d1e789dc7293ad9429cd9f6365b1d2ccf4546c1c2",
+     "b9576eda385a28a1da0d828159c9221de468f0aff12f27c375ed220e98912fb4"),
+    (["prime-check", "--n", str(2**127 - 1), "--extra-rounds", "4", "--seed", "5"],
+     "470fa6a47685dbc97901285ae73f404a8583716d0e2ad73f364057a9bc53df79",
+     "11f688aec8a6a8127f094d219a42bf4ad40354d323721c3e383ca39e256ae349"),
+    (["prime-check", "--n", "x"],
+     "ffdcb7b3fb8ed037922f8357004a60ed20e1b773f186dc6a53f0ffa174d7b195",
+     "ffdcb7b3fb8ed037922f8357004a60ed20e1b773f186dc6a53f0ffa174d7b195"),
+    (["order", "--a", "2", "--m", "73"],
+     "3c32ae2b1359bb9ed5d852a25a2f749aa631791b2241bf7b434f51c5ea00bc7d",
+     "d61d95270962063dd761e5ccba6dec9180ce7f26cae0bf279d0bb92f4ae64d46"),
+    (["order", "--a", "6", "--m", "9"],
+     "fa392e782a4d9faf093b8b16e8b751c71ee37639ef0e2a350e43e381d3969acb",
+     "fa392e782a4d9faf093b8b16e8b751c71ee37639ef0e2a350e43e381d3969acb"),
+    (["lemma2-witness", "--k", "3"],
+     "d55634b649cf4f0b222305c36758e62604177bf69f7fcb6b665aefbe44dfbc0b",
+     "9915e04249e092d91e41731c85827d68e28a04e8cadde8784f6f6ccad0b57f14"),
+    (["lemma2-witness", "--k", "0"],
+     "421a39beb5ebb69a7769bfe4d7b6ae62ea113ba509c8a769c0934340bfb37ea0",
+     "421a39beb5ebb69a7769bfe4d7b6ae62ea113ba509c8a769c0934340bfb37ea0"),
+    (["gcd-l1", "--k1", "1", "--t1", "5", "--k2", "1", "--t2", "7"],
+     "d3c0adac14ff017a9d7b82e591df3465685b0ad1cd08cf2afe5e34e16b8ad443",
+     "8a878ab0dea049887147bdfc6342af97bd15092ba341a99417f8c319508c7dbf"),
+    (["gcd-l1", "--k1", "0", "--t1", "5", "--k2", "2", "--t2", "7"],
+     "01a1c9208c6b1a8c0720200f56fd312b991a6160fdc86fb37f6cf838fd746475",
+     "034f17358ccac1d2d63fea0199219a3d695d9315afaf599e1096a2bb1078d0cb"),
+    (["gcd-l1", "--k1", "0", "--t1", "9", "--k2", "0", "--t2", "5"],
+     "9ad0cb322b480b96b1b591459a0e4d062dcd0801adaa2ce1175f26c891ac3a7c",
+     "9ad0cb322b480b96b1b591459a0e4d062dcd0801adaa2ce1175f26c891ac3a7c"),
+    (["gcd-l3", "--m1", "0", "--n1", "2", "--t1", "5", "--m2", "0", "--n2", "2", "--t2", "7"],
+     "b25658ab428f5e24da216e04625f0ae1e2f45b186fc7df494cc703e01efdac75",
+     "a27710734551118745b1ea734e7a780b27f70a32fadf1939f6fe3ad42f355f1d"),
+    (["gcd-l3", "--m1", "1", "--n1", "1", "--t1", "5", "--m2", "0", "--n2", "2", "--t2", "7"],
+     "7a9453dca05b767cd0e89cbad27ca839f3014970b4d28347b36ea3dab15b3f9f",
+     "262d51cde5dd075c8cdd483431bf95007d821269fc769616a8b6416495e9731b"),
+    (["gcd-l3", "--m1", "0", "--n1", "2", "--t1", "3", "--m2", "0", "--n2", "2", "--t2", "7"],
+     "01f4d3946ff0d891de7e92123137993d006656c7f22d6f874260c1303f4a9b78",
+     "01f4d3946ff0d891de7e92123137993d006656c7f22d6f874260c1303f4a9b78"),
+    (["gcd-repunit", "--b", "10", "--n", "6", "--m", "4", "--kind", "minus"],
+     "ffbab4a678573c5402480b905b703eddc9110e431cbf16590df4b8d91667d5f9",
+     "fc0afb3e67701152164fafaac2255e0d3c125fc6d7093e5e2d125739e1de6f40"),
+    (["gcd-repunit", "--b", "3", "--n", "9", "--m", "15", "--kind", "plus"],
+     "5359d47dc0d82abeb457f386504961fd6242194a1dd3664b34c0220edfb28e27",
+     "aa99cd25a569ce15c2de6af6e11bf5cda779e7467ce7bb9bc9cdbd885a431891"),
+    (["gcd-repunit", "--b", "1", "--n", "6", "--m", "4", "--kind", "minus"],
+     "78009f95007cd8dbbe185421462fd5889f5925e353c55fc6233685163bf6174a",
+     "78009f95007cd8dbbe185421462fd5889f5925e353c55fc6233685163bf6174a"),
+    (["insularity", "--sequence", "L1", "--pow3", "2", "--pairs", "6", "--seed", "3"],
+     "02726f461e03e33a33c09d77e5d05e1210cffba3257a05bd0afd3cb0f1147f99",
+     "7aa67f883418aea8aecc912b85310df87d06503729b99c638d890d13fd08b42c"),
+    (["insularity", "--sequence", "L3", "--pow3", "1", "--pow2", "2", "--pairs", "5"],
+     "b136d634ba6ee1ef7ccab9288ecc47d78d0e261640d4cb05a19fb4b63a28b62d",
+     "10048653351f373a2ca037b694fbf7080bbfabf9bf22d72d13b8a9f10ded18ab"),
+    (["insularity", "--sequence", "repunit", "--b", "7", "--kind", "plus", "--bound", "60",
+      "--pairs", "4"],
+     "8d23f0228c69069e0f8d4d562c60fbaa5b6e0c000497a07054a01b1e8fff9d35",
+     "5713e4bdb49993127f38da5b14b67688ed3420b9547585fd84dc2599a7fca069"),
+    (["insularity", "--sequence", "L7"],
+     "1b739dadcc016a74b0d0ebd569a06e24cd390510627144fd6dca5c865febdbb8",
+     "1b739dadcc016a74b0d0ebd569a06e24cd390510627144fd6dca5c865febdbb8"),
+    (["orbit", "--statement", "1", "--family", "L1", "--l", "10", "--p", "7", "--k-max", "25"],
+     "7b404a20755f09d222635e2bd3c721e27ccc5e86c231307758b170293dc66ad6",
+     "27562502d08ba55d90411cc21a4619b63697a3ce6f22f6bdc9d87b74bb48f14f"),
+    (["orbit", "--statement", "2", "--family", "L2", "--l", "68", "--p", "11", "--t", "3",
+      "--n-max", "3"],
+     "3f58a32fad64fc412eda0c14413a2399a69abad9ad869e3ea22f803e0bda2d11",
+     "ce43a5f180537e49528f74f092e77369c29a79956d9a9d9f9a24acf44627a1a4"),
+    (["orbit", "--statement", "1", "--family", "L1", "--l", "3", "--p", "7", "--k-max", "5"],
+     "2ddd38b0c01502280954ee2ad9bb49d56ce8d7929413aa5e0eed8bf6a1776b50",
+     "2ddd38b0c01502280954ee2ad9bb49d56ce8d7929413aa5e0eed8bf6a1776b50"),
+    (["theorem3", "--k", "2", "--n", "5"],
+     "ba7d83762dcef0427da482da394fc5b97cfbefda403247f23154130d183ae23c",
+     "30be54022e0cd29a2e7e182d0ac2e08c50a005f6e69b789586b30c74d9792f4c"),
+    (["theorem3", "--k", "2", "--n", "6"],
+     "4050ed9faf6e7270013e407d675c2e5cdc1220426789268d5be6d63e99425524",
+     "4050ed9faf6e7270013e407d675c2e5cdc1220426789268d5be6d63e99425524"),
+    (["product-identity", "--k", "3"],
+     "54ae1114410c3d81846f6b56de0632b172c8f854d6c778de46b0c2677f08310b",
+     "05e660456586a22b21ead0bce1c49184917950d5c0cad1c28d7ca339a8f51459"),
+    (["product-identity", "--k", "7"],
+     "ba05795c9908200919091afed3d032069dcbefabb477aa7841829dc31ecdef31",
+     "ba05795c9908200919091afed3d032069dcbefabb477aa7841829dc31ecdef31"),
+    (["repunit", "--b", "10", "--n", "5", "--kind", "minus"],
+     "88d4d32054fa669cf0ac14f6b8784d4487301bd4303955c0495bdcf0cd10f523",
+     "8f322f20f2edb2994cb45ded04f7f081aceeb1821cd5c0d919763a5ec4e528a4"),
+    (["repunit", "--b", "1", "--n", "5", "--kind", "plus"],
+     "78009f95007cd8dbbe185421462fd5889f5925e353c55fc6233685163bf6174a",
+     "78009f95007cd8dbbe185421462fd5889f5925e353c55fc6233685163bf6174a"),
+    (["scan", "--kind", "square-divisors", "--n-max", "10", "--p-max", "10"],
+     "3d323360e3b3e494c9d84de155f393611a3e0df4221ba47ae7fa48c317b3c6c3",
+     "3d323360e3b3e494c9d84de155f393611a3e0df4221ba47ae7fa48c317b3c6c3"),
+    (["resume", "--path", "/nonexistent/scan.jsonl"],
+     "6945d14c5740b400d197e19f00da29545838463cdab163e7c4e54912848e0efe",
+     "6945d14c5740b400d197e19f00da29545838463cdab163e7c4e54912848e0efe"),
+    (["verify-paper", "--only", _FAST_CHECKS],
+     "bc4e48c36a8af8ae5f936041d61521ea2dcbde26c69247734900f8c9a1a102bb",
+     "d802bf05edb4772c52e931a298367f809be88010ea0b298a5f2f45c8a20eb416"),
+    (["verify-paper", "--only", "nonsense"],
+     "5e936f212269fcd1b62990bf53276d2e5be4a4a31d9e95ecc0d821a568d51574",
+     "5e936f212269fcd1b62990bf53276d2e5be4a4a31d9e95ecc0d821a568d51574"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, table_sha, json_sha",
+    PINNED_COMMANDS,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(PINNED_COMMANDS)],
+)
+def test_command_output_is_pinned(capsys, argv, table_sha, json_sha):
+    assert _digest(*run_cli(capsys, *argv)) == table_sha
+    assert _digest(*run_cli(capsys, *argv, "--json")) == json_sha
+
+
+def _argument_specs(parser):
+    specs = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            specs.append(
+                [[name, helps[name], _argument_specs(sub)] for name, sub in action.choices.items()]
+            )
+        else:
+            specs.append([
+                action.option_strings, action.dest, type(action).__name__,
+                getattr(action.type, "__name__", None), action.default, action.required,
+                action.choices, action.help,
+            ])
+    return specs
+
+
+def test_argument_specs_are_pinned():
+    # Flags, destinations, action, type, default, required, choices and help
+    # of every subcommand, as taken before the subcommands moved into one
+    # table; pinned instead of --help text, whose layout varies by Python.
+    specs = json.dumps(_argument_specs(_build_parser()))
+    assert hashlib.sha256(specs.encode("utf-8")).hexdigest() == (
+        "f0f9205b8b06dafda6e6063924d430187d8498da132f4809c1a4fae52b7e774a"
+    )
