@@ -299,7 +299,8 @@ def _smallest_factor_small(n: int) -> int:
     for p in _trial_primes():
         if n % p == 0:
             return p
-    raise AssertionError(f"no small factor found for composite {n}")
+    # Composites from 1009^2 up, with no prime factor below 1000.
+    return next(d for d in _wheel(math.isqrt(n)) if n % d == 0)
 
 
 def is_prime(

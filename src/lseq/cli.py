@@ -94,107 +94,89 @@ def _elide(text: str, cap: int | None) -> str:
     return f"{text[:head]}{_ELLIPSIS}{text[-tail:]}({len(text)} digits)"
 
 
-def _provenance(seed: int | None = None, extra_rounds: int | None = None) -> dict[str, Any]:
-    info: dict[str, Any] = {"engine": "lseq", "version": __version__}
-    if seed is not None:
-        info["seed"] = seed
-    if extra_rounds is not None:
-        info["extra_rounds"] = extra_rounds
-    return info
-
-
 class _Output:
+    """Where a handler writes: every line is one JSON object under --json and
+    table text otherwise, and header and result lines name args.command."""
+
     def __init__(self, args: argparse.Namespace):
-        self.json = bool(getattr(args, "json", False))
-        self.digits_cap = getattr(args, "digits_cap", None)
+        self.command = args.command
+        self.json = args.json
+        self.digits_cap = args.digits_cap
 
-    def header(self, command: str, params: dict[str, Any], provenance: dict[str, Any]) -> None:
-        if self.json:
-            print(
-                json.dumps(
-                    {
-                        "type": "header",
-                        "command": command,
-                        "params": _decimal(params),
-                        "provenance": provenance,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            pairs = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
-            extras = " ".join(f"{k}={v}" for k, v in provenance.items() if k != "engine")
-            parts = [p for p in (f"# lseq {command}", pairs, f"[{extras}]") if p]
-            print(" ".join(parts))
-
-    def result(self, command: str, anchor: str, result: dict[str, Any], table_lines: list[str]) -> None:
-        if self.json:
-            print(
-                json.dumps(
-                    {
-                        "type": "result",
-                        "command": command,
-                        "anchor": anchor,
-                        "result": _decimal(result),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            for line in table_lines:
-                print(line)
-
-    def raw_line(self, obj: dict[str, Any], table_line: str | None) -> None:
+    def line(self, obj: dict[str, Any], table_lines: list[str]) -> None:
         if self.json:
             print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        elif table_line is not None:
-            print(table_line)
+        else:
+            for text in table_lines:
+                print(text)
+
+    def header(
+        self, params: dict[str, Any], seed: int | None = None, extra_rounds: int | None = None
+    ) -> None:
+        provenance: dict[str, Any] = {"engine": "lseq", "version": __version__}
+        if seed is not None:
+            provenance["seed"] = seed
+        if extra_rounds is not None:
+            provenance["extra_rounds"] = extra_rounds
+        pairs = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
+        extras = " ".join(f"{k}={v}" for k, v in provenance.items() if k != "engine")
+        parts = [p for p in (f"# lseq {self.command}", pairs, f"[{extras}]") if p]
+        self.line(
+            {
+                "type": "header",
+                "command": self.command,
+                "params": _decimal(params),
+                "provenance": provenance,
+            },
+            [" ".join(parts)],
+        )
+
+    def result(
+        self, anchor: str, result: dict[str, Any], lines: list[str], ok: bool = True
+    ) -> int:
+        """Write the result; return the exit code, 0 when ok, else 1."""
+        self.line(
+            {
+                "type": "result",
+                "command": self.command,
+                "anchor": anchor,
+                "result": _decimal(result),
+            },
+            lines,
+        )
+        return 0 if ok else 1
 
     def num(self, value: int) -> str:
         return _elide(str(value), self.digits_cap)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace, out: _Output) -> int:
     family = LFamily.parse(args.family)
-    out = _Output(args)
     value = eval_exact(family, args.n, bit_budget=args.bit_budget)
-    out.header("eval", {"family": family.name, "n": args.n}, _provenance())
-    out.result(
-        "eval",
+    out.header({"family": family.name, "n": args.n})
+    return out.result(
         "sequence-values",
         {"value": value},
         [f"{family.name}({args.n}) = {out.num(value)}"],
     )
-    return 0
 
 
-def _cmd_residue(args: argparse.Namespace) -> int:
+def _cmd_residue(args: argparse.Namespace, out: _Output) -> int:
     family = LFamily.parse(args.family)
-    out = _Output(args)
     r = residue(family, args.n, args.m)
-    out.header("residue", {"family": family.name, "n": args.n, "m": args.m}, _provenance())
-    out.result(
-        "residue",
+    out.header({"family": family.name, "n": args.n, "m": args.m})
+    return out.result(
         "congruence-residues",
         {"residue": r},
         [f"{family.name}({args.n}) mod {args.m} = {r}"],
     )
-    return 0
 
 
-def _cmd_prime_check(args: argparse.Namespace) -> int:
+def _cmd_prime_check(args: argparse.Namespace, out: _Output) -> int:
     n = int(args.n)
-    out = _Output(args)
     verdict = is_prime(n, extra_rounds=args.extra_rounds, seed=args.seed)
-    out.header(
-        "prime-check",
-        {"n": n},
-        _provenance(seed=args.seed, extra_rounds=args.extra_rounds),
-    )
-    out.result(
-        "prime-check",
+    out.header({"n": n}, seed=args.seed, extra_rounds=args.extra_rounds)
+    return out.result(
         "primality",
         {
             "classification": verdict.classification,
@@ -203,75 +185,58 @@ def _cmd_prime_check(args: argparse.Namespace) -> int:
         },
         [f"{out.num(n)}: {verdict.classification} (evidence={verdict.evidence}, rounds={verdict.rounds})"],
     )
-    return 0
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    result = multiplicative_order(args.a, args.m)
-    out.header("order", {"a": args.a, "m": args.m}, _provenance())
-    out.result(
-        "order",
+def _cmd_order(args: argparse.Namespace, out: _Output) -> int:
+    order = multiplicative_order(args.a, args.m).order
+    out.header({"a": args.a, "m": args.m})
+    return out.result(
         "multiplicative-order",
-        {"order": result.order},
-        [f"order of {args.a} mod {args.m} = {result.order}"],
+        {"order": order},
+        [f"order of {args.a} mod {args.m} = {order}"],
     )
-    return 0
 
 
-def _cmd_lemma2_witness(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_lemma2_witness(args: argparse.Namespace, out: _Output) -> int:
     q = lemma2_witness(args.k)
-    out.header("lemma2-witness", {"k": args.k}, _provenance())
-    out.result(
-        "lemma2-witness",
+    out.header({"k": args.k})
+    return out.result(
         "order-power-of-3-witness",
         {"q": q, "order": 3**args.k},
         [f"prime {out.num(q)} has multiplicative order 3^{args.k} = {3 ** args.k} for base 2"],
     )
-    return 0
 
 
-def _record_result(record: GcdCheckRecord) -> dict[str, Any]:
-    return {
-        "indices": list(record.index_pair),
-        "gcd": record.computed,
-        "predicted": record.predicted,
-        "match": record.match,
-    }
+def _gcd_result(out: _Output, family: str, record: GcdCheckRecord) -> int:
+    """Result of gcd-l1 and gcd-l3: the gcd of one index pair against the law."""
+    i, j = record.index_pair
+    computed, predicted, match = record.computed, record.predicted, record.match
+    return out.result(
+        f"gcd-insularity-{family.lower()}",
+        {"indices": [i, j], "gcd": computed, "predicted": predicted, "match": match},
+        [
+            f"gcd({family}({i}), {family}({j})) = {out.num(computed)}",
+            f"predicted {out.num(predicted)} -> {'match' if match else 'MISMATCH'}",
+        ],
+        match,
+    )
 
 
-def _cmd_gcd_l1(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_gcd_l1(args: argparse.Namespace, out: _Output) -> int:
     if args.k1 == args.k2:
         _, record = gcd_l1(args.k1, args.t1, args.t2)
     else:
         _, record = gcd_l1_cross(args.k1, args.t1, args.k2, args.t2)
-    out.header(
-        "gcd-l1",
-        {"k1": args.k1, "t1": args.t1, "k2": args.k2, "t2": args.t2},
-        _provenance(),
-    )
-    out.result(
-        "gcd-l1",
-        "gcd-insularity-l1",
-        _record_result(record),
-        [
-            f"gcd(L1({record.index_pair[0]}), L1({record.index_pair[1]})) = {out.num(record.computed)}",
-            f"predicted {out.num(record.predicted)} -> {'match' if record.match else 'MISMATCH'}",
-        ],
-    )
-    return 0 if record.match else 1
+    out.header({"k1": args.k1, "t1": args.t1, "k2": args.k2, "t2": args.t2})
+    return _gcd_result(out, "L1", record)
 
 
-def _cmd_gcd_l3(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_gcd_l3(args: argparse.Namespace, out: _Output) -> int:
     if (args.m1, args.n1) == (args.m2, args.n2):
         _, record = gcd_l3(args.m1, args.n1, args.t1, args.t2)
     else:
         _, record = gcd_l3_cross(args.m1, args.n1, args.t1, args.m2, args.n2, args.t2)
     out.header(
-        "gcd-l3",
         {
             "m1": args.m1,
             "n1": args.n1,
@@ -280,43 +245,26 @@ def _cmd_gcd_l3(args: argparse.Namespace) -> int:
             "n2": args.n2,
             "t2": args.t2,
         },
-        _provenance(),
     )
-    out.result(
-        "gcd-l3",
-        "gcd-insularity-l3",
-        _record_result(record),
-        [
-            f"gcd(L3({record.index_pair[0]}), L3({record.index_pair[1]})) = {out.num(record.computed)}",
-            f"predicted {out.num(record.predicted)} -> {'match' if record.match else 'MISMATCH'}",
-        ],
-    )
-    return 0 if record.match else 1
+    return _gcd_result(out, "L3", record)
 
 
-def _cmd_gcd_repunit(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_gcd_repunit(args: argparse.Namespace, out: _Output) -> int:
     kind = RepunitKind.parse(args.kind)
     computed, predicted, match = gcd_repunit(args.b, args.n, args.m, kind)
-    out.header(
-        "gcd-repunit",
-        {"b": args.b, "n": args.n, "m": args.m, "kind": kind.value},
-        _provenance(),
-    )
-    out.result(
-        "gcd-repunit",
+    out.header({"b": args.b, "n": args.n, "m": args.m, "kind": kind.value})
+    return out.result(
         "gcd-insularity-repunit",
         {"gcd": computed, "predicted": predicted, "match": match},
         [
             f"gcd = {out.num(computed)}, predicted {out.num(predicted)}"
             f" -> {'match' if match else 'MISMATCH'}"
         ],
+        match,
     )
-    return 0 if match else 1
 
 
-def _cmd_insularity(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_insularity(args: argparse.Namespace, out: _Output) -> int:
     if args.sequence.upper() == "L1":
         spec = IndexSetSpec("structured", pow3=args.pow3, pow2=0, bound=args.bound)
         seq: Callable[[int], int] = lambda n: eval_exact(LFamily.L1, n)
@@ -337,29 +285,24 @@ def _cmd_insularity(args: argparse.Namespace) -> int:
         )
     records = insularity_harness(seq, spec, args.pairs, seed=args.seed)
     matches = sum(1 for r in records if r.match)
-    out.header(
-        "insularity",
-        {"sequence": label, "pairs": args.pairs, "bound": args.bound},
-        _provenance(seed=args.seed),
-    )
+    out.header({"sequence": label, "pairs": args.pairs, "bound": args.bound}, seed=args.seed)
     for record in records:
-        out.raw_line(
-            {"type": "record", **_decimal(_record_result(record))},
-            f"({record.index_pair[0]}, {record.index_pair[1]}):"
-            f" gcd={out.num(record.computed)}"
-            f" {'match' if record.match else 'MISMATCH'}",
+        i, j = record.index_pair
+        computed, predicted, match = record.computed, record.predicted, record.match
+        fields = {"indices": [i, j], "gcd": computed, "predicted": predicted, "match": match}
+        out.line(
+            {"type": "record", **_decimal(fields)},
+            [f"({i}, {j}): gcd={out.num(computed)} {'match' if match else 'MISMATCH'}"],
         )
-    out.result(
-        "insularity",
+    return out.result(
         "gcd-insularity-sampled",
         {"pairs": len(records), "matches": matches},
         [f"{matches}/{len(records)} pairs match"],
+        matches == len(records),
     )
-    return 0 if matches == len(records) else 1
 
 
-def _cmd_orbit(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
     family = LFamily.parse(args.family)
     if args.statement == 1:
         params = {"family": family.name, "l": args.l, "p": args.p, "k_max": args.k_max}
@@ -378,65 +321,62 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             f"{family.name}({args.p}^(N+{args.t}) - {args.p}^{args.t - 1} + {args.l})"
             f" = 0 mod {args.p}^{args.t} for N <= {args.n_max}"
         )
-    out.header("orbit", {"statement": args.statement, **params}, _provenance())
-    out.result(
-        "orbit",
+    out.header({"statement": args.statement, **params})
+    return out.result(
         "divisibility-orbits",
         {"holds": ok},
         [f"{description}: {'holds' if ok else 'FAILS'}"],
+        ok,
     )
-    return 0 if ok else 1
 
 
-def _cmd_theorem3(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_theorem3(args: argparse.Namespace, out: _Output) -> int:
     ok = verify_theorem3(args.k, args.n)
-    out.header("theorem3", {"k": args.k, "n": args.n}, _provenance())
-    out.result(
-        "theorem3",
+    out.header({"k": args.k, "n": args.n})
+    return out.result(
         "seven-power-orbit",
         {"holds": ok},
         [f"7^{args.k + 1} divides L1(7^{args.k} * {args.n}): {'holds' if ok else 'FAILS'}"],
+        ok,
     )
-    return 0 if ok else 1
 
 
-def _cmd_product_identity(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_product_identity(args: argparse.Namespace, out: _Output) -> int:
     ok = verify_product_identity(args.k, bit_budget=args.bit_budget)
-    out.header("product-identity", {"k": args.k}, _provenance())
-    out.result(
-        "product-identity",
+    out.header({"k": args.k})
+    return out.result(
         "product-identity",
         {"holds": ok},
         [
             f"L1(1) * L1(3) * ... * L1(3^{args.k}) == 2^(3^{args.k + 1}) - 1:"
             f" {'holds' if ok else 'FAILS'}"
         ],
+        ok,
     )
-    return 0 if ok else 1
 
 
-def _cmd_repunit(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_repunit(args: argparse.Namespace, out: _Output) -> int:
     kind = RepunitKind.parse(args.kind)
     value = repunit(args.b, args.n, kind)
-    out.header("repunit", {"b": args.b, "n": args.n, "kind": kind.value}, _provenance())
-    out.result(
-        "repunit",
+    out.header({"b": args.b, "n": args.n, "kind": kind.value})
+    return out.result(
         "repunit-values",
         {"value": value},
         [f"repunit(b={args.b}, n={args.n}, {kind.value}) = {out.num(value)}"],
     )
-    return 0
 
 
-def _report_lines(out: _Output, report: ScanReport) -> None:
+def _report_lines(out: _Output, report: ScanReport) -> int:
+    """Write a scan's journal lines and summary.  The exit code is 1 while the
+    scan is incomplete or when a record is "violated" (a congruence rule
+    failed), else 0."""
     spec = report.spec
-    out.raw_line(
+    out.line(
         _header_line(spec),
-        f"# lseq scan kind={spec.kind} spec={spec.canonical()}"
-        f" [version={__version__} seed={spec.seed} extra_rounds={spec.extra_rounds}]",
+        [
+            f"# lseq scan kind={spec.kind} spec={spec.canonical()}"
+            f" [version={__version__} seed={spec.seed} extra_rounds={spec.extra_rounds}]"
+        ],
     )
     for pos, rec in enumerate(report.records):
         brief = rec.verdict
@@ -444,7 +384,7 @@ def _report_lines(out: _Output, report: ScanReport) -> None:
             brief += f" {rec.detail['hits']}"
         elif "evidence" in rec.detail and rec.detail["evidence"]:
             brief += f" ({rec.detail['evidence']})"
-        out.raw_line(_record_line(pos, rec), f"{pos:>6}  index={','.join(map(str, rec.index))}  {brief}")
+        out.line(_record_line(pos, rec), [f"{pos:>6}  index={','.join(map(str, rec.index))}  {brief}"])
     fields, line = _summary(report)
     summary = {
         "type": "summary",
@@ -453,23 +393,18 @@ def _report_lines(out: _Output, report: ScanReport) -> None:
         "complete": report.complete,
         **fields,
     }
-    out.raw_line(_decimal(summary), None)
-    if not out.json:
-        print(
+    out.line(
+        _decimal(summary),
+        [
             f"completed {report.completed_through}/{report.total}"
-            + ("" if report.complete else " (incomplete)")
-        )
-        print(line)
-
-
-def _scan_exit(report: ScanReport) -> int:
-    """1 while incomplete or when a record is "violated" (a congruence rule
-    failed), else 0."""
+            + ("" if report.complete else " (incomplete)"),
+            line,
+        ],
+    )
     return int(not report.complete or any(r.verdict == "violated" for r in report.records))
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
     spec = ScanSpec(
         kind=args.kind.replace("-", "_"),
         family=args.family,
@@ -487,15 +422,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         limit=args.limit,
         fsync=args.fsync,
     )
-    _report_lines(out, report)
-    return _scan_exit(report)
+    return _report_lines(out, report)
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_resume(args: argparse.Namespace, out: _Output) -> int:
     report = resume(args.path, jobs=args.jobs, limit=args.limit, fsync=args.fsync)
-    _report_lines(out, report)
-    return _scan_exit(report)
+    return _report_lines(out, report)
 
 
 # --- verify-paper fixtures ------------------------------------------------
@@ -726,8 +658,7 @@ VERIFICATIONS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    out = _Output(args)
+def _cmd_verify_paper(args: argparse.Namespace, out: _Output) -> int:
     selected = None
     if args.only:
         selected = {name.strip() for name in args.only.split(",")}
@@ -735,34 +666,148 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         unknown = selected - known
         if unknown:
             raise ValueError(f"unknown anchors {sorted(unknown)}; known: {sorted(known)}")
-    out.header("verify-paper", {"only": args.only}, _provenance(seed=0, extra_rounds=DEFAULT_EXTRA_ROUNDS))
+    out.header({"only": args.only}, seed=0, extra_rounds=DEFAULT_EXTRA_ROUNDS)
     all_ok = True
     for anchor, check in VERIFICATIONS:
         if selected is not None and anchor not in selected:
             continue
         ok, detail = check()
         all_ok = all_ok and ok
-        out.raw_line(
+        out.line(
             {"type": "check", "anchor": anchor, "pass": ok, "detail": detail},
-            f"{'PASS' if ok else 'FAIL'}  {anchor:<24} {detail}",
+            [f"{'PASS' if ok else 'FAIL'}  {anchor:<24} {detail}"],
         )
-    out.result(
-        "verify-paper",
+    return out.result(
         "verification-suite",
         {"pass": all_ok},
         [f"overall: {'PASS' if all_ok else 'FAIL'}"],
+        all_ok,
     )
-    return 0 if all_ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="structured output, one JSON object per line")
-    parser.add_argument(
-        "--digits-cap",
-        type=int,
-        default=None,
-        help="elide the middle of long numbers in table output (display only)",
-    )
+_Argument = tuple[str, dict[str, Any]]  # flag, add_argument settings
+
+
+def _ints(*flags: str) -> list[_Argument]:
+    """Required integer options."""
+    return [(flag, {"type": int, "required": True}) for flag in flags]
+
+
+def _int(flag: str, default: int | None, help_text: str | None = None) -> _Argument:
+    """An optional integer option."""
+    return flag, {"type": int, "default": default, "help": help_text}
+
+
+_FAMILY = ("--family", {"required": True})
+_SEED = _int("--seed", 0)
+_EXTRA_ROUNDS = _int("--extra-rounds", DEFAULT_EXTRA_ROUNDS)
+_FSYNC = ("--fsync", {"action": "store_true"})
+_REPUNIT_KINDS = ["minus", "plus"]
+
+# Subcommand name -> (help, handler, options).  Every subcommand also takes
+# --json and --digits-cap.  Handlers call library functions through this
+# module's globals, so a caller that replaces one here (the benchmark's
+# tracer does) sees every call.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], list[_Argument]]] = {
+    "eval": (
+        "exact sequence value",
+        _cmd_eval,
+        [_FAMILY, *_ints("--n"), _int("--bit-budget", 1 << 26)],
+    ),
+    "residue": (
+        "sequence value mod m without full evaluation",
+        _cmd_residue,
+        [_FAMILY, *_ints("--n", "--m")],
+    ),
+    "prime-check": (
+        "classify an integer",
+        _cmd_prime_check,
+        [("--n", {"required": True, "help": "decimal integer"}), _EXTRA_ROUNDS, _SEED],
+    ),
+    "order": ("multiplicative order of a mod m", _cmd_order, _ints("--a", "--m")),
+    "lemma2-witness": (
+        "prime q with order of 2 mod q exactly 3^k",
+        _cmd_lemma2_witness,
+        _ints("--k"),
+    ),
+    "gcd-l1": (
+        "gcd law for L1 indices 3^k * t",
+        _cmd_gcd_l1,
+        _ints("--k1", "--t1", "--k2", "--t2"),
+    ),
+    "gcd-l3": (
+        "gcd law for L3 indices 3^m * 2^n * t",
+        _cmd_gcd_l3,
+        _ints("--m1", "--n1", "--t1", "--m2", "--n2", "--t2"),
+    ),
+    "gcd-repunit": (
+        "gcd law for generalized repunits",
+        _cmd_gcd_repunit,
+        [*_ints("--b", "--n", "--m"), ("--kind", {"required": True, "choices": _REPUNIT_KINDS})],
+    ),
+    "insularity": (
+        "sample index pairs and check the gcd law",
+        _cmd_insularity,
+        [
+            ("--sequence", {"required": True, "help": "L1, L3, or repunit"}),
+            _int("--pow3", 0),
+            _int("--pow2", 1),
+            _int("--b", 10),
+            ("--kind", {"default": "minus", "choices": _REPUNIT_KINDS}),
+            _int("--bound", 10_000),
+            _int("--pairs", 20),
+            _SEED,
+        ],
+    ),
+    "orbit": (
+        "check a divisibility orbit",
+        _cmd_orbit,
+        [
+            ("--statement", {"type": int, "required": True, "choices": [1, 2]}),
+            _FAMILY,
+            *_ints("--l", "--p"),
+            _int("--t", 1),
+            _int("--k-max", 50),
+            _int("--n-max", 2),
+        ],
+    ),
+    "theorem3": ("check 7^(k+1) | L1(7^k * n)", _cmd_theorem3, _ints("--k", "--n")),
+    "product-identity": (
+        "check the power-of-3 product identity",
+        _cmd_product_identity,
+        [*_ints("--k"), _int("--bit-budget", 1 << 12)],
+    ),
+    "repunit": (
+        "generalized repunit value",
+        _cmd_repunit,
+        [*_ints("--b", "--n"), ("--kind", {"required": True, "choices": _REPUNIT_KINDS})],
+    ),
+    "scan": (
+        "run a search scan",
+        _cmd_scan,
+        [
+            ("--kind", {"required": True, "choices": [k.replace("_", "-") for k in SCAN_KINDS]}),
+            ("--family", {}),
+            *[_int(flag, None) for flag in ("--n-max", "--p-max", "--m-max", "--k-max")],
+            _SEED,
+            _EXTRA_ROUNDS,
+            _int("--jobs", None, "default: LSEQ_JOBS or 1"),
+            ("--checkpoint", {"help": "journal progress to this file"}),
+            _int("--limit", None, "evaluate at most this many candidates"),
+            _FSYNC,
+        ],
+    ),
+    "resume": (
+        "continue a checkpointed scan",
+        _cmd_resume,
+        [("--path", {"required": True}), _int("--jobs", None), _int("--limit", None), _FSYNC],
+    ),
+    "verify-paper": (
+        "run the verification fixture suite",
+        _cmd_verify_paper,
+        [("--only", {"help": "comma-separated anchors to run"})],
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -772,148 +817,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="exact sequence value")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bit-budget", type=int, default=1 << 26)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("residue", help="sequence value mod m without full evaluation")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_residue)
-
-    p = sub.add_parser("prime-check", help="classify an integer")
-    p.add_argument("--n", required=True, help="decimal integer")
-    p.add_argument("--extra-rounds", type=int, default=DEFAULT_EXTRA_ROUNDS)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_prime_check)
-
-    p = sub.add_parser("order", help="multiplicative order of a mod m")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_order)
-
-    p = sub.add_parser("lemma2-witness", help="prime q with order of 2 mod q exactly 3^k")
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lemma2_witness)
-
-    p = sub.add_parser("gcd-l1", help="gcd law for L1 indices 3^k * t")
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gcd_l1)
-
-    p = sub.add_parser("gcd-l3", help="gcd law for L3 indices 3^m * 2^n * t")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gcd_l3)
-
-    p = sub.add_parser("gcd-repunit", help="gcd law for generalized repunits")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=["minus", "plus"])
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gcd_repunit)
-
-    p = sub.add_parser("insularity", help="sample index pairs and check the gcd law")
-    p.add_argument("--sequence", required=True, help="L1, L3, or repunit")
-    p.add_argument("--pow3", type=int, default=0)
-    p.add_argument("--pow2", type=int, default=1)
-    p.add_argument("--b", type=int, default=10)
-    p.add_argument("--kind", default="minus", choices=["minus", "plus"])
-    p.add_argument("--bound", type=int, default=10_000)
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_insularity)
-
-    p = sub.add_parser("orbit", help="check a divisibility orbit")
-    p.add_argument("--statement", type=int, required=True, choices=[1, 2])
-    p.add_argument("--family", required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = sub.add_parser("theorem3", help="check 7^(k+1) | L1(7^k * n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_theorem3)
-
-    p = sub.add_parser("product-identity", help="check the power-of-3 product identity")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bit-budget", type=int, default=1 << 12)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_product_identity)
-
-    p = sub.add_parser("repunit", help="generalized repunit value")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=["minus", "plus"])
-    _add_common(p)
-    p.set_defaults(handler=_cmd_repunit)
-
-    p = sub.add_parser("scan", help="run a search scan")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[kind.replace("_", "-") for kind in SCAN_KINDS],
-    )
-    p.add_argument("--family", default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--p-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra-rounds", type=int, default=DEFAULT_EXTRA_ROUNDS)
-    p.add_argument("--jobs", type=int, default=None, help="default: LSEQ_JOBS or 1")
-    p.add_argument("--checkpoint", default=None, help="journal progress to this file")
-    p.add_argument("--limit", type=int, default=None, help="evaluate at most this many candidates")
-    p.add_argument("--fsync", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_scan)
-
-    p = sub.add_parser("resume", help="continue a checkpointed scan")
-    p.add_argument("--path", required=True)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--fsync", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_resume)
-
-    p = sub.add_parser("verify-paper", help="run the verification fixture suite")
-    p.add_argument("--only", default=None, help="comma-separated anchors to run")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_paper)
-
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.add_argument(
+            "--json", action="store_true", help="structured output, one JSON object per line"
+        )
+        p.add_argument(
+            "--digits-cap",
+            type=int,
+            default=None,
+            help="elide the middle of long numbers in table output (display only)",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = _COMMANDS[args.command][1](args, _Output(args))
         sys.stdout.flush()  # a closed pipe then shows up here, not at exit
         return code
     except BrokenPipeError:

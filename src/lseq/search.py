@@ -428,7 +428,7 @@ def _record_line(pos: int, rec: ScanRecord) -> dict[str, Any]:
 
 
 class _CheckpointWriter:
-    """Append-only journal: header, then record/cursor lines per candidate.
+    """Append-only journal: a header line, then one record line per candidate.
 
     valid_length, when given, is the size of the journal's complete prefix;
     anything after it (a torn final line) is cut off before appending, so
@@ -452,7 +452,6 @@ class _CheckpointWriter:
 
     def record(self, pos: int, rec: ScanRecord) -> None:
         self._emit(_record_line(pos, rec))
-        self._emit({"type": "cursor", "completed_through": pos + 1})
 
     def close(self) -> None:
         self._handle.close()

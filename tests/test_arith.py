@@ -93,6 +93,24 @@ def test_is_prime_sieve_boundary():
     assert is_prime(1048583).classification == "prime"
 
 
+def test_is_prime_up_to_sieve_limit_names_smallest_factor():
+    # The 15 composites from 1009^2 = 1018081 to 1021^2 = 1042441 have no
+    # prime factor below 1000 and used to raise AssertionError.
+    lo, hi = 10**6, 1 << 20
+    spf = list(range(hi + 1))  # smallest prime factor
+    for p in range(2, math.isqrt(hi) + 1):
+        if spf[p] == p:
+            for m in range(p * p, hi + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(lo + 1, hi + 1):
+        verdict = is_prime(n)
+        if spf[n] == n:
+            assert (verdict.classification, verdict.evidence) == ("prime", "trial_division"), n
+        else:
+            assert (verdict.classification, verdict.evidence) == ("composite", f"factor={spf[n]}"), n
+
+
 def test_is_prime_deterministic_below_2_64():
     # strong-pseudoprime traps for small witness sets
     assert is_prime(2047).classification == "composite"

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import lseq
-from lseq.cli import _build_parser, main
+from lseq.cli import _COMMANDS, _build_parser, main
 from lseq.search import SCAN_KINDS
 
 
@@ -23,6 +23,14 @@ def run_cli(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def json_lines_without_elapsed(out):
+    """The --json lines with elapsed_ms, wall-clock bookkeeping, dropped."""
+    lines = json_lines(out)
+    for line in lines:
+        line.pop("elapsed_ms", None)
+    return lines
 
 
 def test_eval_table(capsys):
@@ -143,6 +151,17 @@ def test_order_and_witness(capsys):
     assert result["order"] == "27"
     code, _, err = run_cli(capsys, "order", "--a", "6", "--m", "9")
     assert code == 2
+
+
+def test_composite_without_factor_below_1000(capsys):
+    # 1018081 = 1009^2 is below the 2^20 sieve limit but has no prime factor
+    # in the trial list; both commands used to exit 1 with a traceback.
+    code, out, err = run_cli(capsys, "prime-check", "--n", "1018081", "--json")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["result"]["evidence"] == "factor=1009"
+    code, out, err = run_cli(capsys, "order", "--a", "2", "--m", "1018081", "--json")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["result"]["order"] == "508536"
 
 
 def test_gcd_l1_same_and_cross(capsys):
@@ -376,7 +395,7 @@ def test_lseq_jobs_env(tmp_path, capsys, monkeypatch):
         "--n-max", "60", "--p-max", "10", "--json",
     )
     assert code == 0
-    assert solo == multi
+    assert json_lines_without_elapsed(solo) == json_lines_without_elapsed(multi)
     monkeypatch.setenv("LSEQ_JOBS", "zero")
     code, _, err = run_cli(
         capsys, "scan", "--kind", "l4-twins", "--n-max", "10", "--json"
@@ -516,9 +535,7 @@ def test_scan_output_is_pinned(capsys, argv, table_sha, json_sha):
     assert hashlib.sha256(table.encode("ascii")).hexdigest() == table_sha
     code, out, _ = run_cli(capsys, "scan", "--kind", *argv, "--json")
     assert code == 0
-    lines = json_lines(out)
-    for line in lines:
-        line.pop("elapsed_ms", None)
+    lines = json_lines_without_elapsed(out)
     stripped = "".join(json.dumps(l, sort_keys=True, separators=(",", ":")) + "\n" for l in lines)
     assert hashlib.sha256(stripped.encode("ascii")).hexdigest() == json_sha
 
@@ -704,3 +721,12 @@ def test_argument_specs_are_pinned():
     assert hashlib.sha256(specs.encode("utf-8")).hexdigest() == (
         "f0f9205b8b06dafda6e6063924d430187d8498da132f4809c1a4fae52b7e774a"
     )
+
+
+def test_docs_show_every_subcommand():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    usage = re.search(r"^## Command-line usage$(.*?)^## ", readme, re.MULTILINE | re.DOTALL)
+    assert usage is not None
+    shown = set(re.findall(r"^lseq ([a-z0-9-]+)", usage.group(1), re.MULTILINE))
+    assert shown == set(_COMMANDS)

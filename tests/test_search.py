@@ -174,11 +174,12 @@ def test_checkpoint_write_and_resume(tmp_path):
     assert not partial.complete
     assert partial.completed_through == 9
 
-    lines = [json.loads(line) for line in open(path, encoding="ascii")]
+    with open(path, encoding="ascii") as handle:
+        lines = [json.loads(line) for line in handle]
     assert lines[0]["type"] == "header"
     assert lines[0]["spec"]["kind"] == "l4_twins"
-    assert lines[1]["type"] == "record"
-    assert lines[2] == {"completed_through": 1, "type": "cursor"}
+    assert [line["type"] for line in lines[1:]] == ["record"] * 9
+    assert lines[2]["pos"] == 1
 
     resumed = resume(path)
     assert resumed.complete
@@ -231,13 +232,29 @@ def test_resume_after_torn_line_makes_progress(tmp_path):
     path = tmp_path / "scan.jsonl"
     scan_l4_twins(60, checkpoint_path=str(path), limit=10)
     raw = path.read_text(encoding="ascii")
-    path.write_text(raw[:-7], encoding="ascii")
-    assert resume(str(path), limit=10).completed_through == 20
-    assert resume(str(path), limit=10).completed_through == 30
+    path.write_text(raw[:-7], encoding="ascii")  # tears record 9
+    assert resume(str(path), limit=10).completed_through == 19
+    assert resume(str(path), limit=10).completed_through == 29
     final = resume(str(path))
     assert final.canonical_bytes() == scan_l4_twins(60).canonical_bytes()
     for line in path.read_text(encoding="ascii").splitlines():
         json.loads(line)
+
+
+def test_resume_reads_journal_with_cursor_lines(tmp_path):
+    # Older journals carry a {"completed_through": pos + 1, "type": "cursor"}
+    # line after each record; this rebuilds one and resumes it.
+    path = tmp_path / "scan.jsonl"
+    scan_l4_twins(40, checkpoint_path=str(path), limit=12)
+    lines = []
+    for line in path.read_text(encoding="ascii").splitlines():
+        lines.append(line)
+        entry = json.loads(line)
+        if entry["type"] == "record":
+            cursor = {"completed_through": entry["pos"] + 1, "type": "cursor"}
+            lines.append(json.dumps(cursor, sort_keys=True, separators=(",", ":")))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert resume(str(path)).canonical_bytes() == scan_l4_twins(40).canonical_bytes()
 
 
 def test_resume_rejects_invalid_line_before_the_end(tmp_path):
@@ -266,7 +283,8 @@ def test_resume_rejects_duplicate_position(tmp_path):
 def test_resume_rejects_tampered_spec(tmp_path):
     path = str(tmp_path / "scan.jsonl")
     scan_l4_twins(12, checkpoint_path=path, limit=3)
-    lines = open(path, encoding="ascii").read().splitlines()
+    with open(path, encoding="ascii") as handle:
+        lines = handle.read().splitlines()
     header = json.loads(lines[0])
     header["spec"]["n_max"] = 13
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
@@ -279,7 +297,8 @@ def test_resume_rejects_tampered_spec(tmp_path):
 def test_resume_rejects_foreign_fingerprint(tmp_path):
     path = str(tmp_path / "scan.jsonl")
     scan_l4_twins(12, checkpoint_path=path, limit=3)
-    lines = open(path, encoding="ascii").read().splitlines()
+    with open(path, encoding="ascii") as handle:
+        lines = handle.read().splitlines()
     header = json.loads(lines[0])
     header["fingerprint"]["version"] = "99.0.0"
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
