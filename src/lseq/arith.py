@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .lfamily import LFamily, eval_exact
+
 __all__ = [
     "DETERMINISTIC_LIMIT",
     "DEFAULT_EXTRA_ROUNDS",
@@ -23,7 +25,6 @@ __all__ = [
     "OrderSearchError",
     "PrimalityVerdict",
     "OrderResult",
-    "mod_pow",
     "sieve_primes",
     "is_prime",
     "factor_trial",
@@ -88,15 +89,6 @@ def _wheel(bound: int) -> Iterator[int]:
         yield d
         d += step
         step = 6 - step
-
-
-def mod_pow(base: int, exponent: int, m: int) -> int:
-    """base**exponent mod m, result in [0, m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, m)
 
 
 @dataclass(frozen=True)
@@ -294,15 +286,6 @@ def _strong_lucas_probable_prime(n: int, reduce: Callable[[int], int] | None = N
     return False
 
 
-def _smallest_factor_small(n: int) -> int:
-    """Smallest prime factor of composite n <= _SIEVE_LIMIT."""
-    for p in _trial_primes():
-        if n % p == 0:
-            return p
-    # Composites from 1009^2 up, with no prime factor below 1000.
-    return next(d for d in _wheel(math.isqrt(n)) if n % d == 0)
-
-
 def is_prime(
     n: int,
     *,
@@ -323,13 +306,15 @@ def is_prime(
         return PrimalityVerdict(0, "composite", "zero")
     if n == 1:
         return PrimalityVerdict(1, "unit")
-    if n <= _SIEVE_LIMIT:
-        if _small_sieve()[n]:
-            return PrimalityVerdict(n, "prime", "trial_division")
-        return PrimalityVerdict(n, "composite", f"factor={_smallest_factor_small(n)}")
+    if n <= _SIEVE_LIMIT and _small_sieve()[n]:
+        return PrimalityVerdict(n, "prime", "trial_division")
     for p in _trial_primes():
         if n % p == 0:
             return PrimalityVerdict(n, "composite", f"factor={p}")
+    if n <= _SIEVE_LIMIT:
+        # Composites from 1009^2 up, with no prime factor below 1000.
+        p = next(d for d in _wheel(math.isqrt(n)) if n % d == 0)
+        return PrimalityVerdict(n, "composite", f"factor={p}")
     if n < DETERMINISTIC_LIMIT:
         for bound, bases in _MR_TIERS:
             if n < bound:
@@ -394,21 +379,15 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
     return None, used
 
 
-def factor_trial(
-    n: int,
-    bound: int,
-    *,
-    rho_budget: int = 0,
-    seed: int = 0,
-) -> tuple[list[tuple[int, int]], int]:
+def factor_trial(n: int, bound: int, *, rho_budget: int = 0) -> tuple[list[tuple[int, int]], int]:
     """Partial factorization by trial division up to ``bound``.
 
     Returns (sorted (prime, exponent) list, cofactor).  The cofactor is 1 or
     has no prime factor <= bound; when it is <= bound^2 it must itself be
     prime and is folded into the list.  With rho_budget > 0 a Brent-cycle rho
-    stage additionally tries to split the cofactor within that iteration
-    budget; pieces passing is_prime (possibly as probable primes) are folded
-    in, anything unsplit stays in the cofactor.
+    stage (seed 0) additionally tries to split the cofactor within that
+    iteration budget; pieces passing is_prime (possibly as probable primes)
+    are folded in, anything unsplit stays in the cofactor.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -428,7 +407,7 @@ def factor_trial(
         counts[m] = counts.get(m, 0) + 1
         m = 1
     if m > 1 and rho_budget > 0:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         remaining = rho_budget
         pending = [m]
         unsplit: list[int] = []
@@ -447,9 +426,9 @@ def factor_trial(
     return sorted(counts.items()), m
 
 
-def _full_factor(n: int, trial_bound: int, rho_budget: int, seed: int) -> list[tuple[int, int]]:
+def _full_factor(n: int) -> list[tuple[int, int]]:
     """Complete factorization or FactorBudgetError."""
-    factors, cofactor = factor_trial(n, trial_bound, rho_budget=rho_budget, seed=seed)
+    factors, cofactor = factor_trial(n, DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET)
     if cofactor != 1:
         raise FactorBudgetError(
             f"could not fully factor {n}: composite cofactor {cofactor} remains",
@@ -479,20 +458,13 @@ def _carmichael(factors: list[tuple[int, int]]) -> int:
     return lam
 
 
-def multiplicative_order(
-    a: int,
-    m: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
-) -> OrderResult:
+def multiplicative_order(a: int, m: int) -> OrderResult:
     """Multiplicative order of a mod m.
 
     Factors the group order (m-1 for prime m, the Carmichael function
-    otherwise) and strips prime factors.  When that factorization exceeds
-    the effort budget, falls back to sequential search for m below 10^6 and
-    otherwise raises OrderSearchError.
+    otherwise) and strips prime factors.  Raises OrderSearchError when that
+    factorization exceeds the effort budget; trial division up to
+    DEFAULT_TRIAL_BOUND alone completes it for every m below 10^12.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -503,8 +475,8 @@ def multiplicative_order(
         if is_prime(m).is_prime_or_probable:
             group = m - 1
         else:
-            group = _carmichael(_full_factor(m, trial_bound, rho_budget, seed))
-        group_factors = _full_factor(group, trial_bound, rho_budget, seed)
+            group = _carmichael(_full_factor(m))
+        group_factors = _full_factor(group)
         if pow(a, group, m) != 1:
             raise OrderSearchError(
                 f"group exponent {group} did not annihilate base {a} mod {m}"
@@ -515,28 +487,22 @@ def multiplicative_order(
                 order //= p
         return OrderResult(a, m, order)
     except FactorBudgetError as exc:
-        if m < 10**6:
-            order, x = 1, a
-            while x != 1:
-                x = x * a % m
-                order += 1
-            return OrderResult(a, m, order)
         raise OrderSearchError(
             f"factoring the group order for modulus {m} exceeded the budget: {exc}"
         ) from exc
 
 
-def _first_prime_factor(n: int, trial_bound: int, rho_budget: int, seed: int) -> int:
+def _first_prime_factor(n: int) -> int:
     """Some prime factor of n, preferring the smallest via trial division."""
-    for d in _wheel(min(trial_bound, math.isqrt(n))):
+    for d in _wheel(min(DEFAULT_TRIAL_BOUND, math.isqrt(n))):
         if n % d == 0:
             return d
-    if math.isqrt(n) <= trial_bound:
+    if math.isqrt(n) <= DEFAULT_TRIAL_BOUND:
         return n
     if is_prime(n).is_prime_or_probable:
         return n
-    rng = random.Random(seed)
-    remaining = rho_budget
+    rng = random.Random(0)
+    remaining = DEFAULT_RHO_BUDGET
     c = n
     while remaining > 0:
         f, used = _brent_rho(c, remaining, rng)
@@ -551,27 +517,22 @@ def _first_prime_factor(n: int, trial_bound: int, rho_budget: int, seed: int) ->
     )
 
 
-def lemma2_witness(
-    k: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
-) -> int:
+def lemma2_witness(k: int) -> int:
     """A prime q > 3 such that 2 has multiplicative order exactly 3^k mod q.
 
-    Takes q to be a prime factor of (2^(3^(k-1)))^2 + 2^(3^(k-1)) + 1; every
-    prime factor of that number works, and the order property is verified
-    with two modular exponentiations before returning.  Raises
-    FactorBudgetError when no prime factor can be isolated in budget.
+    Takes q to be a prime factor of L1(3^(k-1)) = 2^(2*3^(k-1)) + 2^(3^(k-1))
+    + 1; every prime factor of that number works, and the order property is
+    verified with two modular exponentiations before returning.  Raises
+    BudgetExceededError when L1(3^(k-1)) exceeds eval_exact's bit budget
+    (k >= 17) and FactorBudgetError when no prime factor can be isolated in
+    budget.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = 1 << 3 ** (k - 1)
-    b = x * x + x + 1
-    q = _first_prime_factor(b, trial_bound, rho_budget, seed)
+    b = eval_exact(LFamily.L1, 3 ** (k - 1))
+    q = _first_prime_factor(b)
     if q <= 3:
         raise ArithmeticError(f"unexpected small factor {q} of {b}")
-    if mod_pow(2, 3**k, q) != 1 or mod_pow(2, 3 ** (k - 1), q) == 1:
+    if pow(2, 3**k, q) != 1 or pow(2, 3 ** (k - 1), q) == 1:
         raise ArithmeticError(f"factor {q} does not have order 3^{k}")
     return q

@@ -99,6 +99,8 @@ class _Output:
     table text otherwise, and header and result lines name args.command."""
 
     def __init__(self, args: argparse.Namespace):
+        if args.digits_cap is not None and args.digits_cap < 1:
+            raise ValueError(f"--digits-cap must be >= 1, got {args.digits_cap}")
         self.command = args.command
         self.json = args.json
         self.digits_cap = args.digits_cap

@@ -13,7 +13,6 @@ from lseq.arith import (
     factor_trial,
     is_prime,
     lemma2_witness,
-    mod_pow,
     multiplicative_order,
     sieve_primes,
 )
@@ -30,29 +29,6 @@ def naive_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(2, 0, 7) == 1
-    assert mod_pow(5, 117, 19) == pow(5, 117, 19)
-    assert mod_pow(-3, 4, 7) == 81 % 7
-
-
-def test_mod_pow_matches_builtin():
-    for base in range(-5, 20):
-        for exp in range(0, 40):
-            for m in (2, 3, 7, 97, 1024):
-                assert mod_pow(base, exp, m) == pow(base, exp, m)
-
-
-def test_mod_pow_rejects():
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
 
 
 def test_sieve_primes():
@@ -94,9 +70,9 @@ def test_is_prime_sieve_boundary():
 
 
 def test_is_prime_up_to_sieve_limit_names_smallest_factor():
-    # The 15 composites from 1009^2 = 1018081 to 1021^2 = 1042441 have no
-    # prime factor below 1000 and used to raise AssertionError.
-    lo, hi = 10**6, 1 << 20
+    # Every n in [2, 2^20], including the 15 composites from 1009^2 =
+    # 1018081 to 1021^2 = 1042441, which have no prime factor below 1000.
+    lo, hi = 1, 1 << 20
     spf = list(range(hi + 1))  # smallest prime factor
     for p in range(2, math.isqrt(hi) + 1):
         if spf[p] == p:
@@ -250,12 +226,27 @@ def test_order_rejects():
         multiplicative_order(0, 5)
 
 
+# p - 1 = 2^3 * 3 * 5 * q1 * q2 with q1, q2 primes near 2^61 and 2^62: p is
+# prime, but neither trial division nor the rho budget splits q1 * q2.
+ORDER_UNFACTORABLE = 1276058875953519283643346360300271285561
+
+
+def test_order_search_error_when_group_order_does_not_factor():
+    q1, q2 = 2305843009213693967, 4611686018427388039
+    assert ORDER_UNFACTORABLE == 2 * q1 * q2 * 60 + 1
+    with pytest.raises(OrderSearchError, match="exceeded the budget"):
+        multiplicative_order(2, ORDER_UNFACTORABLE)
+
+
 def test_lemma2_witness_values():
     assert lemma2_witness(1) == 7
     assert lemma2_witness(2) == 73
     assert lemma2_witness(3) == 262657
     assert lemma2_witness(4) == 2593
     assert lemma2_witness(5) == 487
+    assert lemma2_witness(6) == 80191
+    assert lemma2_witness(7) == 39367
+    assert lemma2_witness(8) == 209953
 
 
 def test_lemma2_witness_order_conditions():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import lseq
+from lseq import cli
 from lseq.cli import _COMMANDS, _build_parser, main
 from lseq.search import SCAN_KINDS
 
@@ -57,6 +58,19 @@ def test_eval_digits_cap(capsys):
     assert code == 0
     assert "…" in out
     assert "(61 digits)" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_digits_cap_below_one_exits_2(capsys, cap):
+    code, out, err = run_cli(capsys, "eval", "--family", "L1", "--n", "9", "--digits-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: --digits-cap must be >= 1, got {cap}\n"
+
+
+def test_digits_cap_one(capsys):
+    code, out, err = run_cli(capsys, "eval", "--family", "L1", "--n", "9", "--digits-cap", "1")
+    assert (code, err) == (0, "")
+    assert "L1(9) = 2…7(6 digits)" in out
 
 
 def test_eval_errors(capsys):
@@ -162,6 +176,26 @@ def test_composite_without_factor_below_1000(capsys):
     code, out, err = run_cli(capsys, "order", "--a", "2", "--m", "1018081", "--json")
     assert (code, err) == (0, "")
     assert json_lines(out)[-1]["result"]["order"] == "508536"
+
+
+@pytest.mark.parametrize("k", ["17", "20", "40"])
+def test_lemma2_witness_over_bit_budget_exits_2(capsys, k):
+    # L1(3^(k-1)) needs 2*3^(k-1) + 1 bits; from k = 17 on that exceeds the
+    # 2^26-bit budget of eval_exact, and the value is never built.
+    code, out, err = run_cli(capsys, "lemma2-witness", "--k", k)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value at index ")
+    assert err.endswith("budget is 67108864\n")
+    assert err.count("\n") == 1
+
+
+def test_order_group_order_beyond_budget_exits_2(capsys):
+    # p - 1 = 2^3 * 3 * 5 * q1 * q2 with q1, q2 primes near 2^61 and 2^62.
+    p = "1276058875953519283643346360300271285561"
+    code, out, err = run_cli(capsys, "order", "--a", "2", "--m", p)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: factoring the group order for modulus {p} exceeded the budget")
+    assert err.count("\n") == 1
 
 
 def test_gcd_l1_same_and_cross(capsys):
@@ -285,6 +319,25 @@ def test_scan_checkpoint_resume(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "resume", "--path", path)
     assert code == 0
     assert "completed 19/19" in out
+
+
+def test_fsync_once_per_journal_line(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("lseq.search.os.fsync", calls.append)
+    journals = {}
+    for fsync in ([], ["--fsync"]):
+        path = tmp_path / f"ck{len(fsync)}.jsonl"
+        code, _, _ = run_cli(
+            capsys, "scan", "--kind", "l4-twins", "--n-max", "30",
+            "--checkpoint", str(path), "--limit", "10", *fsync,
+        )
+        assert code == 1
+        assert len(calls) == len(fsync) * 11  # the header and 10 records
+        code, _, _ = run_cli(capsys, "resume", "--path", str(path), *fsync)
+        assert code == 0
+        journals[len(fsync)] = json_lines_without_elapsed(path.read_text(encoding="ascii"))
+    assert len(calls) == len(journals[1]) == 30
+    assert journals[0] == journals[1]
 
 
 def test_scan_json_stream_is_resumable(tmp_path, capsys):
@@ -427,6 +480,16 @@ def test_verify_paper_unknown_anchor(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
     assert code == 2
     assert "unknown" in err
+
+
+def test_verify_paper_failing_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_theorem3", lambda k, n: False)
+    code, out, _ = run_cli(capsys, "verify-paper", "--only", "seven-power-orbit")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "FAIL  seven-power-orbit        fails at k=0, n=1",
+        "overall: FAIL",
+    ]
 
 
 def _spec_sha256(spec):
