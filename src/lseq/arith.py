@@ -2,9 +2,11 @@
 multiplicative order.
 
 Primality verdicts are deterministic below 2^64 (sieve, trial division, and
-a fixed Miller-Rabin witness set proven exhaustive for that range) and
-probabilistic above it (base-2 strong test, a strong Lucas test, and a
-configurable number of seeded random-base rounds).
+a fixed Miller-Rabin witness set proven exhaustive for that range).  Above
+it, values 4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite by one
+N-1 exponentiation, and everything else gets a probabilistic verdict
+(base-2 strong test, a strong Lucas test, and a configurable number of
+seeded random-base rounds).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
-
-from .lfamily import LFamily, eval_exact
 
 __all__ = [
     "DETERMINISTIC_LIMIT",
@@ -53,7 +53,8 @@ class FactorBudgetError(Exception):
 
 
 class OrderSearchError(Exception):
-    """Multiplicative-order computation exceeded its factoring budget."""
+    """A multiplicative-order computation exceeded its factoring budget, or
+    the search for a prime of given order its bound."""
 
 
 def _build_sieve(limit: int) -> bytearray:
@@ -97,8 +98,9 @@ class PrimalityVerdict:
 
     classification is one of "unit", "prime", "probable_prime", "composite".
     evidence is a short machine-readable string: a factor ("factor=3"), a
-    failed-test witness ("mr_witness=2"), or a marker for the deterministic
-    method used.  rounds counts probabilistic tests applied.
+    failed-test witness ("mr_witness=2", "euler_witness=7"), or a marker for
+    the deterministic method used ("proth:a=7").  rounds counts the tests
+    applied above 2^64: 1 for an N-1 proof, up to 2 + extra_rounds for BPSW.
     """
 
     n: int
@@ -149,21 +151,31 @@ _L_FORM_MIN_BITS = 1024
 _WINDOW_BITS = 5
 
 
-def _l_form_reducer(n: int) -> Callable[[int], int] | None:
-    """x -> x mod n, for any int x, when n = 4^h + s1*2^h + s0 with s1, s0
-    in {1, -1} and h >= 3; None for every other n.
-
-    Since 4^h = -(s1*2^h + s0) (mod n), the bits of x from 2h up fold back
-    onto the low 2h bits with one shift and two subtractions, so a
-    reduction costs a few passes over x instead of a long division
-    (Crandall-Pomerance, Prime Numbers, 9.2).
-    """
+def _l_form(n: int) -> tuple[int, int, int] | None:
+    """(h, s1, s0) when n = 4^h + s1*2^h + s0 with s1, s0 in {1, -1} and
+    h >= 3; None for every other n."""
     h = n.bit_length() >> 1
     rest = n - (1 << 2 * h)
     s1 = 1 if rest > 0 else -1
     s0 = rest - s1 * (1 << h)
     if h < 3 or s0 not in (1, -1):
         return None
+    return h, s1, s0
+
+
+def _l_form_reducer(n: int) -> Callable[[int], int] | None:
+    """x -> x mod n, for any int x, when n has the form of _l_form; None
+    for every other n.
+
+    Since 4^h = -(s1*2^h + s0) (mod n), the bits of x from 2h up fold back
+    onto the low 2h bits with one shift and two subtractions, so a
+    reduction costs a few passes over x instead of a long division
+    (Crandall-Pomerance, Prime Numbers, 9.2).
+    """
+    form = _l_form(n)
+    if form is None:
+        return None
+    h, s1, s0 = form
     width = 2 * h
     mask = (1 << width) - 1
 
@@ -286,6 +298,39 @@ def _strong_lucas_probable_prime(n: int, reduce: Callable[[int], int] | None = N
     return False
 
 
+def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> PrimalityVerdict | None:
+    """Prime or composite, proven by Euler's criterion, when n = 4^h +
+    s1*2^h + 1 (an L1 or L3 value, h >= 3); None for every other n, and
+    when no odd prime a < 1000 has Jacobi symbol (a/n) = -1.
+
+    For prime n, Euler's criterion gives b^((n-1)/2) = (b/n) for every base
+    b, so a base where that fails proves n composite.  Base 2 is tried
+    first: n divides 2^(6h) - 1, so its power costs one shift and one
+    division.  Then a, with (a/n) = -1, costs one exponentiation; reduce,
+    when given, computes x mod n in place of builtin pow.  If a^((n-1)/2) =
+    -1, every prime p | n has 2^h | ord_p(a), as n - 1 = 2^h * (2^h + s1)
+    with 2^h + s1 odd; so p >= 2^h + 1 and, since (2^h + 1)^2 > n, n is
+    prime: Proth's theorem for L3 (s1 = -1), the Pocklington bound
+    (Brillhart-Lehmer-Selfridge 1975) for L1.
+    """
+    form = _l_form(n)
+    if form is None or form[2] != 1:
+        return None
+    h, s1, _ = form
+    e = (n - 1) >> 1
+    # (2/n) = 1, as n = 1 mod 8.
+    if (1 << e % (6 * h)) % n != 1:
+        return PrimalityVerdict(n, "composite", "euler_witness=2", rounds=1)
+    a = next((a for a in _trial_primes()[1:] if _jacobi(a, n) == -1), None)
+    if a is None:
+        return None
+    x = pow(a, e, n) if reduce is None else _pow_reduced(a, e, reduce)
+    if x == n - 1:
+        proof = "proth" if s1 < 0 else "pocklington"
+        return PrimalityVerdict(n, "prime", f"{proof}:a={a}", rounds=1)
+    return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
+
+
 def is_prime(
     n: int,
     *,
@@ -294,9 +339,13 @@ def is_prime(
 ) -> PrimalityVerdict:
     """Classify n as unit, prime, probable_prime, or composite.
 
-    Below 2^64 the verdict is deterministic; above it a passing n is labeled
-    probable_prime after a base-2 strong test, a strong Lucas test, and
-    extra_rounds random-base strong tests drawn from the given seed.
+    Below 2^64 the verdict is deterministic.  Above it, n = 4^h +/- 2^h + 1
+    that survives trial division gets a proof from _l_form_proof: "prime"
+    with evidence proth:a=A (L3) or pocklington:a=A (L1), or "composite"
+    with euler_witness=A, both with rounds 1.  Any other n passing trial
+    division is labeled probable_prime after a base-2 strong test, a strong
+    Lucas test, and extra_rounds random-base strong tests drawn from the
+    given seed.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -327,6 +376,9 @@ def is_prime(
     if root * root == n:
         return PrimalityVerdict(n, "composite", f"square_of={root}")
     reduce = _l_form_reducer(n) if n.bit_length() >= _L_FORM_MIN_BITS else None
+    proof = _l_form_proof(n, reduce)
+    if proof is not None:
+        return proof
     if not _strong_probable_prime(n, 2, reduce):
         return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
     if not _strong_lucas_probable_prime(n, reduce):
@@ -492,47 +544,31 @@ def multiplicative_order(a: int, m: int) -> OrderResult:
         ) from exc
 
 
-def _first_prime_factor(n: int) -> int:
-    """Some prime factor of n, preferring the smallest via trial division."""
-    for d in _wheel(min(DEFAULT_TRIAL_BOUND, math.isqrt(n))):
-        if n % d == 0:
-            return d
-    if math.isqrt(n) <= DEFAULT_TRIAL_BOUND:
-        return n
-    if is_prime(n).is_prime_or_probable:
-        return n
-    rng = random.Random(0)
-    remaining = DEFAULT_RHO_BUDGET
-    c = n
-    while remaining > 0:
-        f, used = _brent_rho(c, remaining, rng)
-        remaining -= used
-        if f is None:
-            break
-        c = min(f, c // f)
-        if is_prime(c).is_prime_or_probable:
-            return c
-    raise FactorBudgetError(
-        f"could not isolate a prime factor of {n} within the budget", [], c
-    )
+# lemma2_witness tries q = 2*m*3^k + 1 for m = 1 .. _LEMMA2_STEPS.
+_LEMMA2_STEPS = 2**21
 
 
 def lemma2_witness(k: int) -> int:
-    """A prime q > 3 such that 2 has multiplicative order exactly 3^k mod q.
+    """The least prime q = 2*m*3^k + 1, m <= _LEMMA2_STEPS, such that 2 has
+    multiplicative order exactly 3^k mod q.
 
-    Takes q to be a prime factor of L1(3^(k-1)) = 2^(2*3^(k-1)) + 2^(3^(k-1))
-    + 1; every prime factor of that number works, and the order property is
-    verified with two modular exponentiations before returning.  Raises
-    BudgetExceededError when L1(3^(k-1)) exceeds eval_exact's bit budget
-    (k >= 17) and FactorBudgetError when no prime factor can be isolated in
-    budget.
+    Every such q divides L1(3^(k-1)) = 2^(2*3^(k-1)) + 2^(3^(k-1)) + 1, but
+    that value is never built: each step costs two small modular powers.
+    2^(3^k) = 1 and gcd(2^(3^(k-1)) - 1, q) = 1 put every prime factor of q
+    at 1 mod 2*3^k, so q is proven prime when (2*3^k + 1)^2 > q
+    (Pocklington); below that is_prime decides, deterministically, since q
+    is then below 2^64.  Raises OrderSearchError when no q qualifies.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    b = eval_exact(LFamily.L1, 3 ** (k - 1))
-    q = _first_prime_factor(b)
-    if q <= 3:
-        raise ArithmeticError(f"unexpected small factor {q} of {b}")
-    if pow(2, 3**k, q) != 1 or pow(2, 3 ** (k - 1), q) == 1:
-        raise ArithmeticError(f"factor {q} does not have order 3^{k}")
-    return q
+    order = 3**k
+    step = 2 * order
+    bound = step * (_LEMMA2_STEPS + 1)
+    for q in range(step + 1, bound, step):
+        if (
+            pow(2, order, q) == 1
+            and math.gcd(pow(2, order // 3, q) - 1, q) == 1
+            and ((step + 1) ** 2 > q or is_prime(q).classification == "prime")
+        ):
+            return q
+    raise OrderSearchError(f"no witness with q below {bound}")

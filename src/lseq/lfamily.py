@@ -15,10 +15,8 @@ __all__ = [
     "DEFAULT_PRODUCT_BIT_BUDGET",
     "BudgetExceededError",
     "LFamily",
-    "LValue",
     "CongruenceRule",
     "eval_exact",
-    "lvalue",
     "residue",
     "builtin_congruence_rules",
     "verify_statement1_orbit",
@@ -80,26 +78,6 @@ def eval_exact(family: LFamily, n: int, *, bit_budget: int = DEFAULT_EVAL_BIT_BU
         )
     x = 1 << n
     return x * x + family.mid_sign * x + family.unit_sign
-
-
-@dataclass(frozen=True)
-class LValue:
-    """A sequence member together with the (family, index) that produced it."""
-
-    family: LFamily
-    n: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value != eval_exact(self.family, self.n):
-            raise ValueError(
-                f"value {self.value} is not {self.family.name}({self.n})"
-            )
-
-
-def lvalue(family: LFamily, n: int, *, bit_budget: int = DEFAULT_EVAL_BIT_BUDGET) -> LValue:
-    """Evaluate and wrap the result with its provenance."""
-    return LValue(family, n, eval_exact(family, n, bit_budget=bit_budget))
 
 
 def residue(family: LFamily, n: int, m: int) -> int:

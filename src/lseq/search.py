@@ -137,6 +137,8 @@ def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
         "version": __version__,
         "format": CHECKPOINT_FORMAT,
         "deterministic_limit": DETERMINISTIC_LIMIT,
+        # 2: L1/L3 values above 2^64 get N-1 proofs (arith._l_form_proof).
+        "primality": 2,
         "extra_rounds": spec.extra_rounds,
         "seed": spec.seed,
     }

@@ -8,7 +8,6 @@ import pytest
 
 from lseq import arith
 from lseq.arith import (
-    FactorBudgetError,
     OrderSearchError,
     factor_trial,
     is_prime,
@@ -247,11 +246,13 @@ def test_lemma2_witness_values():
     assert lemma2_witness(6) == 80191
     assert lemma2_witness(7) == 39367
     assert lemma2_witness(8) == 209953
+    assert lemma2_witness(9) == 141560137
+    assert lemma2_witness(10) == 472393
 
 
 def test_lemma2_witness_order_conditions():
     # p = witness(k) satisfies ord_p(2) = 3^k and 3^k | p - 1
-    for k in range(1, 6):
+    for k in (*range(1, 11), 17, 20, 40):
         p = lemma2_witness(k)
         assert (p - 1) % 3**k == 0
         assert pow(2, 3**k, p) == 1
@@ -315,7 +316,14 @@ def test_l_form_reducer_rejects_other_moduli():
         assert arith._l_form_reducer(n) is None, n
 
 
+def _without_l_form_proof(monkeypatch):
+    monkeypatch.setattr(arith, "_l_form_proof", lambda n, reduce=None: None)
+
+
 def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
+    # With the N-1 stage off, the L1/L3 base-2 pseudoprimes go on to the
+    # Lucas test, so its reduced arithmetic is covered too.
+    _without_l_form_proof(monkeypatch)
     cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]  # base-2 pseudoprimes
     cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]  # base-2 pseudoprimes
     cases.append(eval_exact(LFamily.L4, 597))  # probable prime, 1194 bits
@@ -343,8 +351,73 @@ def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
     assert "mr_witness=2" in evidence
 
 
+def test_l_form_proof_with_reducer_equals_builtin_path(monkeypatch):
+    cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]
+    cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]
+    cases += [eval_exact(family, h) for family in (LFamily.L1, LFamily.L3)
+              for h in range(FLOOR_H, FLOOR_H + 40)]
+    with_reducer = [is_prime(n) for n in cases]
+    monkeypatch.setattr(arith, "_l_form_reducer", lambda n: None)
+    builtin = [is_prime(n) for n in cases]
+    assert with_reducer == builtin
+    proved = [v for v in with_reducer if v.rounds]
+    assert len(proved) >= 10
+    assert all(v.evidence.startswith("euler_witness=") and v.rounds == 1 for v in proved)
+    assert [v.evidence for v in with_reducer[:5]] == ["euler_witness=7"] * 3 + ["euler_witness=5"] * 2
+
+
+@pytest.mark.parametrize(
+    "family, index, evidence",
+    [(LFamily.L3, 4, "proth:a=7"), (LFamily.L3, 32, "proth:a=7"),
+     (LFamily.L1, 3, "pocklington:a=5"), (LFamily.L1, 9, "pocklington:a=5")],
+)
+def test_l_form_proof_proves_primes(family, index, evidence):
+    # is_prime decides these below 2^64 before the N-1 stage; called
+    # directly, the stage proves them, with and without the reducer.
+    n = eval_exact(family, index)
+    expected = arith.PrimalityVerdict(n, "prime", evidence, rounds=1)
+    assert arith._l_form_proof(n) == expected
+    assert arith._l_form_proof(n, arith._l_form_reducer(n)) == expected
+
+
+def test_l_form_proof_only_for_l1_and_l3():
+    assert arith._l_form_proof(eval_exact(LFamily.L1, 27)).evidence == "euler_witness=5"
+    for n in (eval_exact(LFamily.L2, 40), eval_exact(LFamily.L4, 40), 2**89 - 1,
+              eval_exact(LFamily.L3, 2)):
+        assert arith._l_form_proof(n) is None
+
+
+def test_l_form_proof_agrees_with_bpsw(monkeypatch):
+    values = [eval_exact(family, n) for family in (LFamily.L1, LFamily.L3) for n in range(33, 601)]
+    proved = [is_prime(n) for n in values]
+    _without_l_form_proof(monkeypatch)
+    bpsw = [is_prime(n) for n in values]
+    same = {"prime": "probable_prime", "composite": "composite"}
+    reached = 0
+    for p, b in zip(proved, bpsw):
+        if b.rounds == 0:  # decided by trial division or the square check
+            assert p == b
+            continue
+        reached += 1
+        assert same[p.classification] == b.classification, p.n
+        assert p.rounds == 1
+        assert p.evidence.split("=")[0] in ("euler_witness", "proth:a", "pocklington:a")
+        # A strong base-2 pseudoprime is an Euler pseudoprime to base 2.
+        if p.evidence == "euler_witness=2":
+            assert b.evidence == "mr_witness=2"
+    assert reached > 50
+    assert {p.evidence for p in proved} >= {"euler_witness=2", "euler_witness=7"}
+
+
+def test_l2_l4_verdicts_keep_bpsw():
+    v = is_prime(eval_exact(LFamily.L4, 597))
+    assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw+2r:seed=0", 4)
+
+
 def test_l3_pow2_scan_bytes_pinned():
-    # sha256 of the report made by builtin pow and % before shift-add
-    # reduction existed; the reducer must not change a byte.
+    # sha256 of the report as first taken with builtin pow and %, re-taken
+    # when N-1 proofs replaced BPSW for L3 values above 2^64 (k = 7..11 read
+    # euler_witness=7, and the fingerprint gained "primality").  The reducer
+    # must not change a byte.
     digest = hashlib.sha256(scan_l3_pow2(11).canonical_bytes()).hexdigest()
-    assert digest == "0e721f48d214a0a89b8235fcba9d379c1ce3f134e346b842d88df710357dcc31"
+    assert digest == "909d853a52a73714e48ded77071ddc15d8d3972eb404a5af1d8cb4f8d9e49f72"

@@ -178,15 +178,25 @@ def test_composite_without_factor_below_1000(capsys):
     assert json_lines(out)[-1]["result"]["order"] == "508536"
 
 
-@pytest.mark.parametrize("k", ["17", "20", "40"])
-def test_lemma2_witness_over_bit_budget_exits_2(capsys, k):
-    # L1(3^(k-1)) needs 2*3^(k-1) + 1 bits; from k = 17 on that exceeds the
-    # 2^26-bit budget of eval_exact, and the value is never built.
-    code, out, err = run_cli(capsys, "lemma2-witness", "--k", k)
+@pytest.mark.parametrize(
+    "k, q",
+    [("17", 3357644239), ("20", 662489036191), ("40", 1556181178759286886529)],
+    ids=["17", "20", "40"],
+)
+def test_lemma2_witness_large_k(capsys, k, q):
+    # L1(3^(k-1)) is past eval_exact's bit budget from k = 17 on; the
+    # witness search never builds it.
+    code, out, err = run_cli(capsys, "lemma2-witness", "--k", k, "--json")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["result"] == {"q": str(q), "order": str(3 ** int(k))}
+
+
+def test_lemma2_witness_search_exhausted_exits_2(capsys, monkeypatch):
+    # k = 11 has no witness with m <= 2^21 either, but takes seconds to say so.
+    monkeypatch.setattr("lseq.arith._LEMMA2_STEPS", 1000)
+    code, out, err = run_cli(capsys, "lemma2-witness", "--k", "11")
     assert (code, out) == (2, "")
-    assert err.startswith("error: value at index ")
-    assert err.endswith("budget is 67108864\n")
-    assert err.count("\n") == 1
+    assert err == f"error: no witness with q below {2 * 3**11 * 1001}\n"
 
 
 def test_order_group_order_beyond_budget_exits_2(capsys):
@@ -399,6 +409,25 @@ def test_resume_malformed_record_exits_2(tmp_path, capsys, change, message):
     assert message in err
 
 
+def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
+    # Before N-1 proofs the fingerprint had no "primality" key; such a
+    # journal's L3 records read lucas_witness and must not be extended.
+    path = tmp_path / "scan.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--kind", "l3-pow2", "--n-max", "9",
+        "--checkpoint", str(path), "--limit", "3",
+    )
+    assert code == 1
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = json.loads(lines[0])
+    del header["fingerprint"]["primality"]
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: engine fingerprint changed; refusing to mix results\n"
+
+
 def test_resume_malformed_header_exits_2(tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     for text in ('{"type":"header"}\n', "[1, 2]\n", '{"type":"header","format":1,"spec":7}\n'):
@@ -544,47 +573,50 @@ def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
 
 
 # sha256 of the table stdout and of the --json stdout (each line re-dumped
-# without elapsed_ms), taken before the scan kinds moved into one table.
+# without elapsed_ms), taken before the scan kinds moved into one table and
+# re-taken when L1/L3 values above 2^64 got N-1 proofs: every --json header
+# gained the fingerprint's "primality" key, and the l3-pow2 and l3-mixed
+# records above 2^64 read euler_witness=A, rounds 1, not lucas_witness.
 PINNED_SCANS = [
     (
         ["l2-prime-exponent", "--p-max", "200"],
         "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
-        "be32a9ba41d308f6c2c0fad7b5734514fe374cb6b30f33725dc3ae0a6c767686",
+        "78e356fb2a67f7543f70a984664f628ab3b7eb985194a330d538a4554fb44655",
     ),
     (
         ["l2-pow2", "--n-max", "8"],
         "4253c12b256d5452e8403ca2adac3b0bdd4a3b283d27166030050f837c4d685d",
-        "8d498111a5b54fb35f321f7a9d03795554ed4095016cccc10173958c00548d72",
+        "4a2bd7a330cc50efbd13172a08d46e63a45ae1b862f2dbd31a1aef2cb6a22ef0",
     ),
     (
         ["l3-pow2", "--n-max", "9"],
-        "f562afe4ea6c6947cd78236d4f20a1e7b640f43836922d335b80b5179438e2cb",
-        "484e0a96c3cc19aa439b24e79a75a455f5fa386e799c73374d006291a70c46b8",
+        "f81136bfd4851dca64a5137431d23dc87bea20cb560ac8e708b74c4ce79e7fef",
+        "9a71120204b2afdf0b8f4844778ac54d20c5f3d115bc7ea70416a7ea17e56072",
     ),
     (
         ["l3-mixed", "--m-max", "2", "--n-max", "3"],
-        "612a32f4e6489a0481b4c2ad87ffbe1a40eb94bd2819a8efc1fb13eb214eac42",
-        "90c456d45c28b2ff1eec17ce87f7094072dddf59c85fe4ed106a486f34c03b47",
+        "2ea4a805d2c6f5d2d2627169bb2ddd4f69475d7e692bd0995078ae324b50962c",
+        "ae21d3ec2ff2884939b51bc1ceca0d370b823ccfff32387f70a09ba683c27afb",
     ),
     (
         ["l1-pow3", "--k-max", "4"],
         "52ddb13a3c1291e66512737dd59c9229e5dd7f6935e4cd3a7a3fdf3b3a4ef687",
-        "89f9b8fc477f75426cf2353fb84f108a8d6b93fe77268a2e1f2803b5f0f32313",
+        "5ddbe6837d0cf2832981eab0162cd58b24ad2bc584db751fc4e33e32953b4bde",
     ),
     (
         ["l4-twins", "--n-max", "60"],
         "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
-        "03eaface54c54d8da77c48c250af547547197eb07b69c85b876c3d47810f8ea3",
+        "06e171a7ca7e973a0b70c7eec57ecafc4000acbd799b839338f8ba70806146b4",
     ),
     (
         ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
         "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
-        "f8a1aeffa266a5b92f860e059eb8a5074577a8047add2c57d354a045051b5e51",
+        "af22ffdaebdf4d67cb2ce175431f2d977cfe5ec3bf749db132eb06c9991cc6f3",
     ),
     (
         ["congruence-audit", "--n-max", "200"],
         "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
-        "7365d59088458e5622f702b64143f90ffb78e4ead9cec401b4e74f188216f634",
+        "3edd90dc6f077f373754d3f0b491b97075403f002ce0bc776941e2df068cd1ba",
     ),
 ]
 

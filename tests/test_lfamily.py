@@ -9,7 +9,6 @@ from lseq.lfamily import (
     LFamily,
     builtin_congruence_rules,
     eval_exact,
-    lvalue,
     residue,
     verify_product_identity,
     verify_statement1_orbit,
@@ -86,15 +85,6 @@ def test_eval_bit_budget():
         eval_exact(LFamily.L1, 40, bit_budget=79)
     with pytest.raises(BudgetExceededError):
         eval_exact(LFamily.L2, 1 << 30)
-
-
-def test_lvalue_record():
-    rec = lvalue(LFamily.L1, 9)
-    assert rec.family is LFamily.L1
-    assert rec.n == 9
-    assert rec.value == 262657
-    with pytest.raises(ValueError):
-        type(rec)(LFamily.L1, 9, 5)
 
 
 def test_residue_examples():
