@@ -836,6 +836,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # CPython 3.11+ refuses to convert ints of more than 4,300 digits to
+        # or from decimal; values here are exact and printed in full.
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command][1](args, _Output(args))

@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import IO, Any, Callable
+from typing import IO, Any, Callable, Iterator
 
 from . import __version__
 from .arith import (
@@ -158,10 +158,16 @@ class ScanRecord:
 @dataclass(frozen=True)
 class ScanReport:
     spec: ScanSpec
-    fingerprint: dict[str, Any]
     records: list[ScanRecord]
-    completed_through: int
     total: int
+
+    @property
+    def fingerprint(self) -> dict[str, Any]:
+        return engine_fingerprint(self.spec)
+
+    @property
+    def completed_through(self) -> int:
+        return len(self.records)
 
     @property
     def complete(self) -> bool:
@@ -429,91 +435,69 @@ def _record_line(pos: int, rec: ScanRecord) -> dict[str, Any]:
     }
 
 
-class _CheckpointWriter:
-    """Append-only journal: a header line, then one record line per candidate.
-
-    valid_length, when given, is the size of the journal's complete prefix;
-    anything after it (a torn final line) is cut off before appending, so
-    the next record starts a line of its own.
-    """
-
-    def __init__(self, path: str, fsync: bool = False, valid_length: int | None = None):
-        if valid_length is not None:
-            os.truncate(path, valid_length)
-        self._handle: IO[str] = open(path, "a", encoding="ascii")
-        self._fsync = fsync
-
-    def _emit(self, obj: dict[str, Any]) -> None:
-        self._handle.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-
-    def header(self, spec: ScanSpec) -> None:
-        self._emit(_header_line(spec))
-
-    def record(self, pos: int, rec: ScanRecord) -> None:
-        self._emit(_record_line(pos, rec))
-
-    def close(self) -> None:
-        self._handle.close()
+def _append(handle: IO[str], line: dict[str, Any], fsync: bool) -> None:
+    """Write one journal line and flush it; with fsync, to the disk as well."""
+    handle.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    handle.flush()
+    if fsync:
+        os.fsync(handle.fileno())
 
 
-def _effective_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return jobs
-    env = os.environ.get("LSEQ_JOBS")
-    if env:
+def _effective_jobs(jobs: int | None, limit: int | None) -> int:
+    """jobs, else LSEQ_JOBS, else 1.  Checks jobs and limit, so callers call
+    it before they touch a journal."""
+    name = "jobs" if jobs is not None else "LSEQ_JOBS"
+    if jobs is None:
+        env = os.environ.get("LSEQ_JOBS")
         try:
-            parsed = int(env)
+            jobs = int(env) if env else 1
         except ValueError:
             raise ValueError(f"LSEQ_JOBS must be an integer, got {env!r}") from None
-        if parsed < 1:
-            raise ValueError(f"LSEQ_JOBS must be >= 1, got {parsed}")
-        return parsed
-    return 1
+    if jobs < 1:
+        raise ValueError(f"{name} must be >= 1, got {jobs}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    return jobs
 
 
 def _execute(
     spec: ScanSpec,
     candidates: list[tuple[int, ...]],
-    done: list[ScanRecord],
+    records: list[ScanRecord],
     jobs: int,
     limit: int | None,
-    writer: _CheckpointWriter | None,
+    journal: str | None,
+    fsync: bool,
+    keep: int,
 ) -> ScanReport:
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    start = len(done)
+    """Evaluate up to limit candidates after records.  The journal, when
+    given, is cut to its first keep bytes (its complete lines), gets the
+    header line when that leaves it empty, and one record line per result."""
+    start = len(records)
     todo = candidates[start:] if limit is None else candidates[start : start + limit]
-    records = list(done)
     evaluate = functools.partial(_timed, spec)
     parallel = jobs > 1 and len(todo) > 1
     try:
-        with ProcessPoolExecutor(jobs) if parallel else contextlib.nullcontext() as pool:
-            # Results come back in candidate order, so one writer emits them
-            # as they arrive.  About eight chunks per worker keep workers busy
-            # while the costlier candidates at the end are still running.
-            if parallel:
-                results = pool.map(evaluate, todo, chunksize=max(1, len(todo) // (8 * jobs)))
-            else:
-                results = map(evaluate, todo)
-            for pos, rec in enumerate(results, start):
-                records.append(rec)
-                if writer:
-                    writer.record(pos, rec)
-    finally:
-        if writer:
-            writer.close()
-    return ScanReport(
-        spec=spec,
-        fingerprint=engine_fingerprint(spec),
-        records=records,
-        completed_through=len(records),
-        total=len(candidates),
-    )
+        handle = open(journal, "a", encoding="ascii") if journal is not None else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write checkpoint {journal!r}: {exc}") from exc
+    with handle, ProcessPoolExecutor(jobs) if parallel else contextlib.nullcontext() as pool:
+        if journal:
+            handle.truncate(keep)
+            if not keep:
+                _append(handle, _header_line(spec), fsync)
+        # Results come back in candidate order, so they are journaled as they
+        # arrive.  About eight chunks per worker keep workers busy while the
+        # costlier candidates at the end are still running.
+        if parallel:
+            results = pool.map(evaluate, todo, chunksize=max(1, len(todo) // (8 * jobs)))
+        else:
+            results = map(evaluate, todo)
+        for pos, rec in enumerate(results, start):
+            records.append(rec)
+            if journal:
+                _append(handle, _record_line(pos, rec), fsync)
+    return ScanReport(spec, records, len(candidates))
 
 
 def run_scan(
@@ -531,33 +515,22 @@ def run_scan(
     processes without changing any output content.
     """
     candidates = _KINDS[spec.kind].candidates(spec)
-    writer = None
-    if checkpoint_path is not None:
-        if os.path.exists(checkpoint_path) and os.path.getsize(checkpoint_path) > 0:
-            raise ValueError(
-                f"checkpoint {checkpoint_path!r} already exists; use resume()"
-            )
-        writer = _CheckpointWriter(checkpoint_path, fsync=fsync)
-        writer.header(spec)
-    return _execute(spec, candidates, [], _effective_jobs(jobs), limit, writer)
+    if (
+        checkpoint_path is not None
+        and os.path.exists(checkpoint_path)
+        and os.path.getsize(checkpoint_path) > 0
+    ):
+        raise ValueError(f"checkpoint {checkpoint_path!r} already exists; use resume()")
+    jobs = _effective_jobs(jobs, limit)
+    return _execute(spec, candidates, [], jobs, limit, checkpoint_path, fsync, 0)
 
 
 # JSON type of each field of a journal record line.
 _RECORD_FIELDS = {"pos": int, "index": list, "verdict": str, "detail": dict, "elapsed_ms": int}
 
 
-def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord], int]:
-    """Header, the records in position order up to the first gap, and the
-    byte length of the journal's complete lines."""
-    try:
-        with open(path, encoding="ascii") as handle:
-            raw = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResumeError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    # Only newline-terminated lines count: text after the last newline is a
-    # torn write from an interrupted run and is discarded.
-    lines = raw.split("\n")[:-1]
-    entries: list[dict[str, Any]] = []
+def _entries(path: str, lines: list[str]) -> Iterator[dict[str, Any]]:
+    """The JSON objects on the journal's non-blank lines, in order."""
     for number, line in enumerate(lines, 1):
         if not line:
             continue
@@ -567,36 +540,7 @@ def _read_checkpoint(path: str) -> tuple[dict[str, Any], list[ScanRecord], int]:
             raise ResumeError(f"{path!r} line {number} is not valid JSON") from None
         if not isinstance(entry, dict):
             raise ResumeError(f"{path!r} line {number} is not a JSON object")
-        entries.append(entry)
-    if not entries or entries[0].get("type") != "header":
-        raise ResumeError(f"{path!r} does not start with a checkpoint header")
-    header = entries[0]
-    by_pos: dict[int, ScanRecord] = {}
-    for entry in entries[1:]:
-        if entry.get("type") != "record":
-            continue
-        for name, kind in _RECORD_FIELDS.items():
-            # type(), not isinstance(): JSON true/false must not pass as int.
-            if type(entry.get(name)) is not kind:
-                raise ResumeError(
-                    f"{path!r} has a record whose {name!r} is missing or not of type {kind.__name__}"
-                )
-        if not all(type(i) is int for i in entry["index"]):
-            raise ResumeError(f"{path!r} has a record whose 'index' is not a list of integers")
-        if entry["pos"] in by_pos:
-            raise ResumeError(f"{path!r} has two records at position {entry['pos']}")
-        by_pos[entry["pos"]] = ScanRecord(
-            index=tuple(entry["index"]),
-            verdict=entry["verdict"],
-            detail=entry["detail"],
-            elapsed_ms=entry["elapsed_ms"],
-        )
-    records = []
-    pos = 0
-    while pos in by_pos:
-        records.append(by_pos[pos])
-        pos += 1
-    return header, records, raw.rfind("\n") + 1
+        yield entry
 
 
 def resume(
@@ -608,9 +552,20 @@ def resume(
 ) -> ScanReport:
     """Continue a checkpointed scan to completion (or by ``limit`` more
     candidates).  Refuses to run when the stored spec hash or the engine
-    fingerprint does not match what this engine would recompute; a finished
+    fingerprint does not match what this engine would recompute, or when the
+    record positions do not run 0, 1, 2, ... over the candidates; a finished
     scan is returned unchanged."""
-    header, records, valid_length = _read_checkpoint(report_path)
+    try:
+        with open(report_path, encoding="ascii") as handle:
+            raw = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ResumeError(f"cannot read checkpoint {report_path!r}: {exc}") from exc
+    # Only newline-terminated lines count: text after the last newline is a
+    # torn write from an interrupted run and is cut off before appending.
+    entries = _entries(report_path, raw.split("\n")[:-1])
+    header = next(entries, {})
+    if header.get("type") != "header":
+        raise ResumeError(f"{report_path!r} does not start with a checkpoint header")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ResumeError(
             f"checkpoint format {header.get('format')!r} is not {CHECKPOINT_FORMAT}"
@@ -623,17 +578,38 @@ def resume(
     if header.get("fingerprint") != engine_fingerprint(spec):
         raise ResumeError("engine fingerprint changed; refusing to mix results")
     candidates = _KINDS[spec.kind].candidates(spec)
-    if len(records) > len(candidates):
-        raise ResumeError("checkpoint has more records than candidates")
-    for pos, rec in enumerate(records):
-        if rec.index != candidates[pos]:
+    records: list[ScanRecord] = []
+    for entry in entries:
+        if entry.get("type") != "record":
+            continue
+        for name, kind in _RECORD_FIELDS.items():
+            # type(), not isinstance(): JSON true/false must not pass as int.
+            if type(entry.get(name)) is not kind:
+                raise ResumeError(
+                    f"{report_path!r} has a record whose {name!r} is missing or not of type {kind.__name__}"
+                )
+        index = tuple(entry["index"])
+        if not all(type(i) is int for i in index):
             raise ResumeError(
-                f"record {pos} index {rec.index} does not match candidate {candidates[pos]}"
+                f"{report_path!r} has a record whose 'index' is not a list of integers"
             )
-    writer = None
-    if len(records) < len(candidates):
-        writer = _CheckpointWriter(report_path, fsync=fsync, valid_length=valid_length)
-    return _execute(spec, candidates, records, _effective_jobs(jobs), limit, writer)
+        pos = entry["pos"]
+        if 0 <= pos < len(records):
+            raise ResumeError(f"{report_path!r} has two records at position {pos}")
+        if pos != len(records):
+            raise ResumeError(
+                f"{report_path!r} has a record at position {pos} where {len(records)} is next"
+            )
+        if pos == len(candidates):
+            raise ResumeError("checkpoint has more records than candidates")
+        if index != candidates[pos]:
+            raise ResumeError(
+                f"record {pos} index {index} does not match candidate {candidates[pos]}"
+            )
+        records.append(ScanRecord(index, entry["verdict"], entry["detail"], entry["elapsed_ms"]))
+    jobs = _effective_jobs(jobs, limit)
+    journal = report_path if len(records) < len(candidates) else None
+    return _execute(spec, candidates, records, jobs, limit, journal, fsync, raw.rfind("\n") + 1)
 
 
 def scan_l2_prime_exponents(p_max: int, **kwargs: Any) -> ScanReport:

@@ -73,6 +73,26 @@ def test_digits_cap_one(capsys):
     assert "L1(9) = 2…7(6 digits)" in out
 
 
+def test_eval_beyond_decimal_conversion_limit(capsys):
+    # CPython 3.11+ caps int/str conversion at 4,300 digits by default; the
+    # header was printed, then the value failed with exit 2.
+    argv = ["eval", "--family", "L1", "--n", "10000"]
+    code, out, err = run_cli(capsys, *argv, "--digits-cap", "20")
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("(6021 digits)")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    value = json_lines(out)[-1]["result"]["value"]
+    assert len(value) == 6021 and value.isdigit()
+
+
+def test_prime_check_beyond_decimal_conversion_limit(capsys):
+    n = "2" + "0" * 4399
+    code, out, _ = run_cli(capsys, "prime-check", "--n", n, "--json")
+    assert code == 0
+    assert json_lines(out)[-1]["result"]["evidence"] == "factor=2"
+
+
 def test_eval_errors(capsys):
     code, out, err = run_cli(capsys, "eval", "--family", "L9", "--n", "3")
     assert code == 2
@@ -361,6 +381,73 @@ def test_scan_json_stream_is_resumable(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "resume", "--path", str(stream), "--json")
     assert code == 0
     assert json_lines(out)[-1]["prime_indices"] == ["0", "1", "2", "5"]
+
+
+def test_scan_checkpoint_in_missing_directory_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "ck.jsonl")
+    code, out, err = run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "10", "--checkpoint", path
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write checkpoint {path!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--limit", "0"], None, "limit must be >= 1, got 0"),
+        (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
+        ([], "0", "LSEQ_JOBS must be >= 1, got 0"),
+    ],
+    ids=["limit", "jobs", "LSEQ_JOBS"],
+)
+def test_scan_invalid_run_arguments_create_no_checkpoint(
+    tmp_path, capsys, monkeypatch, flags, env, message
+):
+    # The journal used to be created with its header first, so the corrected
+    # command then refused to overwrite it.
+    if env is not None:
+        monkeypatch.setenv("LSEQ_JOBS", env)
+    path = tmp_path / "ck.jsonl"
+    argv = ["scan", "--kind", "l4-twins", "--n-max", "20", "--checkpoint", str(path)]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+    monkeypatch.delenv("LSEQ_JOBS", raising=False)
+    code, _, _ = run_cli(capsys, *argv, "--limit", "5")
+    assert code == 1
+
+
+@pytest.mark.parametrize("flags", [["--limit", "0"], ["--jobs", "0"]], ids=["limit", "jobs"])
+def test_resume_invalid_run_arguments_keep_torn_tail(tmp_path, capsys, flags):
+    path = tmp_path / "ck.jsonl"
+    run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "20",
+        "--checkpoint", str(path), "--limit", "5",
+    )
+    with open(path, "a", encoding="ascii") as handle:
+        handle.write('{"detail":{"le')
+    before = path.read_bytes()
+    code, out, err = run_cli(capsys, "resume", "--path", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 4, 5], [0, 2, 1, 3]], ids=["gap", "out-of-order"])
+def test_resume_gap_or_disorder_exits_2(tmp_path, capsys, order):
+    path = tmp_path / "ck.jsonl"
+    run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "20",
+        "--checkpoint", str(path), "--limit", "6",
+    )
+    lines = path.read_text(encoding="ascii").splitlines()
+    kept = [lines[0]] + [lines[1 + pos] for pos in order]
+    path.write_text("\n".join(kept) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "where" in err and "is next" in err
 
 
 def test_resume_missing_file(capsys):

@@ -280,6 +280,22 @@ def test_resume_rejects_duplicate_position(tmp_path):
         resume(str(path))
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 4, 5], [0, 2, 1, 3]], ids=["gap", "out-of-order"])
+def test_resume_rejects_gap_or_disorder(tmp_path, order):
+    # A journal without position 3 used to resume as if 3 had never run: it
+    # then held positions 0, 1, 2, 4, 5, ..., 3, 4, ... and the next resume
+    # refused it.
+    path = tmp_path / "scan.jsonl"
+    scan_l4_twins(12, checkpoint_path=str(path), limit=6)
+    lines = path.read_text(encoding="ascii").splitlines()
+    kept = [lines[0]] + [lines[1 + pos] for pos in order]
+    path.write_text("\n".join(kept) + "\n", encoding="ascii")
+    before = path.read_bytes()
+    with pytest.raises(ResumeError, match=r"has a record at position \d where \d is next"):
+        resume(str(path))
+    assert path.read_bytes() == before
+
+
 def test_resume_rejects_tampered_spec(tmp_path):
     path = str(tmp_path / "scan.jsonl")
     scan_l4_twins(12, checkpoint_path=path, limit=3)
