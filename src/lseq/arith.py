@@ -1,12 +1,14 @@
 """Modular arithmetic, primality classification, factoring helpers, and
 multiplicative order.
 
-Primality verdicts are deterministic below 2^64 (sieve, trial division, and
-a fixed Miller-Rabin witness set proven exhaustive for that range).  Above
-it, values 4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite by one
-N-1 exponentiation, and everything else gets a probabilistic verdict
-(base-2 strong test, a strong Lucas test, and a configurable number of
-seeded random-base rounds).
+Primality verdicts are deterministic below 2^64.  n <= 2^20 is decided by
+one lookup in a smallest-prime-factor table (evidence "trial_division" for a
+prime, "factor=p" for a composite); larger n by trial division and a fixed
+Miller-Rabin witness set proven exhaustive below 2^64.  Above that, values
+4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite by one N-1
+exponentiation, and everything else gets a probabilistic verdict (base-2
+strong test, a strong Lucas test, and a configurable number of seeded
+random-base rounds).
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ DEFAULT_EXTRA_ROUNDS = 2
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 200_000
 
-_SIEVE_LIMIT = 1 << 20
-_sieve: bytearray | None = None
+# n <= _TABLE_LIMIT is decided by one lookup in _spf_table(); _TABLE_VERDICTS,
+# set with the table, maps each entry to (classification, evidence).
+_TABLE_LIMIT = 1 << 20
+_spf: bytearray | None = None
+_TABLE_VERDICTS: tuple[tuple[str, str], ...] = ()
 
 
 class FactorBudgetError(Exception):
@@ -57,28 +62,37 @@ class OrderSearchError(Exception):
     the search for a prime of given order its bound."""
 
 
-def _build_sieve(limit: int) -> bytearray:
-    """Eratosthenes sieve: entry n is 1 exactly when n <= limit is prime."""
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return sieve
-
-
-def _small_sieve() -> bytearray:
-    global _sieve
-    if _sieve is None:
-        _sieve = _build_sieve(_SIEVE_LIMIT)
-    return _sieve
+def _spf_table() -> bytearray:
+    """Smallest-prime-factor table, built on first use: entry n, for 2 <= n
+    <= _TABLE_LIMIT, is 0 when n is prime and otherwise the 1-based index of
+    n's smallest prime factor among the 172 primes <= isqrt(_TABLE_LIMIT)."""
+    global _spf, _TABLE_VERDICTS
+    if _spf is None:
+        root = math.isqrt(_TABLE_LIMIT)
+        primes = [p for p in range(2, root + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        table = bytearray(_TABLE_LIMIT + 1)
+        # Largest prime first, so each entry ends with its smallest factor; in
+        # runs of 2^16 entries, so that no temporary outgrows 64 KiB.
+        for i in range(len(primes), 0, -1):
+            p = primes[i - 1]
+            for lo in range(p * p, _TABLE_LIMIT + 1, p << 16):
+                run = range(lo, min(lo + (p << 16), _TABLE_LIMIT + 1), p)
+                table[lo : run.stop : p] = bytearray((i,)) * len(run)
+        composite = (("composite", f"factor={p}") for p in primes)
+        _TABLE_VERDICTS = (("prime", "trial_division"), *composite)
+        _spf = table
+    return _spf
 
 
 def sieve_primes(limit: int) -> list[int]:
     """Ascending list of primes <= limit."""
-    if limit < 2:
-        return []
-    sieve = _small_sieve() if limit <= _SIEVE_LIMIT else _build_sieve(limit)
+    if limit <= _TABLE_LIMIT:
+        table = _spf_table()
+        return [n for n in range(2, limit + 1) if not table[n]]
+    sieve = bytearray(b"\x01") * (limit + 1)  # Eratosthenes
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [n for n in range(2, limit + 1) if sieve[n]]
 
 
@@ -355,15 +369,12 @@ def is_prime(
         return PrimalityVerdict(0, "composite", "zero")
     if n == 1:
         return PrimalityVerdict(1, "unit")
-    if n <= _SIEVE_LIMIT and _small_sieve()[n]:
-        return PrimalityVerdict(n, "prime", "trial_division")
+    if n <= _TABLE_LIMIT:
+        entry = (_spf or _spf_table())[n]
+        return PrimalityVerdict(n, *_TABLE_VERDICTS[entry])
     for p in _trial_primes():
         if n % p == 0:
             return PrimalityVerdict(n, "composite", f"factor={p}")
-    if n <= _SIEVE_LIMIT:
-        # Composites from 1009^2 up, with no prime factor below 1000.
-        p = next(d for d in _wheel(math.isqrt(n)) if n % d == 0)
-        return PrimalityVerdict(n, "composite", f"factor={p}")
     if n < DETERMINISTIC_LIMIT:
         for bound, bases in _MR_TIERS:
             if n < bound:

@@ -96,7 +96,9 @@ def _elide(text: str, cap: int | None) -> str:
 
 class _Output:
     """Where a handler writes: every line is one JSON object under --json and
-    table text otherwise, and header and result lines name args.command."""
+    table text otherwise, and header and result lines name args.command.
+    Each mode turns an int into decimal once, and only for its own lines:
+    decimal() for the JSON object, num() and the header pairs for table text."""
 
     def __init__(self, args: argparse.Namespace):
         if args.digits_cap is not None and args.digits_cap < 1:
@@ -120,14 +122,14 @@ class _Output:
             provenance["seed"] = seed
         if extra_rounds is not None:
             provenance["extra_rounds"] = extra_rounds
-        pairs = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
+        pairs = " ".join(f"{k}={v}" for k, v in params.items() if v is not None and not self.json)
         extras = " ".join(f"{k}={v}" for k, v in provenance.items() if k != "engine")
         parts = [p for p in (f"# lseq {self.command}", pairs, f"[{extras}]") if p]
         self.line(
             {
                 "type": "header",
                 "command": self.command,
-                "params": _decimal(params),
+                "params": self.decimal(params),
                 "provenance": provenance,
             },
             [" ".join(parts)],
@@ -142,14 +144,17 @@ class _Output:
                 "type": "result",
                 "command": self.command,
                 "anchor": anchor,
-                "result": _decimal(result),
+                "result": self.decimal(result),
             },
             lines,
         )
         return 0 if ok else 1
 
+    def decimal(self, value: Any) -> Any:
+        return _decimal(value) if self.json else value
+
     def num(self, value: int) -> str:
-        return _elide(str(value), self.digits_cap)
+        return "" if self.json else _elide(str(value), self.digits_cap)
 
 
 def _cmd_eval(args: argparse.Namespace, out: _Output) -> int:
@@ -229,7 +234,7 @@ def _cmd_gcd_l1(args: argparse.Namespace, out: _Output) -> int:
         _, record = gcd_l1(args.k1, args.t1, args.t2)
     else:
         _, record = gcd_l1_cross(args.k1, args.t1, args.k2, args.t2)
-    out.header({"k1": args.k1, "t1": args.t1, "k2": args.k2, "t2": args.t2})
+    out.header({name: getattr(args, name) for name in ("k1", "t1", "k2", "t2")})
     return _gcd_result(out, "L1", record)
 
 
@@ -238,16 +243,7 @@ def _cmd_gcd_l3(args: argparse.Namespace, out: _Output) -> int:
         _, record = gcd_l3(args.m1, args.n1, args.t1, args.t2)
     else:
         _, record = gcd_l3_cross(args.m1, args.n1, args.t1, args.m2, args.n2, args.t2)
-    out.header(
-        {
-            "m1": args.m1,
-            "n1": args.n1,
-            "t1": args.t1,
-            "m2": args.m2,
-            "n2": args.n2,
-            "t2": args.t2,
-        },
-    )
+    out.header({name: getattr(args, name) for name in ("m1", "n1", "t1", "m2", "n2", "t2")})
     return _gcd_result(out, "L3", record)
 
 
@@ -293,7 +289,7 @@ def _cmd_insularity(args: argparse.Namespace, out: _Output) -> int:
         computed, predicted, match = record.computed, record.predicted, record.match
         fields = {"indices": [i, j], "gcd": computed, "predicted": predicted, "match": match}
         out.line(
-            {"type": "record", **_decimal(fields)},
+            {"type": "record", **out.decimal(fields)},
             [f"({i}, {j}): gcd={out.num(computed)} {'match' if match else 'MISMATCH'}"],
         )
     return out.result(
@@ -311,13 +307,7 @@ def _cmd_orbit(args: argparse.Namespace, out: _Output) -> int:
         ok = verify_statement1_orbit(family, args.l, args.p, args.k_max)
         description = f"{family.name}({args.l} + ({args.p}-1)k) = 0 mod {args.p} for k <= {args.k_max}"
     else:
-        params = {
-            "family": family.name,
-            "l": args.l,
-            "p": args.p,
-            "t": args.t,
-            "n_max": args.n_max,
-        }
+        params = {"family": family.name, "l": args.l, "p": args.p, "t": args.t, "n_max": args.n_max}
         ok = verify_statement2_orbit(family, args.l, args.p, args.t, args.n_max)
         description = (
             f"{family.name}({args.p}^(N+{args.t}) - {args.p}^{args.t - 1} + {args.l})"
@@ -396,7 +386,7 @@ def _report_lines(out: _Output, report: ScanReport) -> int:
         **fields,
     }
     out.line(
-        _decimal(summary),
+        out.decimal(summary),
         [
             f"completed {report.completed_through}/{report.total}"
             + ("" if report.complete else " (incomplete)"),

@@ -45,13 +45,10 @@ class LFamily(enum.Enum):
     L3 = (-1, 1)
     L4 = (-1, -1)
 
-    @property
-    def mid_sign(self) -> int:
-        return self.value[0]
-
-    @property
-    def unit_sign(self) -> int:
-        return self.value[1]
+    def __init__(self, mid_sign: int, unit_sign: int) -> None:
+        # Plain attributes: residue reads them on every call.
+        self.mid_sign = mid_sign
+        self.unit_sign = unit_sign
 
     @classmethod
     def parse(cls, name: str) -> "LFamily":

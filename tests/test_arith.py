@@ -9,6 +9,7 @@ import pytest
 from lseq import arith
 from lseq.arith import (
     OrderSearchError,
+    PrimalityVerdict,
     factor_trial,
     is_prime,
     lemma2_witness,
@@ -84,6 +85,32 @@ def test_is_prime_up_to_sieve_limit_names_smallest_factor():
             assert (verdict.classification, verdict.evidence) == ("prime", "trial_division"), n
         else:
             assert (verdict.classification, verdict.evidence) == ("composite", f"factor={spf[n]}"), n
+
+
+def test_is_prime_table_edges():
+    # A negative n must raise before any lookup: a negative index would read
+    # the smallest-factor table from its end.
+    for n in (-1, -(2**20)):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert is_prime(0) == PrimalityVerdict(0, "composite", "zero")
+    assert is_prime(1) == PrimalityVerdict(1, "unit")
+    # Above 2^20, trial division stops at 997, so a smallest factor of 1009
+    # or 1021 is not named; the deterministic Miller-Rabin tier decides.
+    for n in (1009 * 1000003, 1021**3):
+        assert is_prime(n) == PrimalityVerdict(n, "composite", "mr_witness=2", rounds=0)
+
+
+def test_sieve_primes_where_table_and_large_path_meet():
+    top = 2**20 + 1000
+    flags = [True] * (top + 1)
+    for p in range(2, math.isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, top + 1, p))
+    reference = [n for n in range(2, top + 1) if flags[n]]
+    for limit in (2**20 - 1, 2**20, 2**20 + 1, top):
+        assert sieve_primes(limit) == [p for p in reference if p <= limit], limit
+    assert arith._trial_primes() == [p for p in reference if p < 1000]
 
 
 def test_is_prime_deterministic_below_2_64():

@@ -552,6 +552,26 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert proc.stderr == b""
 
 
+def test_startup_builds_no_smallest_factor_table():
+    # The 1 MiB table in arith is built on first use, not by importing the
+    # CLI: `lseq --version` is the launch whose time bench/run.py reports as
+    # setup_s.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import contextlib, io\n"
+        "from lseq import arith, cli\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['--version'])\n"
+        "assert arith._spf is None, 'table built at startup'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stderr=subprocess.PIPE, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_lseq_jobs_env(tmp_path, capsys, monkeypatch):
     code, solo, _ = run_cli(
         capsys, "scan", "--kind", "square-divisors", "--family", "L3",

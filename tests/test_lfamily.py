@@ -1,6 +1,7 @@
 """Tests for the four quadratic-in-2^n sequences and their congruence orbits."""
 
 import math
+import pickle
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_family_signs():
     assert (LFamily.L2.mid_sign, LFamily.L2.unit_sign) == (1, -1)
     assert (LFamily.L3.mid_sign, LFamily.L3.unit_sign) == (-1, 1)
     assert (LFamily.L4.mid_sign, LFamily.L4.unit_sign) == (-1, -1)
+
+
+def test_family_public_behaviour():
+    assert list(LFamily) == [LFamily.L1, LFamily.L2, LFamily.L3, LFamily.L4]
+    assert [f.name for f in LFamily] == ["L1", "L2", "L3", "L4"]
+    assert [f.value for f in LFamily] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for family in LFamily:
+        assert family.value == (family.mid_sign, family.unit_sign)
+        assert LFamily(family.value) is family
+        assert LFamily.parse(family.name.lower()) is family
+        assert pickle.loads(pickle.dumps(family)) is family
 
 
 def test_family_parse():
