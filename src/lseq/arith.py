@@ -8,7 +8,9 @@ Miller-Rabin witness set proven exhaustive below 2^64.  Above that, values
 4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite by one N-1
 exponentiation, and everything else gets a probabilistic verdict (base-2
 strong test, a strong Lucas test, and a configurable number of seeded
-random-base rounds).
+random-base rounds).  Only the seeded rounds depend on more than n, so the
+other stages' outcome for the last n above 2^20 is kept: an L4 twin scan,
+which tests each value twice in a row, runs them once per value.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _wheel(bound: int) -> Iterator[int]:
         step = 6 - step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrimalityVerdict:
     """Outcome of a primality check, with how it was reached.
 
@@ -121,6 +123,18 @@ class PrimalityVerdict:
     classification: str
     evidence: str | None = None
     rounds: int = 0
+
+    def __init__(
+        self, n: int, classification: str, evidence: str | None = None, rounds: int = 0
+    ) -> None:
+        # The generated __init__ of a frozen dataclass calls
+        # object.__setattr__ once per field, which is most of the cost of an
+        # is_prime call below 2^20; writing the instance dict is a third of it.
+        fields = self.__dict__
+        fields["n"] = n
+        fields["classification"] = classification
+        fields["evidence"] = evidence
+        fields["rounds"] = rounds
 
     @property
     def is_prime_or_probable(self) -> bool:
@@ -345,6 +359,46 @@ def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> Primali
     return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
 
 
+# The last n that is_prime took past the table, with _seed_free_stages(n).
+# One entry: an L4 twin scan tests each value twice in a row (as L4(n + 1)
+# of candidate n, then as L4(n) of candidate n + 1), while a re-run or a
+# resumed scan still recomputes every value.
+_memo: tuple[int, PrimalityVerdict | None, Callable[[int], int] | None] | None = None
+
+
+def _seed_free_stages(
+    n: int,
+) -> tuple[PrimalityVerdict | None, Callable[[int], int] | None]:
+    """Every stage of is_prime for n > _TABLE_LIMIT that draws no random
+    base: (verdict, None) when one of them decides n, and (None, reduce)
+    when n passes the base-2 strong and strong Lucas tests, reduce being
+    the x -> x mod n that the seeded rounds use (None for builtin pow)."""
+    for p in _trial_primes():
+        if n % p == 0:
+            return PrimalityVerdict(n, "composite", f"factor={p}"), None
+    if n < DETERMINISTIC_LIMIT:
+        for bound, bases in _MR_TIERS:
+            if n < bound:
+                for a in bases:
+                    if not _strong_probable_prime(n, a):
+                        return PrimalityVerdict(n, "composite", f"mr_witness={a}"), None
+                evidence = f"mr_deterministic:{','.join(map(str, bases))}"
+                return PrimalityVerdict(n, "prime", evidence), None
+        raise AssertionError("unreachable: tier table covers all n < 2^64")
+    root = math.isqrt(n)
+    if root * root == n:
+        return PrimalityVerdict(n, "composite", f"square_of={root}"), None
+    reduce = _l_form_reducer(n) if n.bit_length() >= _L_FORM_MIN_BITS else None
+    proof = _l_form_proof(n, reduce)
+    if proof is not None:
+        return proof, None
+    if not _strong_probable_prime(n, 2, reduce):
+        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1), None
+    if not _strong_lucas_probable_prime(n, reduce):
+        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2), None
+    return None, reduce
+
+
 def is_prime(
     n: int,
     *,
@@ -360,7 +414,13 @@ def is_prime(
     division is labeled probable_prime after a base-2 strong test, a strong
     Lucas test, and extra_rounds random-base strong tests drawn from the
     given seed.
+
+    Everything but those seeded rounds depends on n alone, and is kept for
+    the most recent n above 2^20: a call that repeats the previous call's n
+    (as an L4 twin scan does) runs only its own seeded rounds, with the same
+    verdict as a first call.
     """
+    global _memo
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if extra_rounds < 0:
@@ -372,28 +432,12 @@ def is_prime(
     if n <= _TABLE_LIMIT:
         entry = (_spf or _spf_table())[n]
         return PrimalityVerdict(n, *_TABLE_VERDICTS[entry])
-    for p in _trial_primes():
-        if n % p == 0:
-            return PrimalityVerdict(n, "composite", f"factor={p}")
-    if n < DETERMINISTIC_LIMIT:
-        for bound, bases in _MR_TIERS:
-            if n < bound:
-                for a in bases:
-                    if not _strong_probable_prime(n, a):
-                        return PrimalityVerdict(n, "composite", f"mr_witness={a}")
-                return PrimalityVerdict(n, "prime", f"mr_deterministic:{','.join(map(str, bases))}")
-        raise AssertionError("unreachable: tier table covers all n < 2^64")
-    root = math.isqrt(n)
-    if root * root == n:
-        return PrimalityVerdict(n, "composite", f"square_of={root}")
-    reduce = _l_form_reducer(n) if n.bit_length() >= _L_FORM_MIN_BITS else None
-    proof = _l_form_proof(n, reduce)
-    if proof is not None:
-        return proof
-    if not _strong_probable_prime(n, 2, reduce):
-        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
-    if not _strong_lucas_probable_prime(n, reduce):
-        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
+    memo = _memo
+    if memo is None or memo[0] != n:
+        memo = _memo = (n, *_seed_free_stages(n))
+    _, verdict, reduce = memo
+    if verdict is not None:
+        return verdict
     rng = random.Random(seed)
     for i in range(extra_rounds):
         a = rng.randrange(3, n - 1)

@@ -98,7 +98,8 @@ class _Output:
     """Where a handler writes: every line is one JSON object under --json and
     table text otherwise, and header and result lines name args.command.
     Each mode turns an int into decimal once, and only for its own lines:
-    decimal() for the JSON object, num() and the header pairs for table text."""
+    decimal() for the JSON object, num() for table text, header pairs included,
+    so --digits-cap elides a long header value as it does a result."""
 
     def __init__(self, args: argparse.Namespace):
         if args.digits_cap is not None and args.digits_cap < 1:
@@ -122,7 +123,11 @@ class _Output:
             provenance["seed"] = seed
         if extra_rounds is not None:
             provenance["extra_rounds"] = extra_rounds
-        pairs = " ".join(f"{k}={v}" for k, v in params.items() if v is not None and not self.json)
+        pairs = " ".join(
+            f"{k}={self.num(v) if type(v) is int else v}"
+            for k, v in params.items()
+            if v is not None and not self.json
+        )
         extras = " ".join(f"{k}={v}" for k, v in provenance.items() if k != "engine")
         parts = [p for p in (f"# lseq {self.command}", pairs, f"[{extras}]") if p]
         self.line(

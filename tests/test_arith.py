@@ -1,7 +1,9 @@
 """Tests for primality, factorization, and multiplicative-order routines."""
 
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from lseq.arith import (
     sieve_primes,
 )
 from lseq.lfamily import LFamily, eval_exact, residue
-from lseq.search import scan_l3_pow2
+from lseq.search import scan_l3_pow2, scan_l4_twins
 
 
 def naive_is_prime(n: int) -> bool:
@@ -61,7 +63,7 @@ def test_is_prime_small_examples():
 
 
 def test_is_prime_sieve_boundary():
-    # values straddling the internal sieve cutoff at 2^20
+    # values straddling the smallest-factor table's limit, 2^20
     assert is_prime(1048571).classification == "prime"
     assert is_prime(1048573).classification == "prime"
     assert is_prime(1048575).classification == "composite"
@@ -163,6 +165,63 @@ def test_is_prime_rounds_and_determinism():
     assert a.rounds == 7
     with pytest.raises(ValueError):
         is_prime(10, extra_rounds=-1)
+
+
+def test_primality_verdict_is_a_frozen_dataclass():
+    v = PrimalityVerdict(7, "prime", "trial_division")
+    assert v == PrimalityVerdict(n=7, classification="prime", evidence="trial_division", rounds=0)
+    assert PrimalityVerdict(1, "unit") == PrimalityVerdict(1, "unit", None, 0)
+    assert v != PrimalityVerdict(7, "prime", "trial_division", 1)
+    assert hash(v) == hash(PrimalityVerdict(7, "prime", "trial_division", 0))
+    assert repr(v) == "PrimalityVerdict(n=7, classification='prime', evidence='trial_division', rounds=0)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.rounds = 1
+    assert [f.name for f in dataclasses.fields(v)] == ["n", "classification", "evidence", "rounds"]
+    assert dataclasses.replace(v, rounds=3) == PrimalityVerdict(7, "prime", "trial_division", 3)
+    assert dataclasses.asdict(v) == {
+        "n": 7, "classification": "prime", "evidence": "trial_division", "rounds": 0
+    }
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def _count_base2_tests(monkeypatch):
+    """A list that grows by one at each base-2 strong test is_prime makes."""
+    calls = []
+    real = arith._strong_probable_prime
+
+    def spy(n, a, reduce=None):
+        if a == 2:
+            calls.append(n)
+        return real(n, a, reduce)
+
+    monkeypatch.setattr(arith, "_strong_probable_prime", spy)
+    return calls
+
+
+def test_twin_scan_tests_each_l4_value_once(monkeypatch):
+    calls = _count_base2_tests(monkeypatch)
+    for n in range(1, 121):
+        is_prime(eval_exact(LFamily.L4, n))
+    once_each = len(calls)
+    calls.clear()
+    first = scan_l4_twins(120)
+    assert len(calls) == once_each > 0
+    # The memo holds one value, so a re-run recomputes every value.
+    calls.clear()
+    second = scan_l4_twins(120)
+    assert len(calls) == once_each
+    assert second.canonical_bytes() == first.canonical_bytes()
+
+
+def test_seeded_rounds_rerun_on_a_repeated_value():
+    n = eval_exact(LFamily.L4, 597)
+    for seed in (1, 2):
+        v = is_prime(n, seed=seed)
+        assert (v.classification, v.evidence, v.rounds) == (
+            "probable_prime", f"bpsw+2r:seed={seed}", 4
+        )
+    assert is_prime(n, extra_rounds=0).rounds == 2
+    assert is_prime(n, extra_rounds=2).rounds == 4
 
 
 def test_factor_trial_examples():

@@ -73,6 +73,15 @@ def test_digits_cap_one(capsys):
     assert "L1(9) = 2…7(6 digits)" in out
 
 
+def test_prime_check_header_honours_digits_cap(capsys):
+    n = "1" + "0" * 59 + "7"
+    code, out, err = run_cli(capsys, "prime-check", "--n", n, "--digits-cap", "10")
+    assert (code, err) == (0, "")
+    header, result = out.splitlines()
+    assert header.startswith("# lseq prime-check n=10000…00007(61 digits) [")
+    assert result.startswith("10000…00007(61 digits): probable_prime")
+
+
 def test_eval_beyond_decimal_conversion_limit(capsys):
     # CPython 3.11+ caps int/str conversion at 4,300 digits by default; the
     # header was printed, then the value failed with exit 2.
