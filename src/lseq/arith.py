@@ -2,19 +2,24 @@
 multiplicative order.
 
 Primality verdicts are deterministic below 2^64.  n <= 2^20 is decided by
-one lookup in a smallest-prime-factor table (evidence "trial_division" for a
-prime, "factor=p" for a composite); larger n by trial division and a fixed
-Miller-Rabin witness set proven exhaustive below 2^64.  Above that, values
-4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite by one N-1
-exponentiation, and everything else gets a probabilistic verdict (base-2
-strong test, a strong Lucas test, and a configurable number of seeded
-random-base rounds).  Only the seeded rounds depend on more than n, so the
-other stages' outcome for the last n above 2^20 is kept: an L4 twin scan,
-which tests each value twice in a row, runs them once per value.
+one lookup in a smallest-prime-factor table, built on first use (evidence
+"trial_division" for a prime, "factor=p" for a composite); larger n by trial
+division and a fixed Miller-Rabin witness set proven exhaustive below 2^64.
+Above that, values 4^h +/- 2^h + 1 (L1 and L3) are proven prime or composite
+by one N-1 exponentiation, and everything else gets a probabilistic verdict
+(base-2 strong test, a strong Lucas test, and a configurable number of
+seeded random-base rounds).  Only the seeded rounds depend on more than n,
+so the other stages' outcome for the last n above 2^20 is kept: an L4 twin
+scan, which tests each value twice in a row, runs them once per value.
+
+sieve_primes is a plain sieve of Eratosthenes.  The primes up to
+isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
+are sieved once at import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +30,6 @@ __all__ = [
     "DEFAULT_EXTRA_ROUNDS",
     "DEFAULT_TRIAL_BOUND",
     "DEFAULT_RHO_BUDGET",
-    "FactorBudgetError",
     "OrderSearchError",
     "PrimalityVerdict",
     "OrderResult",
@@ -43,20 +47,9 @@ DEFAULT_EXTRA_ROUNDS = 2
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 200_000
 
-# n <= _TABLE_LIMIT is decided by one lookup in _spf_table(); _TABLE_VERDICTS,
-# set with the table, maps each entry to (classification, evidence).
+# n <= _TABLE_LIMIT is decided by one lookup in _spf_table().
 _TABLE_LIMIT = 1 << 20
 _spf: bytearray | None = None
-_TABLE_VERDICTS: tuple[tuple[str, str], ...] = ()
-
-
-class FactorBudgetError(Exception):
-    """Factoring stopped with a composite cofactor still unsplit."""
-
-    def __init__(self, message: str, factors: list[tuple[int, int]], cofactor: int):
-        super().__init__(message)
-        self.factors = factors
-        self.cofactor = cofactor
 
 
 class OrderSearchError(Exception):
@@ -64,38 +57,41 @@ class OrderSearchError(Exception):
     the search for a prime of given order its bound."""
 
 
-def _spf_table() -> bytearray:
-    """Smallest-prime-factor table, built on first use: entry n, for 2 <= n
-    <= _TABLE_LIMIT, is 0 when n is prime and otherwise the 1-based index of
-    n's smallest prime factor among the 172 primes <= isqrt(_TABLE_LIMIT)."""
-    global _spf, _TABLE_VERDICTS
-    if _spf is None:
-        root = math.isqrt(_TABLE_LIMIT)
-        primes = [p for p in range(2, root + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-        table = bytearray(_TABLE_LIMIT + 1)
-        # Largest prime first, so each entry ends with its smallest factor; in
-        # runs of 2^16 entries, so that no temporary outgrows 64 KiB.
-        for i in range(len(primes), 0, -1):
-            p = primes[i - 1]
-            for lo in range(p * p, _TABLE_LIMIT + 1, p << 16):
-                run = range(lo, min(lo + (p << 16), _TABLE_LIMIT + 1), p)
-                table[lo : run.stop : p] = bytearray((i,)) * len(run)
-        composite = (("composite", f"factor={p}") for p in primes)
-        _TABLE_VERDICTS = (("prime", "trial_division"), *composite)
-        _spf = table
-    return _spf
-
-
 def sieve_primes(limit: int) -> list[int]:
-    """Ascending list of primes <= limit."""
-    if limit <= _TABLE_LIMIT:
-        table = _spf_table()
-        return [n for n in range(2, limit + 1) if not table[n]]
-    sieve = bytearray(b"\x01") * (limit + 1)  # Eratosthenes
-    for p in range(2, math.isqrt(limit) + 1):
+    """Ascending list of primes <= limit, by the sieve of Eratosthenes."""
+    sieve = bytearray(b"\x01") * (limit + 1)
+    for p in range(2, math.isqrt(max(limit, 0)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [n for n in range(2, limit + 1) if sieve[n]]
+
+
+# The 172 primes <= isqrt(_TABLE_LIMIT); trial division above the table uses
+# those below 1000.  Entry i of _spf_table() maps to _TABLE_VERDICTS[i].
+_ROOT_PRIMES = sieve_primes(math.isqrt(_TABLE_LIMIT))
+_TRIAL_PRIMES = [p for p in _ROOT_PRIMES if p < 1000]
+_TABLE_VERDICTS = (
+    ("prime", "trial_division"),
+    *(("composite", f"factor={p}") for p in _ROOT_PRIMES),
+)
+
+
+def _spf_table() -> bytearray:
+    """Smallest-prime-factor table, built on first use: entry n, for 2 <= n
+    <= _TABLE_LIMIT, is 0 when n is prime and otherwise the 1-based index of
+    n's smallest prime factor in _ROOT_PRIMES."""
+    global _spf
+    if _spf is None:
+        table = bytearray(_TABLE_LIMIT + 1)
+        # Largest prime first, so each entry ends with its smallest factor; in
+        # runs of 2^16 entries, so that no temporary outgrows 64 KiB.
+        for i in range(len(_ROOT_PRIMES), 0, -1):
+            p = _ROOT_PRIMES[i - 1]
+            for lo in range(p * p, _TABLE_LIMIT + 1, p << 16):
+                run = range(lo, min(lo + (p << 16), _TABLE_LIMIT + 1), p)
+                table[lo : run.stop : p] = bytearray((i,)) * len(run)
+        _spf = table
+    return _spf
 
 
 def _wheel(bound: int) -> Iterator[int]:
@@ -157,16 +153,6 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (DETERMINISTIC_LIMIT, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
-
-_TRIAL_PRIMES: list[int] | None = None
-
-
-def _trial_primes() -> list[int]:
-    global _TRIAL_PRIMES
-    if _TRIAL_PRIMES is None:
-        _TRIAL_PRIMES = sieve_primes(1000)
-    return _TRIAL_PRIMES
-
 
 # Moduli of the form 4^h + s1*2^h + s0 with at least this many bits are
 # reduced by shifts and adds (_l_form_reducer); below it CPython's builtin
@@ -349,7 +335,7 @@ def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> Primali
     # (2/n) = 1, as n = 1 mod 8.
     if (1 << e % (6 * h)) % n != 1:
         return PrimalityVerdict(n, "composite", "euler_witness=2", rounds=1)
-    a = next((a for a in _trial_primes()[1:] if _jacobi(a, n) == -1), None)
+    a = next((a for a in _TRIAL_PRIMES[1:] if _jacobi(a, n) == -1), None)
     if a is None:
         return None
     x = pow(a, e, n) if reduce is None else _pow_reduced(a, e, reduce)
@@ -359,13 +345,10 @@ def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> Primali
     return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
 
 
-# The last n that is_prime took past the table, with _seed_free_stages(n).
-# One entry: an L4 twin scan tests each value twice in a row (as L4(n + 1)
-# of candidate n, then as L4(n) of candidate n + 1), while a re-run or a
-# resumed scan still recomputes every value.
-_memo: tuple[int, PrimalityVerdict | None, Callable[[int], int] | None] | None = None
-
-
+# Kept for the last n only: an L4 twin scan tests each value twice in a row
+# (as L4(n + 1) of candidate n, then as L4(n) of candidate n + 1), while a
+# re-run or a resumed scan still recomputes every value.
+@functools.lru_cache(maxsize=1)
 def _seed_free_stages(
     n: int,
 ) -> tuple[PrimalityVerdict | None, Callable[[int], int] | None]:
@@ -373,7 +356,7 @@ def _seed_free_stages(
     base: (verdict, None) when one of them decides n, and (None, reduce)
     when n passes the base-2 strong and strong Lucas tests, reduce being
     the x -> x mod n that the seeded rounds use (None for builtin pow)."""
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return PrimalityVerdict(n, "composite", f"factor={p}"), None
     if n < DETERMINISTIC_LIMIT:
@@ -420,7 +403,6 @@ def is_prime(
     (as an L4 twin scan does) runs only its own seeded rounds, with the same
     verdict as a first call.
     """
-    global _memo
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if extra_rounds < 0:
@@ -432,10 +414,7 @@ def is_prime(
     if n <= _TABLE_LIMIT:
         entry = (_spf or _spf_table())[n]
         return PrimalityVerdict(n, *_TABLE_VERDICTS[entry])
-    memo = _memo
-    if memo is None or memo[0] != n:
-        memo = _memo = (n, *_seed_free_stages(n))
-    _, verdict, reduce = memo
+    verdict, reduce = _seed_free_stages(n)
     if verdict is not None:
         return verdict
     rng = random.Random(seed)
@@ -533,14 +512,16 @@ def factor_trial(n: int, bound: int, *, rho_budget: int = 0) -> tuple[list[tuple
     return sorted(counts.items()), m
 
 
-def _full_factor(n: int) -> list[tuple[int, int]]:
-    """Complete factorization or FactorBudgetError."""
+def _full_factor(n: int, m: int) -> list[tuple[int, int]]:
+    """Complete factorization of n, which is m or a group order mod m (none
+    for n = 1), or OrderSearchError when it exceeds the factoring budget."""
+    if n == 1:
+        return []
     factors, cofactor = factor_trial(n, DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET)
     if cofactor != 1:
-        raise FactorBudgetError(
-            f"could not fully factor {n}: composite cofactor {cofactor} remains",
-            factors,
-            cofactor,
+        raise OrderSearchError(
+            f"factoring the group order for modulus {m} exceeded the budget: "
+            f"could not fully factor {n}: composite cofactor {cofactor} remains"
         )
     return factors
 
@@ -578,25 +559,18 @@ def multiplicative_order(a: int, m: int) -> OrderResult:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"base {a} is not coprime to modulus {m}")
-    try:
-        if is_prime(m).is_prime_or_probable:
-            group = m - 1
-        else:
-            group = _carmichael(_full_factor(m))
-        group_factors = _full_factor(group)
-        if pow(a, group, m) != 1:
-            raise OrderSearchError(
-                f"group exponent {group} did not annihilate base {a} mod {m}"
-            )
-        order = group
-        for p, _ in group_factors:
-            while order % p == 0 and pow(a, order // p, m) == 1:
-                order //= p
-        return OrderResult(a, m, order)
-    except FactorBudgetError as exc:
-        raise OrderSearchError(
-            f"factoring the group order for modulus {m} exceeded the budget: {exc}"
-        ) from exc
+    if is_prime(m).is_prime_or_probable:
+        group = m - 1
+    else:
+        group = _carmichael(_full_factor(m, m))
+    group_factors = _full_factor(group, m)
+    if pow(a, group, m) != 1:
+        raise OrderSearchError(f"group exponent {group} did not annihilate base {a} mod {m}")
+    order = group
+    for p, _ in group_factors:
+        while order % p == 0 and pow(a, order // p, m) == 1:
+            order //= p
+    return OrderResult(a, m, order)
 
 
 # lemma2_witness tries q = 2*m*3^k + 1 for m = 1 .. _LEMMA2_STEPS.

@@ -22,7 +22,6 @@ from typing import Any, Callable
 from . import __version__
 from .arith import (
     DEFAULT_EXTRA_ROUNDS,
-    FactorBudgetError,
     OrderSearchError,
     is_prime,
     lemma2_witness,
@@ -38,6 +37,8 @@ from .gcdlaws import (
     insularity_harness,
 )
 from .lfamily import (
+    DEFAULT_EVAL_BIT_BUDGET,
+    DEFAULT_PRODUCT_BIT_BUDGET,
     BudgetExceededError,
     LFamily,
     builtin_congruence_rules,
@@ -709,7 +710,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
     "eval": (
         "exact sequence value",
         _cmd_eval,
-        [_FAMILY, *_ints("--n"), _int("--bit-budget", 1 << 26)],
+        [_FAMILY, *_ints("--n"), _int("--bit-budget", DEFAULT_EVAL_BIT_BUDGET)],
     ),
     "residue": (
         "sequence value mod m without full evaluation",
@@ -772,7 +773,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
     "product-identity": (
         "check the power-of-3 product identity",
         _cmd_product_identity,
-        [*_ints("--k"), _int("--bit-budget", 1 << 12)],
+        [*_ints("--k"), _int("--bit-budget", DEFAULT_PRODUCT_BIT_BUDGET)],
     ),
     "repunit": (
         "generalized repunit value",
@@ -850,7 +851,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ValueError,
         BudgetExceededError,
-        FactorBudgetError,
         OrderSearchError,
         ResumeError,
     ) as exc:

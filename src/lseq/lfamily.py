@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .arith import is_prime
+
 __all__ = [
     "DEFAULT_EVAL_BIT_BUDGET",
     "DEFAULT_PRODUCT_BIT_BUDGET",
@@ -165,7 +167,7 @@ def verify_statement1_orbit(family: LFamily, l: int, p: int, k_max: int) -> bool
     """
     if l < 1:
         raise ValueError(f"offset must be >= 1, got {l}")
-    if p < 3 or p % 2 == 0:
+    if p < 3 or not is_prime(p).is_prime_or_probable:
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -184,7 +186,7 @@ def verify_statement2_orbit(family: LFamily, l: int, p: int, t: int, n_max: int)
     """
     if l < 1:
         raise ValueError(f"offset must be >= 1, got {l}")
-    if p < 3 or p % 2 == 0:
+    if p < 3 or not is_prime(p).is_prime_or_probable:
         raise ValueError(f"modulus base must be an odd prime, got {p}")
     if t < 1:
         raise ValueError(f"exponent must be >= 1, got {t}")

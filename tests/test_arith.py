@@ -10,6 +10,7 @@ import pytest
 
 from lseq import arith
 from lseq.arith import (
+    OrderResult,
     OrderSearchError,
     PrimalityVerdict,
     factor_trial,
@@ -112,7 +113,7 @@ def test_sieve_primes_where_table_and_large_path_meet():
     reference = [n for n in range(2, top + 1) if flags[n]]
     for limit in (2**20 - 1, 2**20, 2**20 + 1, top):
         assert sieve_primes(limit) == [p for p in reference if p <= limit], limit
-    assert arith._trial_primes() == [p for p in reference if p < 1000]
+    assert arith._TRIAL_PRIMES == [p for p in reference if p < 1000]
 
 
 def test_is_prime_deterministic_below_2_64():
@@ -278,10 +279,12 @@ def test_order_examples():
     assert multiplicative_order(2, 3).order == 2
     assert multiplicative_order(2, 262657).order == 27
     assert multiplicative_order(1, 5).order == 1
+    # The group mod 2 has order 1, with no prime factor to strip.
+    assert multiplicative_order(3, 2) == OrderResult(1, 2, 1)
 
 
 def test_order_matches_bruteforce():
-    for m in (3, 5, 9, 11, 15, 49, 100, 121, 341, 561, 997):
+    for m in (2, 3, 5, 9, 11, 15, 49, 100, 121, 341, 561, 997):
         for a in range(2, 30):
             if math.gcd(a, m) != 1:
                 continue

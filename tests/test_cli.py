@@ -150,6 +150,19 @@ def test_orbit_precondition_error(capsys):
     assert "precondition failed" in err
 
 
+@pytest.mark.parametrize(
+    "statement, l, p", [("1", "2", "21"), ("2", "7", "49")], ids=["1-p21", "2-p49"]
+)
+def test_orbit_composite_modulus_exits_2(capsys, statement, l, p):
+    code, out, err = run_cli(
+        capsys, "orbit", "--statement", statement, "--family", "L1",
+        "--l", l, "--p", p, "--k-max", "3", "--t", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(f"must be an odd prime, got {p}\n")
+    assert err.count("\n") == 1
+
+
 def test_theorem3(capsys):
     code, out, _ = run_cli(capsys, "theorem3", "--k", "2", "--n", "5", "--json")
     assert code == 0
@@ -194,6 +207,9 @@ def test_order_and_witness(capsys):
     assert result["order"] == "27"
     code, _, err = run_cli(capsys, "order", "--a", "6", "--m", "9")
     assert code == 2
+    code, out, err = run_cli(capsys, "order", "--a", "3", "--m", "2", "--json")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["result"]["order"] == "1"
 
 
 def test_composite_without_factor_below_1000(capsys):

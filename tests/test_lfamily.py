@@ -208,6 +208,8 @@ def test_statement1_orbit_precondition():
         verify_statement1_orbit(LFamily.L1, 3, 7, 10)
     with pytest.raises(ValueError):
         verify_statement1_orbit(LFamily.L1, 10, 2, 10)  # p must be odd
+    with pytest.raises(ValueError, match="must be an odd prime, got 21"):
+        verify_statement1_orbit(LFamily.L1, 2, 21, 3)  # 21 | L1(2), 21 not prime
     with pytest.raises(ValueError):
         verify_statement1_orbit(LFamily.L1, 0, 7, 10)
     with pytest.raises(ValueError):
@@ -230,6 +232,8 @@ def test_statement2_orbit_rejects():
         verify_statement2_orbit(LFamily.L1, 3, 7, 2, 5)  # seed not divisible
     with pytest.raises(ValueError):
         verify_statement2_orbit(LFamily.L1, 10, 7, 2, 5)  # divisible by 7, not 49
+    with pytest.raises(ValueError, match="must be an odd prime, got 49"):
+        verify_statement2_orbit(LFamily.L1, 7, 49, 1, 2)  # 49 | L1(7), 49 not prime
     with pytest.raises(ValueError):
         verify_statement2_orbit(LFamily.L1, 7, 7, 0, 5)
     with pytest.raises(ValueError):
