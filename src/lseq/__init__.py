@@ -5,7 +5,8 @@ primality classification, and resumable search scans.
 The functionality lives in submodules: lfamily (sequence evaluation and
 congruence laws), arith (primality, orders, factoring), gcdlaws (gcd
 identities and insularity checking), repunit (generalized repunits), search
-(resumable scans), and cli (command-line front end).
+(resumable scans), paper (the paper's anchors that verify-paper checks), and
+cli (command-line front end).
 """
 
 __version__ = "0.1.0"

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
-import tempfile
 from typing import Any, Callable
 
-from . import __version__
+from . import __version__, paper
 from .arith import (
     DEFAULT_EXTRA_ROUNDS,
     OrderSearchError,
@@ -41,7 +38,6 @@ from .lfamily import (
     DEFAULT_PRODUCT_BIT_BUDGET,
     BudgetExceededError,
     LFamily,
-    builtin_congruence_rules,
     eval_exact,
     residue,
     verify_product_identity,
@@ -60,15 +56,9 @@ from .search import (
     _summary,
     resume,
     run_scan,
-    scan_l1_pow3,
-    scan_l2_pow2,
-    scan_l2_prime_exponents,
-    scan_l3_pow2,
-    scan_l4_twins,
-    scan_square_divisors,
 )
 
-__all__ = ["main", "VERIFICATIONS"]
+__all__ = ["main"]
 
 _ELLIPSIS = "…"
 
@@ -428,246 +418,17 @@ def _cmd_resume(args: argparse.Namespace, out: _Output) -> int:
     return _report_lines(out, report)
 
 
-# --- verify-paper fixtures ------------------------------------------------
-
-_GOLDEN_VALUES: dict[tuple[str, int], int] = {
-    ("L1", 1): 7,
-    ("L1", 3): 73,
-    ("L1", 9): 262657,
-    ("L2", 1): 5,
-    ("L2", 2): 19,
-    ("L2", 3): 71,
-    ("L2", 4): 271,
-    ("L2", 6): 4159,
-    ("L2", 16): 4295032831,
-    ("L3", 1): 3,
-    ("L3", 2): 13,
-    ("L3", 4): 241,
-    ("L3", 32): 18446744069414584321,
-    ("L4", 1): 1,
-    ("L4", 2): 11,
-    ("L4", 4): 239,
-    ("L4", 5): 991,
-    ("L4", 9): 261631,
-    ("L4", 10): 1047551,
-}
-
-_EXPECTED_SQUARE_HITS: dict[str, set[tuple[int, int, int]]] = {
-    "L1": {(7, 7, 2), (104, 13, 2), (114, 19, 2)},
-    "L2": {(68, 11, 3), (97, 11, 2)},
-    "L3": {(26, 13, 2), (130, 13, 2), (57, 19, 2)},
-    "L4": {(13, 11, 2), (42, 11, 2), (123, 11, 2), (52, 19, 2), (119, 19, 2)},
-}
-
-_ADMISSIBLE_T35 = [t for t in range(1, 36, 2) if t % 3 != 0]
-_ADMISSIBLE_T25 = [t for t in range(1, 26, 2) if t % 3 != 0]
-
-
-def _verify_golden_values() -> tuple[bool, str]:
-    bad = [
-        (fam, n)
-        for (fam, n), expected in _GOLDEN_VALUES.items()
-        if eval_exact(LFamily.parse(fam), n) != expected
-    ]
-    return not bad, f"{len(_GOLDEN_VALUES)} fixed values" + (f"; wrong: {bad}" if bad else "")
-
-
-def _verify_congruences() -> tuple[bool, str]:
-    for family in LFamily:
-        for rule in builtin_congruence_rules(family):
-            if not rule.holds_through(10000):
-                return False, f"rule {rule} fails below 10000"
-    checked = 0
-    for family in LFamily:
-        report = scan_square_divisors(family, 130, 20)
-        for n, p, e in report.square_hits():
-            if not verify_statement1_orbit(family, n, p, 5):
-                return False, f"first-order orbit fails at {family.name}, n={n}, p={p}"
-            if not verify_statement2_orbit(family, n, p, e, 1):
-                return False, f"power orbit fails at {family.name}, n={n}, p={p}, t={e}"
-            checked += 1
-    return True, f"8 rules to n=10000; orbit checks for {checked} square hits"
-
-
-def _verify_gcd_l1() -> tuple[bool, str]:
-    same = cross = 0
-    for k in range(4):
-        for t1 in _ADMISSIBLE_T35:
-            for t2 in _ADMISSIBLE_T35:
-                _, record = gcd_l1(k, t1, t2)
-                if not record.match:
-                    return False, f"mismatch at k={k}, t1={t1}, t2={t2}"
-                same += 1
-    for k1 in range(4):
-        for k2 in range(4):
-            if k1 == k2:
-                continue
-            for t1 in _ADMISSIBLE_T35:
-                for t2 in _ADMISSIBLE_T35:
-                    value, _ = gcd_l1_cross(k1, t1, k2, t2)
-                    if value != 1:
-                        return False, f"cross gcd != 1 at k1={k1}, k2={k2}, t1={t1}, t2={t2}"
-                    cross += 1
-    return True, f"{same} same-exponent pairs match; {cross} cross pairs coprime"
-
-
-def _verify_gcd_l3() -> tuple[bool, str]:
-    same = cross = 0
-    cells = [(m, n) for m in range(3) for n in range(1, 5)]
-    for m, n in cells:
-        for t1 in _ADMISSIBLE_T25:
-            for t2 in _ADMISSIBLE_T25:
-                _, record = gcd_l3(m, n, t1, t2)
-                if not record.match:
-                    return False, f"mismatch at m={m}, n={n}, t1={t1}, t2={t2}"
-                same += 1
-    for c1 in cells:
-        for c2 in cells:
-            if c1 == c2:
-                continue
-            for t1 in _ADMISSIBLE_T25[:3]:
-                for t2 in _ADMISSIBLE_T25[:3]:
-                    value, _ = gcd_l3_cross(c1[0], c1[1], t1, c2[0], c2[1], t2)
-                    if value != 1:
-                        return False, f"cross gcd != 1 at {c1} x {c2}, t1={t1}, t2={t2}"
-                    cross += 1
-    return True, f"{same} same-cell pairs match; {cross} cross pairs coprime"
-
-
-def _verify_gcd_repunit() -> tuple[bool, str]:
-    checked = 0
-    for b in (2, 3, 5, 10):
-        for n in range(1, 41):
-            for m in range(1, 41):
-                if not gcd_repunit(b, n, m, RepunitKind.MINUS)[2]:
-                    return False, f"minus mismatch at b={b}, n={n}, m={m}"
-                checked += 1
-        for n in range(1, 40, 2):
-            for m in range(1, 40, 2):
-                if not gcd_repunit(b, n, m, RepunitKind.PLUS)[2]:
-                    return False, f"plus mismatch at b={b}, n={n}, m={m}"
-                checked += 1
-    return True, f"{checked} repunit pairs match"
-
-
-def _verify_theorem3_grid() -> tuple[bool, str]:
-    checked = 0
-    for k in range(4):
-        for n in range(1, 21):
-            if n % 3 == 0:
-                continue
-            if not verify_theorem3(k, n):
-                return False, f"fails at k={k}, n={n}"
-            checked += 1
-    return True, f"{checked} (k, n) cells hold"
-
-
-def _verify_product_identity() -> tuple[bool, str]:
-    for k in range(7):
-        if not verify_product_identity(k):
-            return False, f"product identity fails at k={k}"
-    for i in range(6):
-        for j in range(i + 1, 6):
-            g = math.gcd(eval_exact(LFamily.L1, 3**i), eval_exact(LFamily.L1, 3**j))
-            if g != 1:
-                return False, f"gcd(L1(3^{i}), L1(3^{j})) = {g}"
-    return True, "k <= 6 products exact; 3-power values pairwise coprime"
-
-
-def _verify_desk_scans() -> tuple[bool, str]:
-    checks = [
-        (set(scan_l2_prime_exponents(1000).prime_indices()), {2, 3, 379}, "L2 prime exponents"),
-        (set(scan_l2_pow2(10).prime_indices()), {1, 2, 4}, "L2 power-of-2 exponents"),
-        (set(scan_l3_pow2(10).prime_indices()), {0, 1, 2, 5}, "L3 power-of-2 exponents"),
-        (set(scan_l1_pow3(5).prime_indices()), {0, 1, 2}, "L1 power-of-3 exponents"),
-    ]
-    for got, expected, label in checks:
-        if got != expected:
-            return False, f"{label}: got {sorted(got)}, expected {sorted(expected)}"
-    twins, flagged = scan_l4_twins(603).twin_pairs()
-    if set(twins) != {(4, 5), (9, 10), (224, 225)} or flagged != [(1, 2)]:
-        return False, f"twins: got {twins}, flagged {flagged}"
-    return True, "all five desk-scale scans reproduce the expected index sets"
-
-
-def _verify_square_hits() -> tuple[bool, str]:
-    total = 0
-    for family_name, expected in _EXPECTED_SQUARE_HITS.items():
-        got = set(scan_square_divisors(family_name, 130, 20).square_hits())
-        missing = expected - got
-        if missing:
-            return False, f"{family_name}: missing hits {sorted(missing)}"
-        total += len(expected)
-    return True, f"all {total} expected square hits reproduced within n <= 130, p <= 20"
-
-
-def _verify_determinism() -> tuple[bool, str]:
-    spec = ScanSpec(kind="l4_twins", n_max=120, seed=1)
-    baseline = run_scan(spec).canonical_bytes()
-    rng = random.Random(2026)
-    total = 119
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, cut in enumerate(sorted(rng.sample(range(1, total), 3))):
-            path = os.path.join(tmp, f"cut{i}.jsonl")
-            run_scan(spec, checkpoint_path=path, limit=cut)
-            final = resume(path)
-            if final.canonical_bytes() != baseline:
-                return False, f"resumed run after cut at {cut} differs"
-    parallel = run_scan(spec, jobs=8).canonical_bytes()
-    if parallel != baseline:
-        return False, "jobs=8 run differs from jobs=1"
-    return True, "3 interrupted/resumed runs and a jobs=8 run are byte-identical"
-
-
-def _verify_oracles() -> tuple[bool, str]:
-    limit = 10**6
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    for n in range(2, limit + 1):
-        expected = "prime" if sieve[n] else "composite"
-        if is_prime(n).classification != expected:
-            return False, f"primality disagrees with the sieve at {n}"
-    if is_prime(1).classification != "unit":
-        return False, "1 is not classified as a unit"
-    for family in LFamily:
-        for n in range(1, 65):
-            value = eval_exact(family, n)
-            for m in range(2, 1001):
-                if residue(family, n, m) != value % m:
-                    return False, f"residue disagrees at {family.name}({n}) mod {m}"
-    return True, "primality to 10^6 and residues (n <= 64, m <= 1000) agree"
-
-
-VERIFICATIONS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-    ("golden-values", _verify_golden_values),
-    ("congruence-orbits", _verify_congruences),
-    ("gcd-insularity-l1", _verify_gcd_l1),
-    ("gcd-insularity-l3", _verify_gcd_l3),
-    ("gcd-insularity-repunit", _verify_gcd_repunit),
-    ("seven-power-orbit", _verify_theorem3_grid),
-    ("product-identity", _verify_product_identity),
-    ("desk-scans", _verify_desk_scans),
-    ("square-divisors", _verify_square_hits),
-    ("scan-determinism", _verify_determinism),
-    ("oracle-cross-checks", _verify_oracles),
-]
-
-
 def _cmd_verify_paper(args: argparse.Namespace, out: _Output) -> int:
-    selected = None
-    if args.only:
+    selected = set(paper.ANCHORS)
+    if args.only is not None:
         selected = {name.strip() for name in args.only.split(",")}
-        known = {anchor for anchor, _ in VERIFICATIONS}
-        unknown = selected - known
+        unknown = selected - set(paper.ANCHORS)
         if unknown:
-            raise ValueError(f"unknown anchors {sorted(unknown)}; known: {sorted(known)}")
+            raise ValueError(f"unknown anchors {sorted(unknown)}; known: {sorted(paper.ANCHORS)}")
     out.header({"only": args.only}, seed=0, extra_rounds=DEFAULT_EXTRA_ROUNDS)
     all_ok = True
-    for anchor, check in VERIFICATIONS:
-        if selected is not None and anchor not in selected:
+    for anchor, check in paper.ANCHORS.items():
+        if anchor not in selected:
             continue
         ok, detail = check()
         all_ok = all_ok and ok
@@ -704,7 +465,8 @@ _REPUNIT_KINDS = ["minus", "plus"]
 
 # Subcommand name -> (help, handler, options).  Every subcommand also takes
 # --json and --digits-cap.  Handlers call library functions through this
-# module's globals, so a caller that replaces one here (the benchmark's
+# module's globals, and verify-paper's anchors through their defining
+# modules, so a caller that replaces one in both places (the benchmark's
 # tracer does) sees every call.
 _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], list[_Argument]]] = {
     "eval": (

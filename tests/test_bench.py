@@ -1,4 +1,5 @@
-"""The benchmark's traced run wraps lseq functions by name; a rename in lseq
+"""The benchmark's traced run wraps lseq functions by name, and its
+paper-oracle workload selects verify-paper anchors by name; a rename in lseq
 must fail here, not in the benchmark."""
 
 import importlib.util
@@ -6,6 +7,7 @@ import inspect
 import os
 import sys
 
+from lseq.paper import ANCHORS
 from lseq.search import resume, run_scan
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
@@ -24,3 +26,4 @@ def test_traced_functions_exist(monkeypatch):
     # The run_scan and resume hooks read these arguments by name.
     assert "checkpoint_path" in inspect.signature(run_scan).parameters
     assert list(inspect.signature(resume).parameters)[0] == "report_path"
+    assert [name for name in run.PAPER_ANCHORS if name not in ANCHORS] == []

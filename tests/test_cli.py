@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import lseq
-from lseq import cli
+from lseq import lfamily
 from lseq.cli import _COMMANDS, _build_parser, main
 from lseq.search import SCAN_KINDS
 
@@ -638,19 +638,31 @@ def test_verify_paper_json(capsys):
 
 
 def test_verify_paper_unknown_anchor(capsys):
-    code, _, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
-    assert code == 2
-    assert "unknown" in err
+    for only in ("nonsense", ""):  # an empty selection is not "all anchors"
+        code, out, err = run_cli(capsys, "verify-paper", "--only", only)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: unknown anchors [{only!r}]") and err.count("\n") == 1
 
 
+# The anchors call library functions through their defining modules, so a
+# function replaced there is the one they run.
 def test_verify_paper_failing_check_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_theorem3", lambda k, n: False)
+    monkeypatch.setattr(lfamily, "verify_theorem3", lambda k, n: False)
     code, out, _ = run_cli(capsys, "verify-paper", "--only", "seven-power-orbit")
     assert code == 1
     assert out.splitlines()[1:] == [
         "FAIL  seven-power-orbit        fails at k=0, n=1",
         "overall: FAIL",
     ]
+
+
+def test_verify_paper_sees_replaced_eval_exact(capsys, monkeypatch):
+    monkeypatch.setattr(lfamily, "eval_exact", lambda family, n: 0)
+    code, out, _ = run_cli(capsys, "verify-paper", "--only", "golden-values")
+    assert code == 1
+    assert out.splitlines()[1].startswith("FAIL  golden-values            19 fixed values; wrong: ")
+    assert out.splitlines()[-1] == "overall: FAIL"
 
 
 def _spec_sha256(spec):
