@@ -138,7 +138,10 @@ def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
         "format": CHECKPOINT_FORMAT,
         "deterministic_limit": DETERMINISTIC_LIMIT,
         # 2: L1/L3 values above 2^64 get N-1 proofs (arith._l_form_proof).
-        "primality": 2,
+        # 3: other values above 2^64 are trial divided up to a bound sized to
+        # the value (arith._block_factor), so L2/L4 verdicts that read
+        # mr_witness=2 may read factor=q.
+        "primality": 3,
         "extra_rounds": spec.extra_rounds,
         "seed": spec.seed,
     }

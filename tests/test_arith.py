@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -506,7 +507,98 @@ def test_l2_l4_verdicts_keep_bpsw():
 def test_l3_pow2_scan_bytes_pinned():
     # sha256 of the report as first taken with builtin pow and %, re-taken
     # when N-1 proofs replaced BPSW for L3 values above 2^64 (k = 7..11 read
-    # euler_witness=7, and the fingerprint gained "primality").  The reducer
-    # must not change a byte.
+    # euler_witness=7, and the fingerprint gained "primality"), and again when
+    # the block stage moved "primality" to 3 (header only: no L3 verdict
+    # changed).  The reducer must not change a byte.
     digest = hashlib.sha256(scan_l3_pow2(11).canonical_bytes()).hexdigest()
-    assert digest == "909d853a52a73714e48ded77071ddc15d8d3972eb404a5af1d8cb4f8d9e49f72"
+    assert digest == "338c789928c1e5ca84595235693e1ac7ff49e96b577a4da2beaca70de576e0f8"
+
+
+# --- trial division by blocks of primes above 1000 ---------------------------
+
+
+def _trial_top(n):
+    """Trial division of a value above 2^64 reaches every prime below 1000
+    and, by blocks, every prime up to the first power of two at or above
+    min(2^18, b*b >> 4), b the value's bit length."""
+    bits = n.bit_length()
+    return max(1000, 1 << (min(2**18, bits * bits >> 4) - 1).bit_length())
+
+
+def _l2_l4_values():
+    return [eval_exact(family, n) for family in (LFamily.L2, LFamily.L4) for n in range(33, 401)]
+
+
+@pytest.mark.parametrize("k, q", [(12, 1259), (14, 96731), (17, 2039)])
+def test_block_stage_factors_l2_pow2(k, q):
+    # With trial division stopping at 1000, each took a full base-2
+    # exponentiation: seconds for L2(2^14), over an hour for the 262,145 bits
+    # of L2(2^17).
+    n = eval_exact(LFamily.L2, 2**k)
+    start = time.perf_counter()
+    verdict = is_prime(n)
+    assert time.perf_counter() - start < 1.0
+    assert verdict == PrimalityVerdict(n, "composite", f"factor={q}")
+
+
+def test_block_stage_names_the_smallest_prime_factor():
+    # Brute force, one prime at a time, up to each value's bound: L2 and L4
+    # values and random odd values of other forms.
+    rng = random.Random(0)
+    values = _l2_l4_values() + [rng.getrandbits(bits) | 1 for bits in range(65, 700, 3)]
+    limit = 2**16
+    primes = sieve_primes(limit)
+    reached = 0
+    for n in values:
+        top = _trial_top(n)
+        assert top <= limit
+        spf = next((p for p in primes if p <= top and n % p == 0), None)
+        verdict = is_prime(n)
+        if spf is None:
+            assert not verdict.evidence.startswith("factor="), n
+        else:
+            assert verdict == PrimalityVerdict(n, "composite", f"factor={spf}"), n
+            reached += spf > 1000
+    assert reached == 61
+
+
+def test_block_stage_changes_only_its_own_verdicts(monkeypatch):
+    values = _l2_l4_values()
+    with_blocks = [is_prime(n) for n in values]
+    monkeypatch.setattr(arith, "_block_factor", lambda n: None)
+    without = [is_prime(n) for n in values]
+    changed = 0
+    for new, old in zip(with_blocks, without):
+        if new != old:
+            changed += 1
+            q = int(new.evidence.removeprefix("factor="))
+            assert q > 1000 and new.n % q == 0
+            assert (old.classification, old.evidence) == ("composite", "mr_witness=2")
+    assert changed == 53
+
+
+def test_block_stage_bound_is_pinned():
+    # L4(78) has 156 bits, so its bound is 2^11 (156^2 >> 4 = 1521); its
+    # smallest factor 2111 is just above.  L4(184), 368 bits, is divided up
+    # to 2^14 (368^2 >> 4 = 8464), which finds 16139.  Above 2048 bits the
+    # bound stays at 2^18: 262139 < 2^18 < 262147.
+    l4_78 = eval_exact(LFamily.L4, 78)
+    assert l4_78 % 2111 == 0
+    assert is_prime(l4_78) == PrimalityVerdict(l4_78, "composite", "mr_witness=2", rounds=1)
+    l4_184 = eval_exact(LFamily.L4, 184)
+    assert is_prime(l4_184) == PrimalityVerdict(l4_184, "composite", "factor=16139")
+    mersenne = 2**2203 - 1  # prime
+    below, above = 262139 * mersenne, 262147 * mersenne
+    assert is_prime(below) == PrimalityVerdict(below, "composite", "factor=262139")
+    assert is_prime(above) == PrimalityVerdict(above, "composite", "mr_witness=2", rounds=1)
+    # 1009 is the first prime past the primes below 1000, in the first block.
+    l2_284 = eval_exact(LFamily.L2, 284)
+    assert is_prime(l2_284) == PrimalityVerdict(l2_284, "composite", "factor=1009")
+
+
+def test_block_stage_skips_l1_l3_values():
+    # 12289 = 3 * 2^12 + 1 divides L3(2^10), but L1/L3 values go straight to
+    # their N-1 proof, so the Euler witness stands.
+    n = eval_exact(LFamily.L3, 2**10)
+    assert n % 12289 == 0
+    assert is_prime(n) == PrimalityVerdict(n, "composite", "euler_witness=7", rounds=1)

@@ -213,8 +213,9 @@ def test_order_and_witness(capsys):
 
 
 def test_composite_without_factor_below_1000(capsys):
-    # 1018081 = 1009^2 is below the 2^20 sieve limit but has no prime factor
-    # in the trial list; both commands used to exit 1 with a traceback.
+    # 1018081 = 1009^2 is decided by the smallest-factor table (n <= 2^20)
+    # but has no prime factor below 1000; both commands used to exit 1 with a
+    # traceback.
     code, out, err = run_cli(capsys, "prime-check", "--n", "1018081", "--json")
     assert (code, err) == (0, "")
     assert json_lines(out)[-1]["result"]["evidence"] == "factor=1009"
@@ -523,7 +524,9 @@ def test_resume_malformed_record_exits_2(tmp_path, capsys, change, message):
 
 def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     # Before N-1 proofs the fingerprint had no "primality" key; such a
-    # journal's L3 records read lucas_witness and must not be extended.
+    # journal's L3 records read lucas_witness.  With "primality": 2, an L2 or
+    # L4 record above 2^64 reads mr_witness=2 where a factor up to the block
+    # bound now reads factor=q.  Neither may be extended.
     path = tmp_path / "scan.jsonl"
     code, _, _ = run_cli(
         capsys, "scan", "--kind", "l3-pow2", "--n-max", "9",
@@ -531,13 +534,17 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     )
     assert code == 1
     lines = path.read_text(encoding="ascii").splitlines()
-    header = json.loads(lines[0])
-    del header["fingerprint"]["primality"]
-    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    code, out, err = run_cli(capsys, "resume", "--path", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: engine fingerprint changed; refusing to mix results\n"
+    for older in (None, 2):
+        header = json.loads(lines[0])
+        if older is None:
+            del header["fingerprint"]["primality"]
+        else:
+            header["fingerprint"]["primality"] = older
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join([text, *lines[1:]]) + "\n", encoding="ascii")
+        code, out, err = run_cli(capsys, "resume", "--path", str(path))
+        assert (code, out) == (2, ""), older
+        assert err == "error: engine fingerprint changed; refusing to mix results\n"
 
 
 def test_resume_malformed_header_exits_2(tmp_path, capsys):
@@ -720,47 +727,50 @@ def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
 # without elapsed_ms), taken before the scan kinds moved into one table and
 # re-taken when L1/L3 values above 2^64 got N-1 proofs: every --json header
 # gained the fingerprint's "primality" key, and the l3-pow2 and l3-mixed
-# records above 2^64 read euler_witness=A, rounds 1, not lucas_witness.
+# records above 2^64 read euler_witness=A, rounds 1, not lucas_witness.  The
+# --json digests were re-taken again when trial division above 2^64 grew to
+# a bound sized to the value: every header's "primality" went from 2 to 3.
+# No record of these scans changed, so the table digests stand.
 PINNED_SCANS = [
     (
         ["l2-prime-exponent", "--p-max", "200"],
         "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
-        "78e356fb2a67f7543f70a984664f628ab3b7eb985194a330d538a4554fb44655",
+        "0de4cc12a4a808c6fe8079f49df60a2e8c2aa2bd09f6f43b6d46f8a558563a6d",
     ),
     (
         ["l2-pow2", "--n-max", "8"],
         "4253c12b256d5452e8403ca2adac3b0bdd4a3b283d27166030050f837c4d685d",
-        "4a2bd7a330cc50efbd13172a08d46e63a45ae1b862f2dbd31a1aef2cb6a22ef0",
+        "e70522e520e6115296ea683a6e427b03d2af49423142303c01f32c4f4cc9a42a",
     ),
     (
         ["l3-pow2", "--n-max", "9"],
         "f81136bfd4851dca64a5137431d23dc87bea20cb560ac8e708b74c4ce79e7fef",
-        "9a71120204b2afdf0b8f4844778ac54d20c5f3d115bc7ea70416a7ea17e56072",
+        "b5710f6f934cfc0fa9acaf451f3910b4ff2c5798171b1b07c484256da1611f00",
     ),
     (
         ["l3-mixed", "--m-max", "2", "--n-max", "3"],
         "2ea4a805d2c6f5d2d2627169bb2ddd4f69475d7e692bd0995078ae324b50962c",
-        "ae21d3ec2ff2884939b51bc1ceca0d370b823ccfff32387f70a09ba683c27afb",
+        "d800ca3e185bf956affcd6c5a336b3b5e9f399e01c275dcf3642723ddf53f0e6",
     ),
     (
         ["l1-pow3", "--k-max", "4"],
         "52ddb13a3c1291e66512737dd59c9229e5dd7f6935e4cd3a7a3fdf3b3a4ef687",
-        "5ddbe6837d0cf2832981eab0162cd58b24ad2bc584db751fc4e33e32953b4bde",
+        "f3c64323f36a6fd10f9d72f6984299647f8ae9fcdcba9130b433e2b369c8551a",
     ),
     (
         ["l4-twins", "--n-max", "60"],
         "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
-        "06e171a7ca7e973a0b70c7eec57ecafc4000acbd799b839338f8ba70806146b4",
+        "316fb9e74ff51af4679520dacde4b6606e568d2472fac9c8e2c3374d1e97a789",
     ),
     (
         ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
         "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
-        "af22ffdaebdf4d67cb2ce175431f2d977cfe5ec3bf749db132eb06c9991cc6f3",
+        "67fe5c165e4071049a7328d0df8f9561c9ce015e4f8b5088f043ab8075af9af7",
     ),
     (
         ["congruence-audit", "--n-max", "200"],
         "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
-        "3edd90dc6f077f373754d3f0b491b97075403f002ce0bc776941e2df068cd1ba",
+        "fa864f4a5e7cbe8656abc837ad58b0088137f613a63fb6ad0f950940f78d5a6b",
     ),
 ]
 

@@ -1,5 +1,8 @@
-"""Full-range scan reproductions. These are hours-scale batch jobs, not CI
-gates; they only run when LSEQ_RUN_LONG=1 is set in the environment.
+"""Full-range scan reproductions. These are batch jobs of seconds to minutes
+(the L1(3^k) scan, k <= 10, takes about eight minutes), not CI gates; they
+only run when LSEQ_RUN_LONG=1 is set in the environment.  The L2(2^k)
+reproduction, k <= 17, takes a fraction of a second and is a tier-1 test
+in test_search.py.
 
     LSEQ_RUN_LONG=1 pytest tests/test_longrun.py -v -s
 """
@@ -10,7 +13,6 @@ import pytest
 
 from lseq.search import (
     scan_l1_pow3,
-    scan_l2_pow2,
     scan_l2_prime_exponents,
     scan_l3_mixed,
     scan_l3_pow2,
@@ -27,13 +29,6 @@ def test_l2_prime_exponents_full_range():
     report = scan_l2_prime_exponents(5003)
     assert report.complete
     assert set(report.prime_indices()) == {2, 3, 379}
-
-
-@long_running
-def test_l2_pow2_full_range():
-    report = scan_l2_pow2(17)
-    assert report.complete
-    assert set(report.prime_indices()) == {1, 2, 4}
 
 
 @long_running

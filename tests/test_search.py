@@ -1,6 +1,7 @@
 """Tests for the resumable scan engine: determinism, checkpoints, resume."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_candidate_enumeration():
     assert [r.index for r in scan_square_divisors("L1", 20, 12).records] == [
         (3,), (5,), (7,), (11,),
     ]
+
+
+def test_l2_pow2_full_range():
+    # Every L2(2^k), k <= 17, up to 262,145 bits.  From k = 11 on, each has a
+    # factor below 2^18 (L2(2^17) has 2,039), so no base-2 test runs past
+    # 2049 bits; with trial division stopping at 1000 this took hours.
+    start = time.perf_counter()
+    report = scan_l2_pow2(17)
+    assert time.perf_counter() - start < 10.0
+    assert report.complete
+    assert set(report.prime_indices()) == {1, 2, 4}
 
 
 def test_l4_twin_pairs():
@@ -340,7 +352,7 @@ def test_fingerprint_contents():
     assert fp["engine"] == "lseq"
     assert fp["seed"] == 3
     assert fp["deterministic_limit"] == 1 << 64
-    assert fp["primality"] == 2
+    assert fp["primality"] == 3
 
 
 def test_limit_validation(tmp_path):
