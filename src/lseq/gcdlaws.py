@@ -4,8 +4,9 @@ A sequence R is insular on an index set M when gcd(R(n), R(m)) equals
 R(gcd(n, m)) for all n, m in M.  The L1 sequence is insular on index sets of
 the shape 3^k * t (t odd, not divisible by 3) with k fixed, L3 on sets of
 the shape 3^m * 2^n * t with (m, n) fixed, and indices drawn from sets with
-different fixed exponents are coprime.  Every check returns a record with
-both the computed and the predicted gcd so mismatches are auditable.
+different fixed exponents are coprime.  One routine, ``_gcd_law``, computes
+the law for every check here and for ``repunit.gcd_repunit``, and each check
+returns the computed and the predicted gcd so mismatches are auditable.
 """
 
 from __future__ import annotations
@@ -42,26 +43,34 @@ class GcdCheckRecord:
         return self.computed == self.predicted
 
 
-def _require_admissible_t(t: int, name: str) -> None:
-    if t < 1:
-        raise ValueError(f"{name} must be >= 1, got {t}")
-    if t % 2 == 0:
-        raise ValueError(f"{name} must be odd, got {t}")
-    if t % 3 == 0:
-        raise ValueError(f"{name} must not be divisible by 3, got {t}")
+def _gcd_law(sequence: Callable[[int], int], i: int, j: int, insular: bool = True) -> tuple[int, int]:
+    """(gcd(R(i), R(j)), its prediction): R(gcd(i, j)) when i and j lie in one
+    insular index set, 1 when they lie in two different ones."""
+    computed = math.gcd(sequence(i), sequence(j))
+    return computed, sequence(math.gcd(i, j)) if insular else 1
+
+
+def _l_check(family: LFamily, i: int, j: int, insular: bool) -> tuple[int, GcdCheckRecord]:
+    computed, predicted = _gcd_law(lambda n: eval_exact(family, n), i, j, insular)
+    return computed, GcdCheckRecord((i, j), computed, predicted)
+
+
+def _require_admissible_t(**ts: int) -> None:
+    for name, t in ts.items():
+        if t < 1:
+            raise ValueError(f"{name} must be >= 1, got {t}")
+        if t % 2 == 0:
+            raise ValueError(f"{name} must be odd, got {t}")
+        if t % 3 == 0:
+            raise ValueError(f"{name} must not be divisible by 3, got {t}")
 
 
 def gcd_l1(k: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
     """gcd of L1 at indices 3^k*t1 and 3^k*t2, predicted L1(3^k*gcd(t1,t2))."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _require_admissible_t(t1, "t1")
-    _require_admissible_t(t2, "t2")
-    base = 3**k
-    n1, n2 = base * t1, base * t2
-    computed = math.gcd(eval_exact(LFamily.L1, n1), eval_exact(LFamily.L1, n2))
-    predicted = eval_exact(LFamily.L1, base * math.gcd(t1, t2))
-    return computed, GcdCheckRecord((n1, n2), computed, predicted)
+    _require_admissible_t(t1=t1, t2=t2)
+    return _l_check(LFamily.L1, 3**k * t1, 3**k * t2, True)
 
 
 def gcd_l1_cross(k1: int, t1: int, k2: int, t2: int) -> tuple[int, GcdCheckRecord]:
@@ -70,11 +79,8 @@ def gcd_l1_cross(k1: int, t1: int, k2: int, t2: int) -> tuple[int, GcdCheckRecor
         raise ValueError(f"exponents must be >= 0, got {k1} and {k2}")
     if k1 == k2:
         raise ValueError(f"exponents must differ (got k1 = k2 = {k1}); use gcd_l1")
-    _require_admissible_t(t1, "t1")
-    _require_admissible_t(t2, "t2")
-    n1, n2 = 3**k1 * t1, 3**k2 * t2
-    computed = math.gcd(eval_exact(LFamily.L1, n1), eval_exact(LFamily.L1, n2))
-    return computed, GcdCheckRecord((n1, n2), computed, 1)
+    _require_admissible_t(t1=t1, t2=t2)
+    return _l_check(LFamily.L1, 3**k1 * t1, 3**k2 * t2, False)
 
 
 def gcd_l3(m: int, n: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
@@ -83,13 +89,9 @@ def gcd_l3(m: int, n: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
         raise ValueError(f"m must be >= 0, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _require_admissible_t(t1, "t1")
-    _require_admissible_t(t2, "t2")
+    _require_admissible_t(t1=t1, t2=t2)
     base = 3**m * 2**n
-    n1, n2 = base * t1, base * t2
-    computed = math.gcd(eval_exact(LFamily.L3, n1), eval_exact(LFamily.L3, n2))
-    predicted = eval_exact(LFamily.L3, base * math.gcd(t1, t2))
-    return computed, GcdCheckRecord((n1, n2), computed, predicted)
+    return _l_check(LFamily.L3, base * t1, base * t2, True)
 
 
 def gcd_l3_cross(
@@ -105,11 +107,8 @@ def gcd_l3_cross(
         raise ValueError(
             f"exponent pairs must differ (got ({m1}, {n1}) twice); use gcd_l3"
         )
-    _require_admissible_t(t1, "t1")
-    _require_admissible_t(t2, "t2")
-    i1, i2 = 3**m1 * 2**n1 * t1, 3**m2 * 2**n2 * t2
-    computed = math.gcd(eval_exact(LFamily.L3, i1), eval_exact(LFamily.L3, i2))
-    return computed, GcdCheckRecord((i1, i2), computed, 1)
+    _require_admissible_t(t1=t1, t2=t2)
+    return _l_check(LFamily.L3, 3**m1 * 2**n1 * t1, 3**m2 * 2**n2 * t2, False)
 
 
 def corollary2_divisor(n: int, t: int) -> bool:
@@ -185,15 +184,6 @@ def insularity_harness(
     if not candidates:
         raise ValueError(f"index set {index_set} is empty")
     rng = random.Random(seed)
-    pairs = []
-    for _ in range(sample_pairs):
-        n = rng.choice(candidates)
-        m = rng.choice(candidates)
-        pairs.append((min(n, m), max(n, m)))
-    pairs.sort()
-    records = []
-    for n, m in pairs:
-        computed = math.gcd(sequence(n), sequence(m))
-        predicted = sequence(math.gcd(n, m))
-        records.append(GcdCheckRecord((n, m), computed, predicted))
-    return records
+    draws = [(rng.choice(candidates), rng.choice(candidates)) for _ in range(sample_pairs)]
+    pairs = sorted((min(n, m), max(n, m)) for n, m in draws)
+    return [GcdCheckRecord(pair, *_gcd_law(sequence, *pair)) for pair in pairs]

@@ -122,10 +122,18 @@ class CongruenceRule:
         return sorted(out)
 
     def first_violation(self, n_max: int) -> int | None:
-        """Smallest covered index <= n_max where the claim fails, if any."""
-        for n in self.covered_indices(n_max):
-            if residue(self.family, n, self.modulus) != 0:
-                return n
+        """Smallest covered index <= n_max where the claim fails, if any.
+
+        Walks the progressions in ascending order, block by block of step
+        indices (the offsets lie in [1, step]), without listing them."""
+        offsets = sorted(set(self.offsets))
+        for base in range(0, n_max, self.step):
+            for off in offsets:
+                n = base + off
+                if n > n_max:
+                    return None
+                if residue(self.family, n, self.modulus) != 0:
+                    return n
         return None
 
     def holds_through(self, n_max: int) -> bool:

@@ -9,6 +9,7 @@ caller that replaces a function there sees every call an anchor makes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -85,49 +86,40 @@ def _verify_congruences() -> tuple[bool, str]:
     return True, f"{rules} rules to n=10000; orbit checks for {checked} square hits"
 
 
+def _verify_gcd_grid(
+    pair: Callable, cross_pair: Callable, cells: list[tuple[int, ...]], ts: list[int],
+    cross_ts: list[int], labels: tuple[str, str, str],
+) -> tuple[bool, str]:
+    """The gcd law on a grid of insular index sets, one per cell of exponents:
+    pair(*cell, t1, t2) must match for t1, t2 in ts, and cross_pair(*cell1, t1,
+    *cell2, t2) must be 1 for two cells and t1, t2 in cross_ts.  labels names a
+    cell in the passing detail and formats one and two cells for a failure."""
+    cell_name, cell_at, cross_at = labels
+    same = list(itertools.product(cells, ts, ts))
+    cross = [q for q in itertools.product(cells, cells, cross_ts, cross_ts) if q[0] != q[1]]
+    for cell, t1, t2 in same:
+        if not pair(*cell, t1, t2)[1].match:
+            return False, f"mismatch at {cell_at.format(*cell)}, t1={t1}, t2={t2}"
+    for c1, c2, t1, t2 in cross:
+        if cross_pair(*c1, t1, *c2, t2)[0] != 1:
+            return False, f"cross gcd != 1 at {cross_at.format(c1, c2)}, t1={t1}, t2={t2}"
+    return True, f"{len(same)} same-{cell_name} pairs match; {len(cross)} cross pairs coprime"
+
+
 def _verify_gcd_l1() -> tuple[bool, str]:
-    same = cross = 0
-    for k in range(4):
-        for t1 in ADMISSIBLE_T35:
-            for t2 in ADMISSIBLE_T35:
-                _, record = gcdlaws.gcd_l1(k, t1, t2)
-                if not record.match:
-                    return False, f"mismatch at k={k}, t1={t1}, t2={t2}"
-                same += 1
-    for k1 in range(4):
-        for k2 in range(4):
-            if k1 == k2:
-                continue
-            for t1 in ADMISSIBLE_T35:
-                for t2 in ADMISSIBLE_T35:
-                    value, _ = gcdlaws.gcd_l1_cross(k1, t1, k2, t2)
-                    if value != 1:
-                        return False, f"cross gcd != 1 at k1={k1}, k2={k2}, t1={t1}, t2={t2}"
-                    cross += 1
-    return True, f"{same} same-exponent pairs match; {cross} cross pairs coprime"
+    cells = [(k,) for k in range(4)]
+    return _verify_gcd_grid(
+        gcdlaws.gcd_l1, gcdlaws.gcd_l1_cross, cells, ADMISSIBLE_T35, ADMISSIBLE_T35,
+        ("exponent", "k={0}", "k1={0[0]}, k2={1[0]}"),
+    )
 
 
 def _verify_gcd_l3() -> tuple[bool, str]:
-    same = cross = 0
     cells = [(m, n) for m in range(3) for n in range(1, 5)]
-    for m, n in cells:
-        for t1 in ADMISSIBLE_T25:
-            for t2 in ADMISSIBLE_T25:
-                _, record = gcdlaws.gcd_l3(m, n, t1, t2)
-                if not record.match:
-                    return False, f"mismatch at m={m}, n={n}, t1={t1}, t2={t2}"
-                same += 1
-    for c1 in cells:
-        for c2 in cells:
-            if c1 == c2:
-                continue
-            for t1 in ADMISSIBLE_T25[:3]:
-                for t2 in ADMISSIBLE_T25[:3]:
-                    value, _ = gcdlaws.gcd_l3_cross(c1[0], c1[1], t1, c2[0], c2[1], t2)
-                    if value != 1:
-                        return False, f"cross gcd != 1 at {c1} x {c2}, t1={t1}, t2={t2}"
-                    cross += 1
-    return True, f"{same} same-cell pairs match; {cross} cross pairs coprime"
+    return _verify_gcd_grid(
+        gcdlaws.gcd_l3, gcdlaws.gcd_l3_cross, cells, ADMISSIBLE_T25, ADMISSIBLE_T25[:3],
+        ("cell", "m={0}, n={1}", "{0} x {1}"),
+    )
 
 
 def _verify_gcd_repunit() -> tuple[bool, str]:
@@ -164,7 +156,7 @@ def _verify_product_identity() -> tuple[bool, str]:
             return False, f"product identity fails at k={k}"
     for i in range(6):
         for j in range(i + 1, 6):
-            g = math.gcd(lfamily.eval_exact(LFamily.L1, 3**i), lfamily.eval_exact(LFamily.L1, 3**j))
+            g, _ = gcdlaws.gcd_l1_cross(i, 1, j, 1)
             if g != 1:
                 return False, f"gcd(L1(3^{i}), L1(3^{j})) = {g}"
     return True, "k <= 6 products exact; 3-power values pairwise coprime"

@@ -5,7 +5,8 @@ indices (the plus kind requires odd indices throughout)."""
 from __future__ import annotations
 
 import enum
-import math
+
+from .gcdlaws import _gcd_law
 
 __all__ = ["RepunitKind", "repunit", "gcd_repunit"]
 
@@ -49,6 +50,5 @@ def gcd_repunit(b: int, n: int, m: int, kind: RepunitKind) -> tuple[int, int, bo
 
     Returns (computed gcd, repunit at gcd(n, m), computed == predicted).
     """
-    computed = math.gcd(repunit(b, n, kind), repunit(b, m, kind))
-    predicted = repunit(b, math.gcd(n, m), kind)
+    computed, predicted = _gcd_law(lambda i: repunit(b, i, kind), n, m)
     return computed, predicted, computed == predicted

@@ -91,7 +91,8 @@ class ScanSpec:
         if self.family is not None:
             if type(self.family) is not str:
                 raise ValueError(f"family must be a string, got {self.family!r}")
-            LFamily.parse(self.family)
+            # Stored by its canonical name: "l4" and "L4" are one scan.
+            object.__setattr__(self, "family", LFamily.parse(self.family).name)
         elif kind.family == "required":
             raise ValueError(f"{self.kind} scan requires a family")
         if self.extra_rounds < 0:
@@ -576,7 +577,10 @@ def resume(
     if not isinstance(header.get("spec"), dict):
         raise ResumeError("checkpoint header has no spec object")
     spec = ScanSpec.from_dict(header["spec"])
-    if header.get("spec_sha256") != spec.sha256():
+    # The hash covers the spec as written, defaults filled in: a journal
+    # whose header spells the family "l4" resumes as the "L4" scan.
+    written = json.dumps({**spec.to_dict(), **header["spec"]}, sort_keys=True, separators=(",", ":"))
+    if header.get("spec_sha256") != hashlib.sha256(written.encode("ascii")).hexdigest():
         raise ResumeError("stored spec hash does not match the stored spec")
     if header.get("fingerprint") != engine_fingerprint(spec):
         raise ResumeError("engine fingerprint changed; refusing to mix results")
@@ -664,10 +668,9 @@ _RUN_KEYS = ("jobs", "checkpoint_path", "limit", "fsync")
 
 def _run_convenience(kwargs: dict[str, Any], **fields: Any) -> ScanReport:
     """run_scan of ScanSpec(**fields) with the spec keys of kwargs; the run
-    keys of kwargs go to run_scan.  A family is stored by its canonical name."""
-    family = fields.get("family")
-    if family is not None:
-        fields["family"] = family.name if isinstance(family, LFamily) else LFamily.parse(family).name
+    keys of kwargs go to run_scan.  An LFamily is passed by its name."""
+    if isinstance(fields.get("family"), LFamily):
+        fields["family"] = fields["family"].name
     unknown = set(kwargs) - set(_SPEC_KEYS) - set(_RUN_KEYS)
     if unknown:
         raise TypeError(f"unexpected keyword arguments {sorted(unknown)}")

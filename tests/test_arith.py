@@ -118,7 +118,10 @@ def test_sieve_primes_where_table_and_large_path_meet():
 
 
 def test_is_prime_deterministic_below_2_64():
-    # strong-pseudoprime traps for small witness sets
+    # 2047 = 23 * 89 and 3215031751 = 151 * 751 * 28351 fall to trial
+    # division before any Miller-Rabin tier runs; the tiers themselves are
+    # pinned by test_mr_tier_bounds_are_strong_pseudoprimes_to_their_own_bases
+    # and test_mr_tier_bounds_fall_to_the_next_row.
     assert is_prime(2047).classification == "composite"
     assert is_prime(3215031751).classification == "composite"
     assert is_prime(3825123056546413051).classification == "composite"
@@ -126,6 +129,61 @@ def test_is_prime_deterministic_below_2_64():
     assert v.classification == "prime"
     assert v.evidence.startswith("mr_deterministic:")
     assert v.rounds == 0
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The strong base-a test with builtin pow, independent of arith."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_mr_tier_bounds_are_strong_pseudoprimes_to_their_own_bases():
+    # Each bound below 2^64 is the least composite that passes its row's
+    # bases, so a tier that also took n == bound would call it prime.
+    # (test_mr_tier_bounds_fall_to_the_next_row shows that each is composite.)
+    rows = arith._MR_TIERS[:-1]
+    assert len(rows) == 11
+    for bound, bases in rows:
+        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+
+
+# The eight bounds with no prime factor below 1000, and the witness that the
+# next row's bases give for each (the first base that the bound fails).
+_TIER_BOUND_WITNESSES = [
+    (9080191, 2),
+    (25326001, 7),
+    (4759123141, 1662803),
+    (1122004669633, 5),
+    (2152302898747, 13),
+    (3474749660383, 17),
+    (341550071728321, 23),
+    (3825123056546413051, 28178),
+]
+
+
+def test_mr_tier_bounds_fall_to_the_next_row():
+    bounds = [bound for bound, _ in arith._MR_TIERS]
+    for bound, witness in _TIER_BOUND_WITNESSES:
+        assert all(bound % p for p in range(2, 1000))
+        next_bases = arith._MR_TIERS[bounds.index(bound) + 1][1]
+        first = next(a for a in next_bases if not _strong_probable_prime(bound, a))
+        assert first == witness
+        verdict = is_prime(bound)
+        assert (verdict.classification, verdict.evidence) == ("composite", f"mr_witness={witness}")
+    # The other three have a factor below 1000: trial division decides them.
+    for n, p in ((2047, 23), (1373653, 829), (3215031751, 151)):
+        assert n % p == 0
+        assert is_prime(n).evidence == f"factor={p}"
+    assert len(_TIER_BOUND_WITNESSES) + 3 == len(bounds) - 1
 
 
 def test_is_prime_probabilistic_above_2_64():

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import lseq
-from lseq import lfamily
+from lseq import gcdlaws, lfamily, search
 from lseq.cli import _COMMANDS, _build_parser, main
 from lseq.search import SCAN_KINDS
 
@@ -357,6 +357,76 @@ def test_scan_congruence_audit(capsys):
     assert json_lines(out)[-1]["all_hold"] is True
 
 
+def test_scan_congruence_audit_reports_a_violated_rule(capsys, monkeypatch):
+    # 7 divides L1(n) exactly when 3 does not divide n, and L1(3) = 73.
+    false_rule = lfamily.CongruenceRule(lfamily.LFamily.L1, 7, 3, (3,), "false: 7 at multiples of 3")
+    real = search.builtin_congruence_rules
+    monkeypatch.setattr(
+        search,
+        "builtin_congruence_rules",
+        lambda family: [*real(family), false_rule] if family is lfamily.LFamily.L1 else real(family),
+    )
+    code, out, _ = run_cli(
+        capsys, "scan", "--kind", "congruence-audit", "--family", "L1", "--n-max", "50", "--json"
+    )
+    assert code == 1
+    header, *records, summary = json_lines(out)
+    assert [r["verdict"] for r in records] == ["holds", "holds", "violated"]
+    assert records[-1]["detail"]["first_violation"] == 3
+    assert summary["all_hold"] is False
+    assert summary["complete"] is True
+    code, out, _ = run_cli(capsys, "scan", "--kind", "congruence-audit", "--family", "L1", "--n-max", "50")
+    assert code == 1
+    assert "all rules hold: False" in out
+
+
+_SQUARE_L4 = ["scan", "--kind", "square-divisors", "--n-max", "20", "--p-max", "11"]
+
+
+def test_scan_family_spelling_is_one_scan(capsys):
+    outputs = []
+    for family in ("l4", "L4"):
+        for form in ([], ["--json"]):
+            code, out, _ = run_cli(capsys, *_SQUARE_L4, "--family", family, *form)
+            assert code == 0
+            outputs.append(json_lines_without_elapsed(out) if form else out)
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    header = outputs[1][0]
+    assert header["spec"]["family"] == "L4"
+    assert header["spec_sha256"] == "6c8f5fd2aee458b7d42d0426becdbe5786edc34b714d7b9e374f531baa44bf54"
+
+
+def test_journal_with_lower_case_family_resumes(tmp_path, capsys):
+    # Journals written before specs stored canonical family names hold the
+    # name as typed, hashed as typed.
+    path = tmp_path / "ck.jsonl"
+    code, _, _ = run_cli(capsys, *_SQUARE_L4, "--family", "L4", "--checkpoint", str(path), "--limit", "2")
+    assert code == 1
+    header, *records = path.read_text(encoding="ascii").splitlines()
+    old = json.loads(header)
+    old["spec"]["family"] = "l4"
+    old["spec_sha256"] = _spec_sha256(old["spec"])
+    assert old["spec_sha256"] == "55465660dec9754b9155b7dc72ee056d59a0a1fb2f3dd7dd79e6fb6cb6a226bf"
+    text = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join([text, *records]) + "\n", encoding="ascii")
+    code, resumed, _ = run_cli(capsys, "resume", "--path", str(path), "--json")
+    assert code == 0
+    code, fresh, _ = run_cli(capsys, *_SQUARE_L4, "--family", "L4", "--json")
+    assert code == 0
+    assert json_lines_without_elapsed(resumed) == json_lines_without_elapsed(fresh)
+    # The journal keeps its header, so it resumes again.
+    assert path.read_text(encoding="ascii").splitlines()[0] == text
+    code, again, _ = run_cli(capsys, "resume", "--path", str(path), "--json")
+    assert code == 0
+    assert json_lines_without_elapsed(again) == json_lines_without_elapsed(fresh)
+    # A changed spelling under the old hash is still a tampered spec.
+    old["spec"]["family"] = "L4"
+    path.write_text("\n".join([json.dumps(old), *records]) + "\n", encoding="ascii")
+    code, _, err = run_cli(capsys, "resume", "--path", str(path))
+    assert code == 2
+    assert err == "error: stored spec hash does not match the stored spec\n"
+
+
 def test_scan_missing_family(capsys):
     code, _, err = run_cli(
         capsys, "scan", "--kind", "square-divisors", "--n-max", "10", "--p-max", "10"
@@ -670,6 +740,46 @@ def test_verify_paper_sees_replaced_eval_exact(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[1].startswith("FAIL  golden-values            19 fixed values; wrong: ")
     assert out.splitlines()[-1] == "overall: FAIL"
+
+
+def _failing_at(real, bad_args, value, record):
+    """real, except that the call with bad_args returns (value, record)."""
+    return lambda *args: (value, record) if args == bad_args else real(*args)
+
+
+_GCD_FAILURES = [
+    # (anchor, gcdlaws function, arguments of the failing call, FAIL detail)
+    ("gcd-insularity-l1", "gcd_l1", (0, 1, 1), "mismatch at k=0, t1=1, t2=1"),
+    ("gcd-insularity-l1", "gcd_l1", (2, 5, 7), "mismatch at k=2, t1=5, t2=7"),
+    ("gcd-insularity-l1", "gcd_l1_cross", (0, 1, 1, 1), "cross gcd != 1 at k1=0, k2=1, t1=1, t2=1"),
+    ("gcd-insularity-l1", "gcd_l1_cross", (3, 7, 1, 5), "cross gcd != 1 at k1=3, k2=1, t1=7, t2=5"),
+    ("gcd-insularity-l3", "gcd_l3", (0, 1, 1, 1), "mismatch at m=0, n=1, t1=1, t2=1"),
+    ("gcd-insularity-l3", "gcd_l3", (2, 3, 5, 25), "mismatch at m=2, n=3, t1=5, t2=25"),
+    (
+        "gcd-insularity-l3",
+        "gcd_l3_cross",
+        (0, 1, 1, 0, 2, 1),
+        "cross gcd != 1 at (0, 1) x (0, 2), t1=1, t2=1",
+    ),
+    (
+        "gcd-insularity-l3",
+        "gcd_l3_cross",
+        (1, 2, 5, 2, 4, 7),
+        "cross gcd != 1 at (1, 2) x (2, 4), t1=5, t2=7",
+    ),
+]
+
+
+@pytest.mark.parametrize("anchor, name, bad_args, detail", _GCD_FAILURES)
+def test_verify_paper_gcd_anchor_failure_lines(capsys, monkeypatch, anchor, name, bad_args, detail):
+    # A same-set pair whose gcd misses the prediction, or a cross pair with
+    # gcd 7: the anchor stops at that pair and names it.
+    real = getattr(gcdlaws, name)
+    record = gcdlaws.GcdCheckRecord((1, 2), 7, 1)
+    monkeypatch.setattr(gcdlaws, name, _failing_at(real, bad_args, 7, record))
+    code, out, _ = run_cli(capsys, "verify-paper", "--only", anchor)
+    assert code == 1
+    assert out.splitlines()[1:] == [f"FAIL  {anchor:<24} {detail}", "overall: FAIL"]
 
 
 def _spec_sha256(spec):

@@ -2,11 +2,14 @@
 
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
+from lseq import lfamily
 from lseq.lfamily import (
     BudgetExceededError,
+    CongruenceRule,
     LFamily,
     builtin_congruence_rules,
     eval_exact,
@@ -163,6 +166,53 @@ def test_rule_covered_indices():
     assert rule.covered_indices(10) == [2, 4, 6, 8, 10]
     rule7 = builtin_congruence_rules(LFamily.L1)[1]
     assert rule7.covered_indices(8) == [1, 2, 4, 5, 7, 8]
+
+
+def test_false_rule_is_violated():
+    # 7 divides L1(n) exactly when 3 does not divide n, and L1(3) = 73.
+    rule = CongruenceRule(LFamily.L1, 7, 3, (3,), "divisible by 7 at multiples of 3")
+    assert rule.first_violation(2) is None
+    assert rule.holds_through(2)
+    assert rule.first_violation(3) == 3
+    assert rule.first_violation(10**6) == 3
+    assert not rule.holds_through(3)
+
+
+def test_first_violation_walks_covered_indices_in_order():
+    # The same answer as a scan of covered_indices, for every builtin rule
+    # and for false rules with unsorted or repeated offsets.
+    rules = [rule for family in LFamily for rule in builtin_congruence_rules(family)]
+    rules += [
+        CongruenceRule(LFamily.L1, 7, 3, (3,), "first violation 3"),
+        CongruenceRule(LFamily.L1, 7, 6, (5, 1, 6, 2, 4), "holds at 1, 2, 4, 5; fails at 6"),
+        CongruenceRule(LFamily.L3, 13, 12, (10, 5, 2), "L3(5) = 993 is 5 mod 13"),
+        CongruenceRule(LFamily.L3, 13, 12, (10, 2, 10), "repeated offset, holds"),
+        CongruenceRule(LFamily.L4, 11, 10, (3, 2, 9), "fails first at 9"),
+        CongruenceRule(LFamily.L1, 7, 6, (6, 3), "fails at 6 and, first, at 3"),
+        CongruenceRule(LFamily.L2, 3, 4, (1,), "L2(1) = 5, L2(5) = 1055"),
+    ]
+    for rule in rules:
+        for n_max in (-1, 0, 1, 2, rule.step - 1, rule.step, rule.step + 1, 97, 600):
+            expected = next(
+                (n for n in rule.covered_indices(n_max) if residue(rule.family, n, rule.modulus)),
+                None,
+            )
+            assert rule.first_violation(n_max) == expected, (rule.description, n_max)
+
+
+def test_first_violation_lists_no_indices(monkeypatch):
+    # covered_indices(10**6) of this rule is a list of 666,667 ints (tens of
+    # MiB); the walk holds one index at a time.  residue is replaced so that
+    # only the walk's own memory is traced.
+    monkeypatch.setattr(lfamily, "residue", lambda family, n, m: 0)
+    rule = builtin_congruence_rules(LFamily.L1)[1]
+    tracemalloc.start()
+    try:
+        assert rule.first_violation(10**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rule_covered_residues_are_zero():
