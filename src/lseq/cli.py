@@ -11,7 +11,6 @@ check passed; scans exit 0 only when they ran to completion.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Callable
@@ -51,6 +50,7 @@ from .search import (
     ResumeError,
     ScanReport,
     ScanSpec,
+    _canonical_json,
     _header_line,
     _record_line,
     _summary,
@@ -101,7 +101,7 @@ class _Output:
 
     def line(self, obj: dict[str, Any], table_lines: list[str]) -> None:
         if self.json:
-            print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            print(_canonical_json(obj))
         else:
             for text in table_lines:
                 print(text)

@@ -164,15 +164,16 @@ def _verify_product_identity() -> tuple[bool, str]:
 
 def _verify_desk_scans() -> tuple[bool, str]:
     checks = [
-        (set(search.scan_l2_prime_exponents(1000).prime_indices()), {2, 3, 379}, "L2 prime exponents"),
-        (set(search.scan_l2_pow2(10).prime_indices()), {1, 2, 4}, "L2 power-of-2 exponents"),
-        (set(search.scan_l3_pow2(10).prime_indices()), {0, 1, 2, 5}, "L3 power-of-2 exponents"),
-        (set(search.scan_l1_pow3(5).prime_indices()), {0, 1, 2}, "L1 power-of-3 exponents"),
+        (search.ScanSpec(kind="l2_prime_exponent", p_max=1000), {2, 3, 379}, "L2 prime exponents"),
+        (search.ScanSpec(kind="l2_pow2", n_max=10), {1, 2, 4}, "L2 power-of-2 exponents"),
+        (search.ScanSpec(kind="l3_pow2", n_max=10), {0, 1, 2, 5}, "L3 power-of-2 exponents"),
+        (search.ScanSpec(kind="l1_pow3", k_max=5), {0, 1, 2}, "L1 power-of-3 exponents"),
     ]
-    for got, expected, label in checks:
+    for spec, expected, label in checks:
+        got = set(search.run_scan(spec).prime_indices())
         if got != expected:
             return False, f"{label}: got {sorted(got)}, expected {sorted(expected)}"
-    twins, flagged = search.scan_l4_twins(603).twin_pairs()
+    twins, flagged = search.run_scan(search.ScanSpec(kind="l4_twins", n_max=603)).twin_pairs()
     if set(twins) != {(4, 5), (9, 10), (224, 225)} or flagged != [(1, 2)]:
         return False, f"twins: got {twins}, flagged {flagged}"
     return True, "all five desk-scale scans reproduce the expected index sets"

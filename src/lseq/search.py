@@ -40,14 +40,8 @@ __all__ = [
     "engine_fingerprint",
     "run_scan",
     "resume",
-    "scan_l2_prime_exponents",
-    "scan_l2_pow2",
-    "scan_l3_pow2",
-    "scan_l3_mixed",
-    "scan_l1_pow3",
     "scan_l4_twins",
     "scan_square_divisors",
-    "scan_congruence_audit",
 ]
 
 CHECKPOINT_FORMAT = 1
@@ -56,6 +50,12 @@ _PRIMEISH = ("prime", "probable_prime")
 
 # The optional bound fields of a ScanSpec; each kind reads some of them.
 _BOUNDS = ("n_max", "p_max", "m_max", "k_max")
+
+
+def _canonical_json(obj: Any) -> str:
+    """The one JSON encoding of spec hashes, report bytes, journal lines and
+    the CLI's --json lines: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class ResumeError(Exception):
@@ -125,7 +125,7 @@ class ScanSpec:
             raise ResumeError(f"invalid spec in checkpoint: {exc}") from exc
 
     def canonical(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_dict())
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
@@ -192,7 +192,7 @@ class ScanReport:
                 for pos, rec in enumerate(self.records)
             ],
         }
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+        return (_canonical_json(payload) + "\n").encode("ascii")
 
     def prime_indices(self) -> list[Any]:
         """Candidates classified prime or probable_prime (scalar for
@@ -441,7 +441,7 @@ def _record_line(pos: int, rec: ScanRecord) -> dict[str, Any]:
 
 def _append(handle: IO[str], line: dict[str, Any], fsync: bool) -> None:
     """Write one journal line and flush it; with fsync, to the disk as well."""
-    handle.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    handle.write(_canonical_json(line) + "\n")
     handle.flush()
     if fsync:
         os.fsync(handle.fileno())
@@ -579,7 +579,7 @@ def resume(
     spec = ScanSpec.from_dict(header["spec"])
     # The hash covers the spec as written, defaults filled in: a journal
     # whose header spells the family "l4" resumes as the "L4" scan.
-    written = json.dumps({**spec.to_dict(), **header["spec"]}, sort_keys=True, separators=(",", ":"))
+    written = _canonical_json({**spec.to_dict(), **header["spec"]})
     if header.get("spec_sha256") != hashlib.sha256(written.encode("ascii")).hexdigest():
         raise ResumeError("stored spec hash does not match the stored spec")
     if header.get("fingerprint") != engine_fingerprint(spec):
@@ -619,60 +619,25 @@ def resume(
     return _execute(spec, candidates, records, jobs, limit, journal, fsync, raw.rfind("\n") + 1)
 
 
-def scan_l2_prime_exponents(p_max: int, **kwargs: Any) -> ScanReport:
-    """Classify the L2 value at every prime index p <= p_max."""
-    return _run_convenience(kwargs, kind="l2_prime_exponent", p_max=p_max)
-
-
-def scan_l2_pow2(n_max: int, **kwargs: Any) -> ScanReport:
-    """Classify the L2 value at indices 2^n for 1 <= n <= n_max."""
-    return _run_convenience(kwargs, kind="l2_pow2", n_max=n_max)
-
-
-def scan_l3_pow2(n_max: int, **kwargs: Any) -> ScanReport:
-    """Classify the L3 value at indices 2^n for 0 <= n <= n_max."""
-    return _run_convenience(kwargs, kind="l3_pow2", n_max=n_max)
-
-
-def scan_l3_mixed(m_max: int, n_max: int, **kwargs: Any) -> ScanReport:
-    """Classify the L3 value at indices 3^m * 2^n over the (m, n) grid."""
-    return _run_convenience(kwargs, kind="l3_mixed", m_max=m_max, n_max=n_max)
-
-
-def scan_l1_pow3(k_max: int, **kwargs: Any) -> ScanReport:
-    """Classify the L1 value at indices 3^k for 0 <= k <= k_max (the only
-    indices where L1 can be prime)."""
-    return _run_convenience(kwargs, kind="l1_pow3", k_max=k_max)
-
-
-def scan_l4_twins(n_max: int, **kwargs: Any) -> ScanReport:
+def scan_l4_twins(
+    n_max: int, *, seed: int = 0, extra_rounds: int = DEFAULT_EXTRA_ROUNDS, **run_kwargs: Any
+) -> ScanReport:
     """Find all n < n_max with L4(n) and L4(n+1) both prime; the pair
-    starting at the unit L4(1) = 1 is flagged separately."""
-    return _run_convenience(kwargs, kind="l4_twins", n_max=n_max)
+    starting at the unit L4(1) = 1 is flagged separately.  Other keywords go
+    to run_scan."""
+    spec = ScanSpec(kind="l4_twins", n_max=n_max, seed=seed, extra_rounds=extra_rounds)
+    return run_scan(spec, **run_kwargs)
 
 
-def scan_square_divisors(family: LFamily | str, n_max: int, p_max: int, **kwargs: Any) -> ScanReport:
+def scan_square_divisors(
+    family: LFamily | str, n_max: int, p_max: int, *,
+    seed: int = 0, extra_rounds: int = DEFAULT_EXTRA_ROUNDS, **run_kwargs: Any,
+) -> ScanReport:
     """Report every (n, p, e) with p^e dividing the value at n, e >= 2, over
-    odd primes p <= p_max and indices n <= n_max."""
-    return _run_convenience(kwargs, kind="square_divisors", family=family, n_max=n_max, p_max=p_max)
-
-
-def scan_congruence_audit(n_max: int, family: LFamily | str | None = None, **kwargs: Any) -> ScanReport:
-    """Check every builtin congruence rule over its covered indices <= n_max."""
-    return _run_convenience(kwargs, kind="congruence_audit", family=family, n_max=n_max)
-
-
-_SPEC_KEYS = ("seed", "extra_rounds")
-_RUN_KEYS = ("jobs", "checkpoint_path", "limit", "fsync")
-
-
-def _run_convenience(kwargs: dict[str, Any], **fields: Any) -> ScanReport:
-    """run_scan of ScanSpec(**fields) with the spec keys of kwargs; the run
-    keys of kwargs go to run_scan.  An LFamily is passed by its name."""
-    if isinstance(fields.get("family"), LFamily):
-        fields["family"] = fields["family"].name
-    unknown = set(kwargs) - set(_SPEC_KEYS) - set(_RUN_KEYS)
-    if unknown:
-        raise TypeError(f"unexpected keyword arguments {sorted(unknown)}")
-    spec = ScanSpec(**fields, **{key: kwargs[key] for key in _SPEC_KEYS if key in kwargs})
-    return run_scan(spec, **{key: kwargs[key] for key in _RUN_KEYS if key in kwargs})
+    odd primes p <= p_max and indices n <= n_max.  An LFamily is passed by
+    its name; other keywords go to run_scan."""
+    name = family.name if isinstance(family, LFamily) else family
+    spec = ScanSpec(
+        kind="square_divisors", family=name, n_max=n_max, p_max=p_max, seed=seed, extra_rounds=extra_rounds
+    )
+    return run_scan(spec, **run_kwargs)

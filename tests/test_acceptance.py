@@ -24,15 +24,7 @@ from lseq.lfamily import (
     verify_statement2_orbit,
 )
 from lseq.repunit import RepunitKind, gcd_repunit, repunit
-from lseq.search import (
-    resume,
-    scan_l1_pow3,
-    scan_l2_pow2,
-    scan_l2_prime_exponents,
-    scan_l3_pow2,
-    scan_l4_twins,
-    scan_square_divisors,
-)
+from lseq.search import ScanSpec, resume, run_scan, scan_l4_twins, scan_square_divisors
 
 GOLDEN_VALUES = [
     ("L1", 1, 7),
@@ -168,13 +160,15 @@ def test_criterion_07_product_identity():
 
 def test_criterion_08_desk_scan_reproduction():
     start = time.perf_counter()
-    assert set(scan_l2_prime_exponents(1000).prime_indices()) == {2, 3, 379}
-    assert set(scan_l2_pow2(10).prime_indices()) == {1, 2, 4}
-    assert set(scan_l3_pow2(10).prime_indices()) == {0, 1, 2, 5}
-    assert set(scan_l1_pow3(5).prime_indices()) == {0, 1, 2}
+    assert set(run_scan(ScanSpec(kind="l2_prime_exponent", p_max=1000)).prime_indices()) == {2, 3, 379}
+    assert set(run_scan(ScanSpec(kind="l2_pow2", n_max=10)).prime_indices()) == {1, 2, 4}
+    assert set(run_scan(ScanSpec(kind="l3_pow2", n_max=10)).prime_indices()) == {0, 1, 2, 5}
+    assert set(run_scan(ScanSpec(kind="l1_pow3", k_max=5)).prime_indices()) == {0, 1, 2}
     twins, flagged = scan_l4_twins(603).twin_pairs()
     assert set(twins) == {(4, 5), (9, 10), (224, 225)}
     assert flagged == [(1, 2)]
+    detail = anchor("desk-scans")
+    assert detail == "all five desk-scale scans reproduce the expected index sets"
     finish(start, 1800.0, "criterion 8: five desk-scale scans reproduce targets")
 
 
@@ -207,6 +201,8 @@ def test_criterion_10_scan_determinism(tmp_path):
         assert resumed.canonical_bytes() == expected, f"cut at {cut} diverged"
     assert scan_l4_twins(120, jobs=8).canonical_bytes() == expected
     assert scan_l4_twins(120, jobs=1).canonical_bytes() == expected
+    detail = anchor("scan-determinism")
+    assert detail == "3 interrupted/resumed runs and a jobs=8 run are byte-identical"
     finish(start, 300.0, "criterion 10: byte-identical reports across cuts and jobs")
 
 

@@ -21,7 +21,7 @@ from lseq.arith import (
     sieve_primes,
 )
 from lseq.lfamily import LFamily, eval_exact, residue
-from lseq.search import scan_l3_pow2, scan_l4_twins
+from lseq.search import ScanSpec, run_scan, scan_l4_twins
 
 
 def naive_is_prime(n: int) -> bool:
@@ -568,7 +568,7 @@ def test_l3_pow2_scan_bytes_pinned():
     # euler_witness=7, and the fingerprint gained "primality"), and again when
     # the block stage moved "primality" to 3 (header only: no L3 verdict
     # changed).  The reducer must not change a byte.
-    digest = hashlib.sha256(scan_l3_pow2(11).canonical_bytes()).hexdigest()
+    digest = hashlib.sha256(run_scan(ScanSpec(kind="l3_pow2", n_max=11)).canonical_bytes()).hexdigest()
     assert digest == "338c789928c1e5ca84595235693e1ac7ff49e96b577a4da2beaca70de576e0f8"
 
 

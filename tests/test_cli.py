@@ -479,6 +479,18 @@ def test_scan_json_stream_is_resumable(tmp_path, capsys):
     assert json_lines(out)[-1]["prime_indices"] == ["0", "1", "2", "5"]
 
 
+def test_scan_json_lines_are_the_journal_bytes(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    code, out, _ = run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "30", "--checkpoint", str(path), "--json"
+    )
+    assert code == 0
+    journal = path.read_text(encoding="ascii")
+    assert journal.count("\n") == 30  # header and 29 records
+    assert out.startswith(journal)
+    assert [line["type"] for line in json_lines(out[len(journal):])] == ["summary"]
+
+
 def test_scan_checkpoint_in_missing_directory_exits_2(tmp_path, capsys):
     path = str(tmp_path / "missing" / "ck.jsonl")
     code, out, err = run_cli(
@@ -590,6 +602,34 @@ def test_resume_malformed_record_exits_2(tmp_path, capsys, change, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("append", "error: checkpoint has more records than candidates\n"),
+        ("index", "error: record 2 index (99,) does not match candidate (3,)\n"),
+    ],
+    ids=["past-last-candidate", "wrong-index"],
+)
+def test_resume_refuses_records_that_are_not_the_candidates(tmp_path, capsys, edit, message):
+    path = tmp_path / "scan.jsonl"
+    code, _, _ = run_cli(
+        capsys, "scan", "--kind", "l4-twins", "--n-max", "6", "--checkpoint", str(path)
+    )
+    assert code == 0
+    lines = path.read_text(encoding="ascii").splitlines()
+    if edit == "append":
+        record = {**json.loads(lines[-1]), "pos": len(lines) - 1}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    else:
+        record = {**json.loads(lines[3]), "index": [99]}
+        lines[3] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    before = path.read_bytes()
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert (code, out, err) == (2, "", message)
+    assert path.read_bytes() == before
 
 
 def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):

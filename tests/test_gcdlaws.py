@@ -102,6 +102,21 @@ def test_gcd_l3_rejects():
         gcd_l3_cross(0, 1, 5, 0, 1, 7)  # equal exponent pairs
 
 
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (gcd_l1_cross, (-1, 1, 0, 1), "exponents must be >= 0, got -1 and 0"),
+        (gcd_l3_cross, (-1, 1, 1, 0, 1, 1), "3-adic exponents must be >= 0, got -1 and 0"),
+        (gcd_l3_cross, (0, 0, 1, 0, 1, 1), "2-adic exponents must be >= 1, got 0 and 1"),
+    ],
+    ids=["l1-negative", "l3-negative-3-adic", "l3-zero-2-adic"],
+)
+def test_cross_checks_reject_exponents_out_of_range(check, args, message):
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    assert str(info.value) == message
+
+
 def test_corollary2_divisor_branches():
     for n in range(1, 5):
         for t in (5, 7, 11, 13, 25):

@@ -278,6 +278,8 @@ def test_statement2_orbit_examples():
 
 
 def test_statement2_orbit_rejects():
+    with pytest.raises(ValueError, match=r"^offset must be >= 1, got 0$"):
+        verify_statement2_orbit(LFamily.L1, 0, 7, 1, 1)
     with pytest.raises(ValueError):
         verify_statement2_orbit(LFamily.L1, 3, 7, 2, 5)  # seed not divisible
     with pytest.raises(ValueError):

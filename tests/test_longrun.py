@@ -11,12 +11,7 @@ import os
 
 import pytest
 
-from lseq.search import (
-    scan_l1_pow3,
-    scan_l2_prime_exponents,
-    scan_l3_mixed,
-    scan_l3_pow2,
-)
+from lseq.search import ScanSpec, run_scan
 
 long_running = pytest.mark.skipif(
     os.environ.get("LSEQ_RUN_LONG") != "1",
@@ -26,30 +21,30 @@ long_running = pytest.mark.skipif(
 
 @long_running
 def test_l2_prime_exponents_full_range():
-    report = scan_l2_prime_exponents(5003)
+    report = run_scan(ScanSpec(kind="l2_prime_exponent", p_max=5003))
     assert report.complete
     assert set(report.prime_indices()) == {2, 3, 379}
 
 
 @long_running
 def test_l3_pow2_full_range():
-    report = scan_l3_pow2(15)
+    report = run_scan(ScanSpec(kind="l3_pow2", n_max=15))
     assert report.complete
     assert set(report.prime_indices()) == {0, 1, 2, 5}
 
 
 @long_running
 def test_l3_mixed_grids_all_composite():
-    wide = scan_l3_mixed(8, 1)
+    wide = run_scan(ScanSpec(kind="l3_mixed", m_max=8, n_max=1))
     assert wide.complete
     assert wide.prime_indices() == []
-    deep = scan_l3_mixed(2, 12)
+    deep = run_scan(ScanSpec(kind="l3_mixed", m_max=2, n_max=12))
     assert deep.complete
     assert deep.prime_indices() == []
 
 
 @long_running
 def test_l1_pow3_full_range():
-    report = scan_l1_pow3(10)
+    report = run_scan(ScanSpec(kind="l1_pow3", k_max=10))
     assert report.complete
     assert set(report.prime_indices()) == {0, 1, 2}

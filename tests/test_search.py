@@ -13,12 +13,6 @@ from lseq.search import (
     engine_fingerprint,
     resume,
     run_scan,
-    scan_congruence_audit,
-    scan_l1_pow3,
-    scan_l2_prime_exponents,
-    scan_l2_pow2,
-    scan_l3_mixed,
-    scan_l3_pow2,
     scan_l4_twins,
     scan_square_divisors,
 )
@@ -31,6 +25,34 @@ def test_spec_validation():
         ScanSpec(kind="l4_twins", family="L7")
     with pytest.raises(ValueError):
         ScanSpec(kind="l4_twins", n_max=10, extra_rounds=-1)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "l4_twins", "n_max": 5, "seed": True}, "seed must be an integer, got True"),
+        (
+            {"kind": "l4_twins", "n_max": 5, "extra_rounds": "2"},
+            "extra_rounds must be an integer, got '2'",
+        ),
+        (
+            {"kind": "square_divisors", "family": 4, "n_max": 10, "p_max": 10},
+            "family must be a string, got 4",
+        ),
+    ],
+    ids=["seed-bool", "extra-rounds-str", "family-int"],
+)
+def test_spec_rejects_wrong_types(fields, message):
+    with pytest.raises(ValueError) as info:
+        ScanSpec(**fields)
+    assert str(info.value) == message
+
+
+def test_scan_shorthands_reject_unknown_keywords():
+    with pytest.raises(TypeError):
+        scan_l4_twins(5, bogus=1)
+    with pytest.raises(TypeError):
+        scan_square_divisors("L1", 20, 12, bogus=1)
 
 
 def test_spec_serialization_round_trip():
@@ -56,14 +78,20 @@ def test_run_requires_bounds():
 
 
 def test_candidate_enumeration():
-    assert [r.index for r in scan_l2_prime_exponents(12).records] == [
+    assert [r.index for r in run_scan(ScanSpec(kind="l2_prime_exponent", p_max=12)).records] == [
         (2,), (3,), (5,), (7,), (11,),
     ]
-    assert [r.index for r in scan_l3_pow2(3).records] == [(0,), (1,), (2,), (3,)]
-    assert [r.index for r in scan_l2_pow2(3).records] == [(1,), (2,), (3,)]
-    assert [r.index for r in scan_l1_pow3(2).records] == [(0,), (1,), (2,)]
+    assert [r.index for r in run_scan(ScanSpec(kind="l3_pow2", n_max=3)).records] == [
+        (0,), (1,), (2,), (3,),
+    ]
+    assert [r.index for r in run_scan(ScanSpec(kind="l2_pow2", n_max=3)).records] == [
+        (1,), (2,), (3,),
+    ]
+    assert [r.index for r in run_scan(ScanSpec(kind="l1_pow3", k_max=2)).records] == [
+        (0,), (1,), (2,),
+    ]
     assert [r.index for r in scan_l4_twins(5).records] == [(1,), (2,), (3,), (4,)]
-    assert [r.index for r in scan_l3_mixed(2, 2).records] == [
+    assert [r.index for r in run_scan(ScanSpec(kind="l3_mixed", m_max=2, n_max=2)).records] == [
         (1, 1), (1, 2), (2, 1), (2, 2),
     ]
     assert [r.index for r in scan_square_divisors("L1", 20, 12).records] == [
@@ -76,7 +104,7 @@ def test_l2_pow2_full_range():
     # factor below 2^18 (L2(2^17) has 2,039), so no base-2 test runs past
     # 2049 bits; with trial division stopping at 1000 this took hours.
     start = time.perf_counter()
-    report = scan_l2_pow2(17)
+    report = run_scan(ScanSpec(kind="l2_pow2", n_max=17))
     assert time.perf_counter() - start < 10.0
     assert report.complete
     assert set(report.prime_indices()) == {1, 2, 4}
@@ -95,7 +123,7 @@ def test_l4_twin_pairs():
 
 
 def test_l2_prime_exponent_records():
-    report = scan_l2_prime_exponents(50)
+    report = run_scan(ScanSpec(kind="l2_prime_exponent", p_max=50))
     assert report.complete
     assert report.prime_indices() == [2, 3]
     for rec in report.records:
@@ -107,10 +135,10 @@ def test_l2_prime_exponent_records():
 
 
 def test_l3_pow2_and_l1_pow3_scans():
-    assert scan_l3_pow2(6).prime_indices() == [0, 1, 2, 5]
-    assert scan_l1_pow3(4).prime_indices() == [0, 1, 2]
+    assert run_scan(ScanSpec(kind="l3_pow2", n_max=6)).prime_indices() == [0, 1, 2, 5]
+    assert run_scan(ScanSpec(kind="l1_pow3", k_max=4)).prime_indices() == [0, 1, 2]
     # l3_mixed indexes by exponent pairs
-    report = scan_l3_mixed(2, 3)
+    report = run_scan(ScanSpec(kind="l3_mixed", m_max=2, n_max=3))
     assert report.prime_indices() == []
     for rec in report.records:
         m, n = rec.index
@@ -154,11 +182,11 @@ def test_square_hits_obey_root_classes():
 
 
 def test_congruence_audit():
-    report = scan_congruence_audit(300)
+    report = run_scan(ScanSpec(kind="congruence_audit", n_max=300))
     assert report.total == 8
     assert all(r.verdict == "holds" for r in report.records)
     assert all(r.detail["first_violation"] is None for r in report.records)
-    only_l2 = scan_congruence_audit(100, family="L2")
+    only_l2 = run_scan(ScanSpec(kind="congruence_audit", n_max=100, family="L2"))
     assert only_l2.total == 2
     assert {r.detail["family"] for r in only_l2.records} == {"L2"}
 
@@ -211,7 +239,7 @@ def test_resume_in_stages(tmp_path):
 
 def test_resume_of_complete_scan_is_idempotent(tmp_path):
     path = str(tmp_path / "scan.jsonl")
-    done = scan_l2_prime_exponents(30, checkpoint_path=path)
+    done = run_scan(ScanSpec(kind="l2_prime_exponent", p_max=30), checkpoint_path=path)
     assert done.complete
     size = (tmp_path / "scan.jsonl").stat().st_size
     again = resume(path)
