@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import random
-import tempfile
 from typing import Callable
 
 from . import arith, gcdlaws, lfamily, repunit, search
@@ -191,6 +190,8 @@ def _verify_square_hits() -> tuple[bool, str]:
 
 
 def _verify_determinism() -> tuple[bool, str]:
+    import tempfile  # only this anchor writes files; other launches skip the import
+
     spec = search.ScanSpec(kind="l4_twins", n_max=120, seed=1)
     baseline = search.run_scan(spec).canonical_bytes()
     rng = random.Random(2026)

@@ -6,6 +6,8 @@ are deterministic functions of the spec and seed: the same spec yields the
 same records regardless of worker count or interruption points.  Progress
 can be journaled to an append-only checkpoint file (one JSON object per
 line) and picked up later with resume().
+
+jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import IO, Any, Callable, Iterator
 
@@ -480,12 +481,18 @@ def _execute(
     start = len(records)
     todo = candidates[start:] if limit is None else candidates[start : start + limit]
     evaluate = functools.partial(_timed, spec)
-    parallel = jobs > 1 and len(todo) > 1
+    # A forking pool starts all its workers up front, so never more than
+    # there are candidates left.
+    workers = min(jobs, len(todo))
     try:
         handle = open(journal, "a", encoding="ascii") if journal is not None else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write checkpoint {journal!r}: {exc}") from exc
-    with handle, ProcessPoolExecutor(jobs) if parallel else contextlib.nullcontext() as pool:
+    if workers > 1:
+        # Imported on first use: the pool stack (multiprocessing, pickle,
+        # socket, subprocess, logging) would otherwise load on every launch.
+        from concurrent.futures import ProcessPoolExecutor
+    with handle, ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         if journal:
             handle.truncate(keep)
             if not keep:
@@ -493,8 +500,8 @@ def _execute(
         # Results come back in candidate order, so they are journaled as they
         # arrive.  About eight chunks per worker keep workers busy while the
         # costlier candidates at the end are still running.
-        if parallel:
-            results = pool.map(evaluate, todo, chunksize=max(1, len(todo) // (8 * jobs)))
+        if workers > 1:
+            results = pool.map(evaluate, todo, chunksize=max(1, len(todo) // (8 * workers)))
         else:
             results = map(evaluate, todo)
         for pos, rec in enumerate(results, start):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -710,6 +711,53 @@ def test_startup_builds_no_smallest_factor_table():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], stderr=subprocess.PIPE, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_pool_and_tempfile_load_only_when_used(tmp_path):
+    # -S: the site module may import tempfile itself.  Modules are compared
+    # with the set loaded before lseq, so what the interpreter preloads does
+    # not matter.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("LSEQ_JOBS", None)
+    cut = str(tmp_path / "cut.jsonl")
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        from lseq import cli
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            assert code in (0, 1), (argv, code)
+            return [
+                {{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}}
+                for line in out.getvalue().splitlines()
+            ]
+
+        scan = ["scan", "--kind", "l4-twins", "--n-max", "30", "--json"]
+        solo = run(*scan, "--jobs", "1")
+        run(*scan, "--limit", "7", "--checkpoint", {cut!r})
+        run("resume", "--path", {cut!r}, "--json")
+        loaded = sorted(
+            name for name in set(sys.modules) - before
+            if name == "concurrent.futures.process"
+            or name.startswith("multiprocessing")
+            or name == "tempfile"
+        )
+        assert not loaded, loaded
+        # Without elapsed_ms, the --json lines carry every canonical_bytes() field.
+        assert run(*scan, "--jobs", "2") == solo
+        assert "concurrent.futures.process" in sys.modules
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], stderr=subprocess.PIPE, env=env, timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
 

@@ -200,6 +200,44 @@ def test_canonical_bytes_deterministic_across_jobs():
     assert c.canonical_bytes() == d.canonical_bytes()
 
 
+@pytest.mark.parametrize("n_max, jobs, spawned", [(4, 8, 3), (12, 2, 2)])
+def test_pool_starts_no_more_workers_than_candidates(monkeypatch, n_max, jobs, spawned):
+    from concurrent.futures import process
+
+    count = []
+    original = process.ProcessPoolExecutor._spawn_process
+
+    def spy(self):
+        count.append(1)
+        original(self)
+
+    monkeypatch.setattr(process.ProcessPoolExecutor, "_spawn_process", spy)
+    spec = ScanSpec(kind="l4_twins", n_max=n_max)
+    report = run_scan(spec, jobs=jobs)
+    assert len(count) == spawned
+    assert report.canonical_bytes() == run_scan(spec, jobs=1).canonical_bytes()
+
+
+def test_resume_through_the_pool(tmp_path):
+    path = str(tmp_path / "scan.jsonl")
+    whole = str(tmp_path / "whole.jsonl")
+    spec = ScanSpec(kind="l4_twins", n_max=60)
+    baseline = run_scan(spec, jobs=1, checkpoint_path=whole)
+    run_scan(spec, checkpoint_path=path, limit=17)
+    resumed = resume(path, jobs=2)
+    assert resumed.complete
+    assert resumed.canonical_bytes() == baseline.canonical_bytes()
+
+    def lines(name):
+        with open(name, encoding="ascii") as handle:
+            return [
+                {k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in handle
+            ]
+
+    assert lines(path) == lines(whole)
+
+
 def test_canonical_bytes_seed_sensitivity():
     a = scan_l4_twins(20, seed=0)
     b = scan_l4_twins(20, seed=1)
