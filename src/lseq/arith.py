@@ -9,11 +9,15 @@ exhaustive below 2^64.  Above that, values 4^h +/- 2^h + 1 (L1 and L3) are
 proven prime or composite by one N-1 exponentiation.  Every other value (L2
 and L4 included) is first trial divided further, by the primes up to about
 b^2/16 for b bits (at most 2^18), with one gcd per block of primes between
-consecutive powers of two; a value that survives gets a probabilistic verdict
-(base-2 strong test, a strong Lucas test, and a configurable number of
-seeded random-base rounds).  Only the seeded rounds depend on more than n,
-so the other stages' outcome for the last n above 2^20 is kept: an L4 twin
-scan, which tests each value twice in a row, runs them once per value.
+consecutive powers of two (for L2 and L4 values, only the primes = +-1 mod
+5, the only ones that can divide them); a value that survives gets a
+probabilistic verdict (base-2 strong test, a strong Lucas test, and a
+configurable number of seeded random-base rounds).  From 704 bits on, each
+exponentiation modulo an L-form value reduces its products by one shift-add
+fold in place of a long division.  Only the seeded rounds depend on more
+than n, so the other stages' outcome for the last n above 2^20 is kept: an
+L4 twin scan, which tests each value twice in a row, runs them once per
+value.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -101,18 +105,20 @@ def _spf_table() -> bytearray:
 
 
 # Block j is the product of the primes in (2^(j-1), 2^j] above _TRIAL_LIMIT,
-# from j = _FIRST_BLOCK up (block 10 holds 1009, 1013, 1019 and 1021).  A
-# b-bit value is divided by the blocks up to the first that reaches
+# from j = _FIRST_BLOCK up (block 10 holds 1009, 1013, 1019 and 1021); the
+# L2/L4 block j of only those = +-1 mod 5 (block 10: 1009, 1019 and 1021).
+# A b-bit value is divided by the blocks up to the first that reaches
 # min(_BLOCK_CAP, b*b >> _BLOCK_SHIFT).
 _FIRST_BLOCK = _TRIAL_LIMIT.bit_length()
 # The bound b*b/16 keeps the largest gcd a small part of the base-2 strong
-# test it may save.  Measured on CPython 3.11 (2-vCPU x86-64): block 15
-# costs 0.04 ms at 601 bits against a 0.94 ms test, block 18 0.85 ms at
-# 2001 bits against 14.4 ms and 1.7 ms at 4001 bits against 88 ms.
+# test it may save.  Measured on CPython 3.11 (2-vCPU x86-64) for L2 values
+# and their L2/L4 blocks: block 15 costs 0.02 ms at 601 bits against a
+# 1.2 ms test, block 18 0.43 ms at 2001 bits against 8.2 ms and 0.93 ms at
+# 4001 bits against 80 ms.
 _BLOCK_SHIFT = 4
-# Blocks 10..18 take 0.025 s to build and hold 50 KB.  Blocks 19 and 20
-# would take another 0.13 s and strike only 3 more of the 303 L2(p),
-# p <= 2000, whose base-2 tests take 0.09 s.
+# Blocks 10..18 take 33 ms to build and hold 47 KB, their L2/L4 blocks 7 ms
+# and 23 KB.  L2/L4 blocks 19 and 20 would take another 41 ms and strike
+# only 3 more of the 303 L2(p), p <= 2000, whose base-2 tests take 0.04 s.
 _BLOCK_CAP = 1 << 18
 
 
@@ -122,15 +128,21 @@ def _block_range(j: int) -> range:
 
 
 @functools.lru_cache(maxsize=None)
-def _prime_block(j: int) -> int:
-    """Product of the primes in block j, read from the smallest-factor table."""
+def _prime_block(j: int, pm1_mod_5: bool) -> int:
+    """Product of the primes in block j, or of only those = +-1 mod 5 when
+    pm1_mod_5, read from the smallest-factor table."""
     table = _spf or _spf_table()
     odd = _block_range(j)
-    # One product per run of 512 odd numbers, then balanced pairs: one
-    # math.prod over all the primes of block 18 takes 29 ms against 14 ms so,
-    # and a list of them would raise peak memory by 0.5 MB.
+    # The odd numbers = 1 and = 9 mod 10 are two slices of step 10.
+    runs = [odd[(r - odd.start) % 10 // 2 :: 5] for r in (1, 9)] if pm1_mod_5 else [odd]
+    # One product per run of 512 candidates, then balanced pairs: one
+    # math.prod over all the primes of block 18 takes 41 ms against 16 ms so
+    # (9 against 4 ms for its L2/L4 block), and a list of them would raise
+    # peak memory by 0.5 MB.
     parts = [
-        math.prod(q for q in odd[i : i + 512] if not table[q]) for i in range(0, len(odd), 512)
+        math.prod(q for q in run[i : i + 512] if not table[q])
+        for run in runs
+        for i in range(0, len(run), 512)
     ]
     while len(parts) > 1:
         parts = [math.prod(parts[i : i + 2]) for i in range(0, len(parts), 2)]
@@ -141,11 +153,18 @@ def _block_factor(n: int) -> int | None:
     """The smallest prime factor of n in (_TRIAL_LIMIT, 2^J], where 2^J is
     the least power of two >= min(_BLOCK_CAP, b*b >> _BLOCK_SHIFT) for a
     b-bit n; None when there is none.  One gcd per block: a gcd g > 1 is a
-    product of the block's primes, so its least divisor there is n's factor."""
+    product of the block's primes, so its least divisor there is n's factor.
+
+    A prime q divides an L2/L4 value 4^h + s1*2^h - 1 only if x^2 + s1*x - 1
+    has a root mod q, whose discriminant 5 must then be a square mod q: by
+    quadratic reciprocity, q = +-1 mod 5.  Such values are divided by the
+    blocks of those primes alone, half the size of the full blocks."""
     bits = n.bit_length()
     last = (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length()
+    form = _l_form(n)
+    pm1_mod_5 = form is not None and form[2] < 0
     for j in range(_FIRST_BLOCK, last + 1):
-        g = math.gcd(n, _prime_block(j))
+        g = math.gcd(n, _prime_block(j, pm1_mod_5))
         if g > 1:
             return next(q for q in _block_range(j) if g % q == 0)
     return None
@@ -213,11 +232,13 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
 
 # Moduli of the form 4^h + s1*2^h + s0 with at least this many bits are
 # reduced by shifts and adds (_l_form_reducer); below it CPython's builtin
-# pow and % are faster.  Builtin time over reducer time, measured on CPython
-# 3.11 (2-vCPU x86-64) for L1-L4 values and each of the base-2, Lucas and
-# random-base tests: 0.6-0.8 at 512-640 bits, 0.8-1.2 at 768, 0.9-1.3 at
-# 896, 1.0-2.0 at 1024 and 2-3.4 at 4096.
-_L_FORM_MIN_BITS = 1024
+# pow and % are faster.  Builtin time over reducer time, measured by
+# tools/bench_layers.py on CPython 3.11 (2-vCPU x86-64) for L1-L4 values
+# and each of the base-2, Lucas and random-base tests, the lowest and
+# highest of the twelve: 0.69-0.93 at 512 bits, 0.69-1.08 at 640, 0.79-1.67
+# at 704, 0.96-1.67 at 768, 1.03-2.08 at 1024, 2.2-3.4 at 4096 and 2.4-4.6
+# at 8192.  Repeat runs varied by 10-20% at these sizes.
+_L_FORM_MIN_BITS = 704
 
 _WINDOW_BITS = 5
 
@@ -239,9 +260,11 @@ def _l_form_reducer(n: int) -> Callable[[int], int] | None:
     for every other n.
 
     Since 4^h = -(s1*2^h + s0) (mod n), the bits of x from 2h up fold back
-    onto the low 2h bits with one shift and two subtractions, so a
-    reduction costs a few passes over x instead of a long division
-    (Crandall-Pomerance, Prime Numbers, 9.2).
+    onto the low 2h bits.  Write x = a + b*4^h and b = b0 + b1*2^h, b0 the
+    low h bits of b; then x = a - s0*(b - s1*b1) + ((b1 - s1*b0) << h)
+    (mod n), one shift and two subtractions besides the splits, so a
+    product of two residues is reduced in one pass instead of a long
+    division (Crandall-Pomerance, Prime Numbers, 9.2).
     """
     form = _l_form(n)
     if form is None:
@@ -249,12 +272,20 @@ def _l_form_reducer(n: int) -> Callable[[int], int] | None:
     h, s1, s0 = form
     width = 2 * h
     mask = (1 << width) - 1
+    low = (1 << h) - 1
 
     def reduce(x: int) -> int:
-        # Each fold shrinks |x| until it is below 2^(2h+1), at most 3n.
+        # A product of two residues, below 2^(4h+2), folds to below 2^(2h+4),
+        # and a fold of that few-bit b to below 2^(2h+1), at most 3n.  The
+        # signs pick an add or a subtraction: a product by -1 would copy.
         while x.bit_length() > width + 1:
-            high = x >> width
-            x = (x & mask) - s0 * high - s1 * (high << h)
+            b = x >> width
+            b1 = b >> h
+            if s1 > 0:
+                t, u = b - b1, b1 - (b & low)
+            else:
+                t, u = b + b1, b1 + (b & low)
+            x = (x & mask) + (u << h) - t if s0 > 0 else (x & mask) + (u << h) + t
         while x < 0:
             x += n
         while x >= n:

@@ -427,10 +427,12 @@ FLOOR_H = arith._L_FORM_MIN_BITS // 2
 
 
 @pytest.mark.parametrize("family", list(LFamily))
-@pytest.mark.parametrize("h", [FLOOR_H - 1, FLOOR_H, FLOOR_H + 1])
+@pytest.mark.parametrize("h", [FLOOR_H - 1, FLOOR_H, FLOOR_H + 1, 511, 512, 513, 4096])
 def test_l_form_reducer_matches_mod(family, h):
-    # L1/L2 values have 2h+1 bits and L3/L4 values 2h, so these indices put
-    # each family just under, at and over the size floor.
+    # L1/L2 values have 2h+1 bits and L3/L4 values 2h, so the first three
+    # indices put each family just under, at and over the size floor, and the
+    # next three around 1024 bits, the floor of the two-pass fold; L3(4096) =
+    # L3(2^12) is the largest value of the l3-pow2 benchmark workload.
     n = eval_exact(family, h)
     reduce = arith._l_form_reducer(n)
     assert reduce is not None
@@ -475,7 +477,11 @@ def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
     cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]  # base-2 pseudoprimes
     cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]  # base-2 pseudoprimes
     cases.append(eval_exact(LFamily.L4, 597))  # probable prime, 1194 bits
-    cases += [eval_exact(family, h) for family in LFamily for h in range(FLOOR_H, FLOOR_H + 12)]
+    # Every index just above the floor, then every 8th up to 512 (1024 bits,
+    # the floor of the two-pass fold): the band the one-pass fold opened is
+    # compared with builtin pow.
+    indices = sorted({*range(FLOOR_H, FLOOR_H + 12), *range(FLOOR_H, 513, 8)})
+    cases += [eval_exact(family, h) for family in LFamily for h in indices]
     reduced = []
     real = arith._l_form_reducer
 
@@ -652,6 +658,29 @@ def test_block_stage_bound_is_pinned():
     # 1009 is the first prime past the primes below 1000, in the first block.
     l2_284 = eval_exact(LFamily.L2, 284)
     assert is_prime(l2_284) == PrimalityVerdict(l2_284, "composite", "factor=1009")
+    # 1013 = 3 mod 5 is in no L2/L4 block, but a value of no L-form sees it.
+    m1013 = 1013 * mersenne
+    assert is_prime(m1013) == PrimalityVerdict(m1013, "composite", "factor=1013")
+
+
+def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
+    # q | 4^h + s1*2^h - 1 makes x = 2^h a root of x^2 + s1*x - 1 mod q, whose
+    # discriminant is 5; for q = +-2 mod 5, 5 is no square mod q, so there is
+    # no root and no L2/L4 value has the factor q.  Brute force over x.
+    for q in sieve_primes(3000):
+        if q > 1000 and q % 5 in (2, 3):
+            for s1 in (1, -1):
+                assert all((x * x + s1 * x - 1) % q for x in range(q)), (q, s1)
+    assert arith._prime_block(10, True) == 1009 * 1019 * 1021
+    assert arith._prime_block(10, False) == 1009 * 1013 * 1019 * 1021
+    # An L4 value takes those blocks, up to its bound 2^14; a value of no
+    # L-form takes the full ones.
+    kinds = []
+    real = arith._prime_block
+    monkeypatch.setattr(arith, "_prime_block", lambda j, pm1: kinds.append(pm1) or real(j, pm1))
+    assert arith._block_factor(eval_exact(LFamily.L4, 184)) == 16139
+    assert arith._block_factor(1013 * (2**2203 - 1)) == 1013
+    assert kinds == [True] * 5 + [False]
 
 
 def test_block_stage_skips_l1_l3_values():

@@ -1,10 +1,13 @@
 """The benchmark's traced run wraps lseq functions by name, and its
 paper-oracle workload selects verify-paper anchors by name; a rename in lseq
-must fail here, not in the benchmark."""
+must fail here, not in the benchmark.  The layer benchmark,
+tools/bench_layers.py, runs here in its quick mode."""
 
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
 import sys
 
 from lseq.paper import ANCHORS
@@ -27,3 +30,33 @@ def test_traced_functions_exist(monkeypatch):
     assert "checkpoint_path" in inspect.signature(run_scan).parameters
     assert list(inspect.signature(resume).parameters)[0] == "report_path"
     assert [name for name in run.PAPER_ANCHORS if name not in ANCHORS] == []
+
+
+def test_layer_benchmark_quick_mode_writes_its_keys(tmp_path):
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_layers.py")
+    subprocess.run(
+        [sys.executable, tool, "--label", "quick", "--quick", "--out", str(tmp_path)],
+        check=True, capture_output=True, timeout=120,
+    )
+    with open(tmp_path / "BENCH_quick.json") as report_file:
+        report = json.load(report_file)
+    assert report["label"] == "quick" and report["quick"] and report["repeats"] == 1
+    layers = report["layers"]
+    assert set(layers) == {"strong_test", "block_build", "block_stage"}
+    timing = {"median", "q1", "q3"}
+    rows = layers["strong_test"]
+    assert {(r["test"], r["family"]) for r in rows} == {
+        (test, family) for test in ("base2", "lucas", "random_base") for family in ("L1", "L2", "L3", "L4")
+    }
+    for row in rows:
+        assert set(row["builtin_ms"]) == set(row["reducer_ms"]) == timing
+        assert row["reductions"] > 0 and row["builtin_over_reducer"] > 0
+    build = layers["block_build"]
+    assert build["blocks"] == [10, 18]
+    for kind in ("all", "pm1_mod_5"):
+        assert set(build[kind]["ms"]) == timing
+    # The L2/L4 blocks hold the primes = +-1 mod 5, about half of them.
+    assert 0.4 < build["pm1_mod_5"]["bits"] / build["all"]["bits"] < 0.6
+    stage = layers["block_stage"]
+    assert set(stage["ms"]) == timing
+    assert stage["values"] > 0 and stage["gcds"] >= stage["values"] >= stage["factors"] > 0
