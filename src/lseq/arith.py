@@ -232,12 +232,14 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
 
 # Moduli of the form 4^h + s1*2^h + s0 with at least this many bits are
 # reduced by shifts and adds (_l_form_reducer); below it CPython's builtin
-# pow and % are faster.  Builtin time over reducer time, measured by
-# tools/bench_layers.py on CPython 3.11 (2-vCPU x86-64) for L1-L4 values
-# and each of the base-2, Lucas and random-base tests, the lowest and
-# highest of the twelve: 0.69-0.93 at 512 bits, 0.69-1.08 at 640, 0.79-1.67
-# at 704, 0.96-1.67 at 768, 1.03-2.08 at 1024, 2.2-3.4 at 4096 and 2.4-4.6
-# at 8192.  Repeat runs varied by 10-20% at these sizes.
+# pow and % are about as fast.  Builtin time over reducer time, median over
+# L1-L4 and the base-2, Lucas and random-base tests, in three runs of
+# tools/bench_layers.py on CPython 3.11 (2-vCPU x86-64): 0.84-1.17 at 512
+# bits, 0.94-1.36 at 640, 1.07-1.48 at 704, 1.45-1.99 at 1024 and 3.3-4.3
+# at 8192.  704 is the smallest size whose median favours the reducer in
+# every run; single rows there range from 0.79 to 1.67, as the ratio moves
+# with the host's load.  End to end the choice matters little: 7 of the 44
+# strong tests of an L2(p), p <= 2000, scan fall in 704..1023 bits.
 _L_FORM_MIN_BITS = 704
 
 _WINDOW_BITS = 5

@@ -1,13 +1,12 @@
 """The benchmark's traced run wraps lseq functions by name, and its
 paper-oracle workload selects verify-paper anchors by name; a rename in lseq
 must fail here, not in the benchmark.  The layer benchmark,
-tools/bench_layers.py, runs here in its quick mode."""
+tools/bench_layers.py, runs here on small inputs."""
 
 import importlib.util
 import inspect
 import json
 import os
-import subprocess
 import sys
 
 from lseq.paper import ANCHORS
@@ -32,15 +31,18 @@ def test_traced_functions_exist(monkeypatch):
     assert [name for name in run.PAPER_ANCHORS if name not in ANCHORS] == []
 
 
-def test_layer_benchmark_quick_mode_writes_its_keys(tmp_path):
-    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_layers.py")
-    subprocess.run(
-        [sys.executable, tool, "--label", "quick", "--quick", "--out", str(tmp_path)],
-        check=True, capture_output=True, timeout=120,
-    )
-    with open(tmp_path / "BENCH_quick.json") as report_file:
+def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the tool puts src on it
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_layers.py")
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name, value in (("ROOT", str(tmp_path)), ("BITS", (512, 704)), ("P_MAX", 400), ("REPEATS", 1)):
+        monkeypatch.setattr(tool, name, value)
+    assert tool.main(["--label", "small"]) == 0
+    with open(tmp_path / "BENCH_small.json") as report_file:
         report = json.load(report_file)
-    assert report["label"] == "quick" and report["quick"] and report["repeats"] == 1
+    assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
     assert set(layers) == {"strong_test", "block_build", "block_stage"}
     timing = {"median", "q1", "q3"}
@@ -51,6 +53,9 @@ def test_layer_benchmark_quick_mode_writes_its_keys(tmp_path):
     for row in rows:
         assert set(row["builtin_ms"]) == set(row["reducer_ms"]) == timing
         assert row["reductions"] > 0 and row["builtin_over_reducer"] > 0
+    # The Lucas parameter search finds a factor of L4(352) and L4(353), so
+    # the 704-bit L4 rows time L4(354).
+    assert sorted(r["bits"] for r in rows if r["family"] == "L4") == [512] * 3 + [708] * 3
     build = layers["block_build"]
     assert build["blocks"] == [10, 18]
     for kind in ("all", "pm1_mod_5"):

@@ -1,27 +1,25 @@
 """Layer benchmark: times the exponentiation and block layers of lseq.arith
-on fixed inputs and writes BENCH_<label>.json, by default at the repository
-root.
+on fixed inputs and writes BENCH_<label>.json at the repository root.
 
-    python3 tools/bench_layers.py --label L [--repeats R] [--quick] [--out DIR]
+    python3 tools/bench_layers.py --label L
 
 Run from a source checkout (``src`` is put on the path).  Each timing is
-the median and quartiles, in ms, of R in-process runs (default 5; the full
-run takes a few minutes on 2 vCPUs), after an untimed run that counts the
-work and fills every cache the timed code uses.  The counts let a change in
-work be told apart from a change in speed.  The layers:
+the median and quartiles, in ms, of REPEATS in-process runs (the full run
+takes a few minutes on 2 vCPUs), after an untimed run that counts the work
+and fills every cache the timed code uses.  The counts let a change in work
+be told apart from a change in speed.  The layers:
 
 - strong_test: the base-2 strong test, the strong Lucas test and a
   random-base strong test on L1-L4 values of 512 to 8192 bits, each with
   builtin pow and % ("builtin_ms") and with the shift-add reducer
   ("reducer_ms"), whatever size floor is_prime applies; the work is the
-  number of reductions the reducer path makes.
+  number of reductions the reducer path makes.  A value on which one of
+  the tests returns before exponentiating (the Lucas parameter search can
+  find a factor) is replaced by the next one of its family.
 - block_build: building the blocks of primes 10..18 from the smallest-factor
   table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
 - block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
   is_prime hands to it, with the gcds made and the factors found.
-
---quick runs one repetition on small inputs (512 and 640 bits, p <= 400),
-for a test that checks the file's keys.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
 
 BITS = (512, 640, 704, 768, 1024, 2048, 4096, 8192)
-QUICK_BITS = (512, 640)
-P_MAX, QUICK_P_MAX = 2000, 400
+P_MAX = 2000
+REPEATS = 5
 BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
 TESTS = {
     "base2": lambda n, reduce: arith._strong_probable_prime(n, 2, reduce),
@@ -78,15 +76,30 @@ def _counting(fn):
     return counted, calls
 
 
+def _tested_value(family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
+    """The first value of family from h = bits/2 up on which every test
+    makes reductions, and the number each test makes."""
+    h = bits // 2
+    while True:
+        n = eval_exact(family, h)
+        reduce = arith._l_form_reducer(n)
+        reductions = {}
+        for name, test in TESTS.items():
+            counted, calls = _counting(reduce)
+            test(n, counted)
+            reductions[name] = calls[0]
+        if all(reductions.values()):
+            return n, reductions
+        h += 1
+
+
 def strong_tests(bits_list, repeats: int) -> list[dict]:
     rows = []
     for bits in bits_list:
         for family in LFamily:
-            n = eval_exact(family, bits // 2)
+            n, reductions = _tested_value(family, bits)
             reduce = arith._l_form_reducer(n)
             for name, test in TESTS.items():
-                counted, calls = _counting(reduce)
-                test(n, counted)
                 builtin = _timed(lambda: test(n, None), repeats)
                 reduced = _timed(lambda: test(n, reduce), repeats)
                 rows.append({
@@ -96,7 +109,7 @@ def strong_tests(bits_list, repeats: int) -> list[dict]:
                     "builtin_ms": builtin,
                     "reducer_ms": reduced,
                     "builtin_over_reducer": builtin["median"] / reduced["median"],
-                    "reductions": calls[0],
+                    "reductions": reductions[name],
                 })
     return rows
 
@@ -142,32 +155,45 @@ def block_stage(p_max: int, repeats: int) -> dict:
     }
 
 
+def layers(bits_list, p_max: int, repeats: int) -> dict:
+    return {
+        "strong_test": strong_tests(bits_list, repeats),
+        "block_build": block_build(repeats),
+        "block_stage": block_stage(p_max, repeats),
+    }
+
+
+def _dump(value, depth: int = 0) -> str:
+    """value as JSON with one line per item down to depth 3, so that each
+    strong_test row takes one line."""
+    if depth == 3 or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_dump(item, depth + 1)}" for key, item in value.items()]
+        start, end = "{", "}"
+    else:
+        items = [_dump(item, depth + 1) for item in value]
+        start, end = "[", "]"
+    pad = "\n" + " " * (depth + 1)
+    return start + pad + ("," + pad).join(items) + "\n" + " " * depth + end
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name suffix: BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per input (default 5)")
-    parser.add_argument("--quick", action="store_true", help="one run on small inputs")
-    parser.add_argument("--out", default=ROOT, help="directory of the file (default: repository root)")
     args = parser.parse_args(argv)
-    repeats = 1 if args.quick else max(1, args.repeats)
     report = {
         "label": args.label,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "quick": args.quick,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "l_form_min_bits": arith._L_FORM_MIN_BITS,
-        "layers": {
-            "strong_test": strong_tests(QUICK_BITS if args.quick else BITS, repeats),
-            "block_build": block_build(repeats),
-            "block_stage": block_stage(QUICK_P_MAX if args.quick else P_MAX, repeats),
-        },
+        "layers": layers(BITS, P_MAX, REPEATS),
     }
-    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
-        json.dump(report, out, indent=1)
-        out.write("\n")
+        out.write(_dump(report) + "\n")
     print(path)
     return 0
 
