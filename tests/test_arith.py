@@ -223,8 +223,10 @@ def test_is_prime_rounds_and_determinism():
     assert a == b
     assert a.classification == "probable_prime"
     assert a.rounds == 7
-    with pytest.raises(ValueError):
-        is_prime(10, extra_rounds=-1)
+    # 7 and 2^20 would be answered by the table lookup.
+    for n in (10, 7, 2**20):
+        with pytest.raises(ValueError):
+            is_prime(n, extra_rounds=-1)
 
 
 def test_primality_verdict_is_a_frozen_dataclass():
@@ -242,6 +244,31 @@ def test_primality_verdict_is_a_frozen_dataclass():
         "n": 7, "classification": "prime", "evidence": "trial_division", "rounds": 0
     }
     assert pickle.loads(pickle.dumps(v)) == v
+    # The same for the verdicts is_prime returns: the table path (7, 10^6)
+    # builds them without calling the class; above 2^20 a witness tier, the
+    # N-1 stage, a block and BPSW decide.
+    for n, evidence in [
+        (7, "trial_division"),
+        (10**6, "factor=2"),
+        (0, "zero"),
+        (1, None),
+        (2**20 + 7, "mr_deterministic:2,3"),
+        (eval_exact(LFamily.L3, 36), "euler_witness=11"),
+        (1009 * (2**89 - 1), "factor=1009"),
+        (2**89 - 1, "bpsw+2r:seed=0"),
+    ]:
+        v = is_prime(n)
+        assert type(v) is PrimalityVerdict
+        assert (v.n, v.evidence) == (n, evidence)
+        built = PrimalityVerdict(n, v.classification, evidence, v.rounds)
+        assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.classification = "prime"
+        assert dataclasses.replace(v, rounds=9) == PrimalityVerdict(n, v.classification, evidence, 9)
+        assert dataclasses.asdict(v) == {
+            "n": n, "classification": v.classification, "evidence": evidence, "rounds": v.rounds
+        }
+        assert pickle.loads(pickle.dumps(v)) == v
 
 
 def _count_base2_tests(monkeypatch):
