@@ -6,18 +6,19 @@ one lookup in a smallest-prime-factor table, built on first use (evidence
 "trial_division" for a prime, "factor=p" for a composite); larger n by trial
 division by the primes below 1000 and a fixed Miller-Rabin witness set proven
 exhaustive below 2^64.  Above that, values 4^h +/- 2^h + 1 (L1 and L3) are
-proven prime or composite by one N-1 exponentiation.  Every other value (L2
-and L4 included) is first trial divided further, by the primes up to about
-b^2/16 for b bits (at most 2^18), with one gcd per block of primes between
-consecutive powers of two (for L2 and L4 values, only the primes = +-1 mod
-5, the only ones that can divide them); a value that survives gets a
-probabilistic verdict (base-2 strong test, a strong Lucas test, and a
-configurable number of seeded random-base rounds).  From 704 bits on, each
-exponentiation modulo an L-form value reduces its products by one shift-add
-fold in place of a long division.  Only the seeded rounds depend on more
-than n, so the other stages' outcome for the last n above 2^20 is kept: an
-L4 twin scan, which tests each value twice in a row, runs them once per
-value.
+proven prime or composite by one N-1 exponentiation.  Every other value is
+first trial divided further, by the primes up to about b^2/16 for b bits (at
+most 2^18), with one gcd per block of primes between consecutive powers of
+two (for L2 and L4 values, only the primes = +-1 mod 5, the only ones that
+can divide them).  Then values 4^h +/- 2^h - 1 (L2 and L4) get a base-2
+strong test by squarings alone and, if they pass, an N+1 proof by one Lucas
+V-sequence.  A value of no L-form that survives gets a probabilistic
+verdict (base-2 strong test, a strong Lucas test, and a configurable number
+of seeded random-base rounds).  From 704 bits on, each exponentiation
+modulo an L-form value reduces its products by one shift-add fold in place
+of a long division.  Only the seeded rounds depend on more than n, so the
+other stages' outcome for the last n above 2^20 is kept: an L4 twin scan,
+which tests each value twice in a row, runs them once per value.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -187,8 +188,9 @@ class PrimalityVerdict:
     classification is one of "unit", "prime", "probable_prime", "composite".
     evidence is a short machine-readable string: a factor ("factor=3"), a
     failed-test witness ("mr_witness=2", "euler_witness=7"), or a marker for
-    the deterministic method used ("proth:a=7").  rounds counts the tests
-    applied above 2^64: 1 for an N-1 proof, up to 2 + extra_rounds for BPSW.
+    the deterministic method used ("proth:a=7", "llr:p=4").  rounds counts
+    the tests applied above 2^64: 1 for an N-1 proof or a failed base-2
+    test, 2 for an N+1 proof, up to 2 + extra_rounds for BPSW.
     """
 
     n: int
@@ -422,25 +424,91 @@ def _strong_lucas_probable_prime(n: int, reduce: Callable[[int], int] | None = N
     return False
 
 
-def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> PrimalityVerdict | None:
-    """Prime or composite, proven by Euler's criterion, when n = 4^h +
-    s1*2^h + 1 (an L1 or L3 value, h >= 3); None for every other n, and
-    when no odd prime a < 1000 has Jacobi symbol (a/n) = -1.
+def _l_form_base2(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> bool:
+    """The strong base-2 test of n = 4^h + s1*2^h - 1 (h >= 3), by
+    squarings alone; reduce(x) = x mod n.
 
-    For prime n, Euler's criterion gives b^((n-1)/2) = (b/n) for every base
-    b, so a base where that fails proves n composite.  Base 2 is tried
-    first: n divides 2^(6h) - 1, so its power costs one shift and one
-    division.  Then a, with (a/n) = -1, costs one exponentiation; reduce,
-    when given, computes x mod n in place of builtin pow.  If a^((n-1)/2) =
-    -1, every prime p | n has 2^h | ord_p(a), as n - 1 = 2^h * (2^h + s1)
-    with 2^h + s1 odd; so p >= 2^h + 1 and, since (2^h + 1)^2 > n, n is
-    prime: Proth's theorem for L3 (s1 = -1), the Pocklington bound
-    (Brillhart-Lehmer-Selfridge 1975) for L1.
+    n = 7 mod 8, so n - 1 = 2*d with d odd and the test passes iff 2^d =
+    +-1, that is iff 2^((n+1)/2) = +-2.  (n + 1)/2 = 2^(h-1) * (2^h + s1):
+    h squarings of 2 give 2^(2^h), one doubling or halving mod n makes that
+    2^(2^h + s1), and h - 1 more squarings finish, with no multiplication by
+    the base.
+    """
+    x = 2
+    for _ in range(h):
+        x = reduce(x * x)
+    x = reduce(x << 1) if s1 > 0 else _half_mod(x, n, reduce)
+    for _ in range(h - 1):
+        x = reduce(x * x)
+    return x == 2 or x == n - 2
+
+
+def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> PrimalityVerdict | None:
+    """Prime or composite, proven from n + 1 = 2^h * (2^h + s1), for n = 4^h
+    + s1*2^h - 1 (an L2 or L4 value, h >= 3); None when no P < 1000 has
+    Jacobi symbols ((P-2)/n) = 1 and ((P+2)/n) = -1.  reduce(x) = x mod n.
+
+    With such a P and w = (P + sqrt(P^2 - 4))/2, u = V_((n+1)/4)(P, 1) =
+    w^((n+1)/4) + w^(-(n+1)/4) is taken mod n: V_k for k = 2^h + s1 by the
+    chain V_2m = V_m^2 - 2, V_2m+1 = V_m*V_m+1 - P, then h - 2 steps u ->
+    u^2 - 2.  n is prime iff u = 0:
+    - if n is prime, w is the square of (sqrt(P+2) + sqrt(P-2))/2, whose
+      n-th power is (sqrt(P-2) - sqrt(P+2))/2 by the two Jacobi symbols, so
+      w^((n+1)/2) = -1 and u = 0 (Rodseth 1994: Lucas-Lehmer-Riesel for L4);
+    - if u = 0, then w^((n+1)/2) = -1 mod every prime p | n, and p does not
+      divide P^2 - 4 (there V_m = 2*(P/2)^m is a unit); so 2^h | ord_p(w),
+      which divides p -+ 1, and p >= 2^h - 1.  A composite n would have
+      such a p <= sqrt(n) < 2^h + 1, that is p = 2^h - 1; but n = s1 = +-1
+      mod 2^h - 1 (Brillhart-Lehmer-Selfridge 1975, Morrison 1975 for L2).
+    """
+    p = next((p for p in range(3, 1000) if _jacobi(p - 2, n) == 1 and _jacobi(p + 2, n) == -1), None)
+    if p is None:
+        return None
+    # (v, w) = (V_m, V_m+1), from m = 1 up the bits of k = 2^h + s1.
+    v, w = p, p * p - 2
+    for bit in bin((1 << h) + s1)[3:]:
+        if bit == "1":
+            v, w = reduce(v * w - p), reduce(w * w - 2)
+        else:
+            v, w = reduce(v * v - 2), reduce(v * w - p)
+    for _ in range(h - 2):
+        v = reduce(v * v - 2)
+    if v == 0:
+        proof = "llr" if s1 < 0 else "morrison"
+        return PrimalityVerdict(n, "prime", f"{proof}:p={p}", rounds=2)
+    return PrimalityVerdict(n, "composite", f"lucas_v_witness={p}", rounds=2)
+
+
+def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> PrimalityVerdict | None:
+    """Prime or composite, proven from n - 1 or n + 1, when n = 4^h + s1*2^h
+    + s0 (an L1-L4 value, h >= 3); None for every other n, and when no
+    parameter below 1000 fits.  reduce, when given, computes x mod n in
+    place of builtin pow and %.
+
+    s0 = -1 (L2, L4): the strong base-2 test (_l_form_base2) first, whose
+    failure reads mr_witness=2 with rounds 1; then the N+1 proof
+    (_n_plus_1_proof), rounds 2.
+
+    s0 = +1 (L1, L3): for prime n, Euler's criterion gives b^((n-1)/2) =
+    (b/n) for every base b, so a base where that fails proves n composite.
+    Base 2 is tried first: n divides 2^(6h) - 1, so its power costs one
+    shift and one division.  Then a, the first odd prime with (a/n) = -1,
+    costs one exponentiation.  If a^((n-1)/2) = -1, every prime p | n has
+    2^h | ord_p(a), as n - 1 = 2^h * (2^h + s1) with 2^h + s1 odd; so p >=
+    2^h + 1 and, since (2^h + 1)^2 > n, n is prime: Proth's theorem for L3
+    (s1 = -1), the Pocklington bound (Brillhart-Lehmer-Selfridge 1975) for
+    L1.  Both verdicts have rounds 1.
     """
     form = _l_form(n)
-    if form is None or form[2] != 1:
+    if form is None:
         return None
-    h, s1, _ = form
+    h, s1, s0 = form
+    if s0 < 0:
+        if reduce is None:
+            reduce = n.__rmod__  # x -> x % n
+        if not _l_form_base2(n, h, s1, reduce):
+            return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+        return _n_plus_1_proof(n, h, s1, reduce)
     e = (n - 1) >> 1
     # (2/n) = 1, as n = 1 mod 8.
     if (1 << e % (6 * h)) % n != 1:
@@ -481,8 +549,9 @@ def _seed_free_stages(
     root = math.isqrt(n)
     if root * root == n:
         return PrimalityVerdict(n, "composite", f"square_of={root}"), None
-    # Only values without an N-1 proof: every prime factor of an L1/L3 value
-    # of the scan kinds is 1 mod a large power of 2 or 3, far above the blocks.
+    # The blocks skip L1/L3 values: every prime factor of an L1/L3 value of
+    # the scan kinds is 1 mod a large power of 2 or 3, far above the blocks.
+    # L2/L4 values take them before their N+1 proof.
     form = _l_form(n)
     if form is None or form[2] < 0:
         q = _block_factor(n)
@@ -514,14 +583,17 @@ def is_prime(
     the primes above 1000 up to the first power of two at or above
     min(2^18, b*b >> 4), b its bit length, one gcd per block
     (_block_factor); its smallest factor there is reported as factor=p.  If
-    it passes, n is labeled probable_prime after a base-2 strong test, a
-    strong Lucas test, and extra_rounds random-base strong tests drawn from
-    the given seed.
+    it passes, n = 4^h +/- 2^h - 1 gets its proof from _l_form_proof too: a
+    base-2 strong test ("composite", mr_witness=2, rounds 1), then an N+1
+    proof, "prime" with llr:p=P (L4) or morrison:p=P (L2), or "composite"
+    with lucas_v_witness=P, rounds 2.  Any other n is labeled probable_prime
+    after a base-2 strong test, a strong Lucas test, and extra_rounds
+    random-base strong tests drawn from the given seed.
 
     Everything but those seeded rounds depends on n alone, and is kept for
     the most recent n above 2^20: a call that repeats the previous call's n
     (as an L4 twin scan does) runs only its own seeded rounds, with the same
-    verdict as a first call.
+    verdict as a first call.  Every L-form verdict depends on n alone.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -143,7 +143,10 @@ def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
         # 3: other values above 2^64 are trial divided up to a bound sized to
         # the value (arith._block_factor), so L2/L4 verdicts that read
         # mr_witness=2 may read factor=q.
-        "primality": 3,
+        # 4: L2/L4 values above 2^64 get N+1 proofs, llr:p=P or morrison:p=P
+        # in place of bpsw+..., and lucas_v_witness=P in place of a BPSW
+        # witness.
+        "primality": 4,
         "extra_rounds": spec.extra_rounds,
         "seed": spec.seed,
     }

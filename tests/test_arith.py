@@ -272,16 +272,23 @@ def test_primality_verdict_is_a_frozen_dataclass():
 
 
 def _count_base2_tests(monkeypatch):
-    """A list that grows by one at each base-2 strong test is_prime makes."""
+    """A list that grows by one at each base-2 strong test is_prime makes,
+    by exponentiation or, for L2/L4 values above 2^64, by squarings alone."""
     calls = []
     real = arith._strong_probable_prime
+    real_l_form = arith._l_form_base2
 
     def spy(n, a, reduce=None):
         if a == 2:
             calls.append(n)
         return real(n, a, reduce)
 
+    def spy_l_form(n, h, s1, reduce):
+        calls.append(n)
+        return real_l_form(n, h, s1, reduce)
+
     monkeypatch.setattr(arith, "_strong_probable_prime", spy)
+    monkeypatch.setattr(arith, "_l_form_base2", spy_l_form)
     return calls
 
 
@@ -293,6 +300,8 @@ def test_twin_scan_tests_each_l4_value_once(monkeypatch):
     calls.clear()
     first = scan_l4_twins(120)
     assert len(calls) == once_each > 0
+    # 22 of them test L4 values above 2^64, by squarings alone.
+    assert sum(n > arith.DETERMINISTIC_LIMIT for n in calls) == 22
     # The memo holds one value, so a re-run recomputes every value.
     calls.clear()
     second = scan_l4_twins(120)
@@ -301,7 +310,8 @@ def test_twin_scan_tests_each_l4_value_once(monkeypatch):
 
 
 def test_seeded_rounds_rerun_on_a_repeated_value():
-    n = eval_exact(LFamily.L4, 597)
+    # A prime above 2^64 of no L-form keeps BPSW (L2/L4 primes get a proof).
+    n = 2**127 - 1
     for seed in (1, 2):
         v = is_prime(n, seed=seed)
         assert (v.classification, v.evidence, v.rounds) == (
@@ -503,7 +513,8 @@ def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
     _without_l_form_proof(monkeypatch)
     cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]  # base-2 pseudoprimes
     cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]  # base-2 pseudoprimes
-    cases.append(eval_exact(LFamily.L4, 597))  # probable prime, 1194 bits
+    # With the proof stage off, BPSW's fallback labels L4(597), 1194 bits.
+    cases.append(eval_exact(LFamily.L4, 597))
     # Every index just above the floor, then every 8th up to 512 (1024 bits,
     # the floor of the two-pass fold): the band the one-pass fold opened is
     # compared with builtin pow.
@@ -561,10 +572,12 @@ def test_l_form_proof_proves_primes(family, index, evidence):
     assert arith._l_form_proof(n, arith._l_form_reducer(n)) == expected
 
 
-def test_l_form_proof_only_for_l1_and_l3():
+def test_l_form_proof_only_for_l_form_values():
     assert arith._l_form_proof(eval_exact(LFamily.L1, 27)).evidence == "euler_witness=5"
-    for n in (eval_exact(LFamily.L2, 40), eval_exact(LFamily.L4, 40), 2**89 - 1,
-              eval_exact(LFamily.L3, 2)):
+    for family in (LFamily.L2, LFamily.L4):
+        n = eval_exact(family, 40)
+        assert arith._l_form_proof(n) == PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+    for n in (2**89 - 1, eval_exact(LFamily.L3, 2)):
         assert arith._l_form_proof(n) is None
 
 
@@ -590,19 +603,97 @@ def test_l_form_proof_agrees_with_bpsw(monkeypatch):
     assert {p.evidence for p in proved} >= {"euler_witness=2", "euler_witness=7"}
 
 
-def test_l2_l4_verdicts_keep_bpsw():
-    v = is_prime(eval_exact(LFamily.L4, 597))
-    assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw+2r:seed=0", 4)
+def test_values_without_l_form_keep_bpsw():
+    # L1-L4 values above 2^64 get a proof; other values keep BPSW.
+    for n in (2**89 - 1, 2**127 - 1):
+        assert arith._l_form(n) is None
+        v = is_prime(n)
+        assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw+2r:seed=0", 4)
+
+
+# --- N+1 proofs for L2/L4 values ----------------------------------------------
+
+
+def test_n_plus_1_proof_agrees_with_bpsw(monkeypatch):
+    values = [eval_exact(family, h) for family in (LFamily.L2, LFamily.L4) for h in range(33, 401)]
+    proved = [is_prime(n) for n in values]
+    _without_l_form_proof(monkeypatch)
+    bpsw = [is_prime(n) for n in values]
+    same = {"prime": "probable_prime", "composite": "composite"}
+    primes = 0
+    for p, b in zip(proved, bpsw):
+        # Trial division, the blocks and the base-2 test decide alike.
+        if b.rounds <= 1:
+            assert p == b
+            continue
+        assert same[p.classification] == b.classification, p.n
+        assert p.rounds == 2
+        _, s1, _ = arith._l_form(p.n)
+        assert p.evidence.split(":")[0] == ("llr" if s1 < 0 else "morrison")
+        primes += 1
+    assert primes == 17
+    assert sum(b.evidence == "mr_witness=2" for b in bpsw) == 155
+
+
+def test_l_form_base2_is_the_strong_base2_test():
+    # n = 7 mod 8, so 2^((n+1)/2) = +-2 exactly when 2^((n-1)/2) = +-1.
+    for family in (LFamily.L2, LFamily.L4):
+        for h in range(33, 701):
+            n = eval_exact(family, h)
+            _, s1, _ = arith._l_form(n)
+            expected = arith._strong_probable_prime(n, 2)
+            assert arith._l_form_base2(n, h, s1, n.__rmod__) == expected, (family, h)
+            assert arith._l_form_base2(n, h, s1, arith._l_form_reducer(n)) == expected, (family, h)
+
+
+@pytest.mark.parametrize(
+    "family, index, evidence",
+    [(LFamily.L4, 38, "llr:p=5"), (LFamily.L4, 597, "llr:p=4"), (LFamily.L2, 379, "morrison:p=15")],
+)
+def test_l_form_proof_proves_l2_l4_primes(family, index, evidence):
+    n = eval_exact(family, index)
+    expected = PrimalityVerdict(n, "prime", evidence, rounds=2)
+    assert arith._l_form_proof(n) == expected
+    assert arith._l_form_proof(n, arith._l_form_reducer(n)) == expected
+    assert is_prime(n) == expected
+
+
+def test_n_plus_1_proof_rejects_composites():
+    # Called past the base-2 check, which would reject these values first.
+    composites = 0
+    for family in (LFamily.L2, LFamily.L4):
+        for h in range(33, 121):
+            n = eval_exact(family, h)
+            if is_prime(n).classification != "composite":
+                continue
+            _, s1, _ = arith._l_form(n)
+            for reduce in (n.__rmod__, arith._l_form_reducer(n)):
+                verdict = arith._n_plus_1_proof(n, h, s1, reduce)
+                assert verdict.classification == "composite", (family, h)
+                assert verdict.evidence.startswith("lucas_v_witness=") and verdict.rounds == 2
+            composites += 1
+    assert composites > 150
+
+
+def test_l2_l4_verdicts_do_not_depend_on_seed_or_rounds():
+    for n in (eval_exact(LFamily.L4, 597), eval_exact(LFamily.L2, 379), eval_exact(LFamily.L4, 40)):
+        first = is_prime(n)
+        assert first.rounds in (1, 2)
+        for seed in (0, 1, 7):
+            for extra_rounds in (0, 2, 5):
+                arith._seed_free_stages.cache_clear()
+                assert is_prime(n, seed=seed, extra_rounds=extra_rounds) == first
 
 
 def test_l3_pow2_scan_bytes_pinned():
     # sha256 of the report as first taken with builtin pow and %, re-taken
     # when N-1 proofs replaced BPSW for L3 values above 2^64 (k = 7..11 read
     # euler_witness=7, and the fingerprint gained "primality"), and again when
-    # the block stage moved "primality" to 3 (header only: no L3 verdict
-    # changed).  The reducer must not change a byte.
+    # the block stage moved "primality" to 3, and the L2/L4 N+1 proofs to 4
+    # (header only: no L3 verdict changed).  The reducer must not change a
+    # byte.
     digest = hashlib.sha256(run_scan(ScanSpec(kind="l3_pow2", n_max=11)).canonical_bytes()).hexdigest()
-    assert digest == "338c789928c1e5ca84595235693e1ac7ff49e96b577a4da2beaca70de576e0f8"
+    assert digest == "606e095a29976b88c412115c9e10918c667f29cb24733cd478865b6c6eda915d"
 
 
 # --- trial division by blocks of primes above 1000 ---------------------------

@@ -197,6 +197,19 @@ def test_prime_check(capsys):
     assert result["rounds"] == "6"
 
 
+def test_prime_check_proves_an_l4_prime(capsys):
+    # L4(597), 1194 bits, is proven by its N+1 proof, not labeled by BPSW.
+    n = str(lfamily.eval_exact(lfamily.LFamily.L4, 597))
+    code, out, err = run_cli(capsys, "prime-check", "--n", n, "--digits-cap", "10")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "26903…30911(360 digits): prime (evidence=llr:p=4, rounds=2)"
+    code, out, err = run_cli(capsys, "prime-check", "--n", n, "--json")
+    assert (code, err) == (0, "")
+    assert json_lines(out)[-1]["result"] == {
+        "classification": "prime", "evidence": "llr:p=4", "rounds": "2"
+    }
+
+
 def test_order_and_witness(capsys):
     code, out, _ = run_cli(capsys, "order", "--a", "2", "--m", "73", "--json")
     assert code == 0
@@ -637,7 +650,9 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     # Before N-1 proofs the fingerprint had no "primality" key; such a
     # journal's L3 records read lucas_witness.  With "primality": 2, an L2 or
     # L4 record above 2^64 reads mr_witness=2 where a factor up to the block
-    # bound now reads factor=q.  Neither may be extended.
+    # bound now reads factor=q.  With "primality": 3, an L2 or L4 prime above
+    # 2^64 reads bpsw+2r:seed=S where it now reads llr:p=P or morrison:p=P.
+    # None may be extended.
     path = tmp_path / "scan.jsonl"
     code, _, _ = run_cli(
         capsys, "scan", "--kind", "l3-pow2", "--n-max", "9",
@@ -645,7 +660,7 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     )
     assert code == 1
     lines = path.read_text(encoding="ascii").splitlines()
-    for older in (None, 2):
+    for older in (None, 2, 3):
         header = json.loads(lines[0])
         if older is None:
             del header["fingerprint"]["primality"]
@@ -928,47 +943,50 @@ def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
 # records above 2^64 read euler_witness=A, rounds 1, not lucas_witness.  The
 # --json digests were re-taken again when trial division above 2^64 grew to
 # a bound sized to the value: every header's "primality" went from 2 to 3.
-# No record of these scans changed, so the table digests stand.
+# They were re-taken once more when L2/L4 values above 2^64 got N+1 proofs:
+# every header's "primality" went from 3 to 4, and the l4-twins records of
+# L4(38), L4(45), L4(50) and L4(57) read llr:p=P, rounds 2, not bpsw+2r.
+# The table form prints no evidence, so the table digests stand.
 PINNED_SCANS = [
     (
         ["l2-prime-exponent", "--p-max", "200"],
         "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
-        "0de4cc12a4a808c6fe8079f49df60a2e8c2aa2bd09f6f43b6d46f8a558563a6d",
+        "6288abeebba08780b19ee839fa3bf673fca1ef530236ccd419b41cd5a50c563a",
     ),
     (
         ["l2-pow2", "--n-max", "8"],
         "4253c12b256d5452e8403ca2adac3b0bdd4a3b283d27166030050f837c4d685d",
-        "e70522e520e6115296ea683a6e427b03d2af49423142303c01f32c4f4cc9a42a",
+        "0900f4ae235f764ed34a6e2772ecfabe968b468e16974b064bc0a79cf04579ec",
     ),
     (
         ["l3-pow2", "--n-max", "9"],
         "f81136bfd4851dca64a5137431d23dc87bea20cb560ac8e708b74c4ce79e7fef",
-        "b5710f6f934cfc0fa9acaf451f3910b4ff2c5798171b1b07c484256da1611f00",
+        "c2c8fd44abd01878c410ef61b20f64eb26712b3459c9a0729a4e809ee7969715",
     ),
     (
         ["l3-mixed", "--m-max", "2", "--n-max", "3"],
         "2ea4a805d2c6f5d2d2627169bb2ddd4f69475d7e692bd0995078ae324b50962c",
-        "d800ca3e185bf956affcd6c5a336b3b5e9f399e01c275dcf3642723ddf53f0e6",
+        "b69bb48cc1fdd63e948e39afa88e4f878d67f1bc8cdd4c84bf5008cc07e63b98",
     ),
     (
         ["l1-pow3", "--k-max", "4"],
         "52ddb13a3c1291e66512737dd59c9229e5dd7f6935e4cd3a7a3fdf3b3a4ef687",
-        "f3c64323f36a6fd10f9d72f6984299647f8ae9fcdcba9130b433e2b369c8551a",
+        "267784b34845f487ef546d71cdb37a4b848753abe6358054079a28f6680e0e44",
     ),
     (
         ["l4-twins", "--n-max", "60"],
         "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
-        "316fb9e74ff51af4679520dacde4b6606e568d2472fac9c8e2c3374d1e97a789",
+        "bfbab4734373dc037efe3eb2844d9f6e8cf442123c3fbd5dc9d8cf11f8ac1166",
     ),
     (
         ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
         "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
-        "67fe5c165e4071049a7328d0df8f9561c9ce015e4f8b5088f043ab8075af9af7",
+        "1cefc8ec44fcdb42596478c6c822f5322b79df447a344ad622a8c78315b6f4e5",
     ),
     (
         ["congruence-audit", "--n-max", "200"],
         "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
-        "fa864f4a5e7cbe8656abc837ad58b0088137f613a63fb6ad0f950940f78d5a6b",
+        "2eae461acd4960afcfd6bed00ca66d2a100099084de7bd9b588c09dc5620d2d8",
     ),
 ]
 

@@ -16,6 +16,12 @@ be told apart from a change in speed.  The layers:
   number of reductions the reducer path makes.  A value on which one of
   the tests returns before exponentiating (the Lucas parameter search can
   find a factor) is replaced by the next one of its family.
+- l_form_test: the two steps of the L2/L4 stage on L2 and L4 values of 704
+  to 4096 bits, with builtin % and with the reducer, as in strong_test:
+  the strong base-2 test by squarings alone ("base2_squarings") and the
+  N+1 proof ("n_plus_1").  Rows of different layers are taken minutes
+  apart, so set "base2_squarings" against strong_test's "base2" only by
+  runs made back to back.
 - block_build: building the blocks of primes 10..18 from the smallest-factor
   table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
 - block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
@@ -40,6 +46,7 @@ from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
 
 BITS = (512, 640, 704, 768, 1024, 2048, 4096, 8192)
+L_FORM_BITS = (704, 1024, 2048, 4096)
 P_MAX = 2000
 REPEATS = 5
 BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
@@ -49,6 +56,18 @@ TESTS = {
     "random_base": lambda n, reduce: arith._strong_probable_prime(
         n, random.Random(n).randrange(3, n - 1), reduce
     ),
+}
+
+
+def _h_s1(n: int) -> tuple[int, int]:
+    h, s1, _ = arith._l_form(n)
+    return h, s1
+
+
+# The L2/L4 stage's steps take reduce(x) = x mod n; n.__rmod__ is builtin %.
+L_FORM_TESTS = {
+    "base2_squarings": lambda n, reduce: arith._l_form_base2(n, *_h_s1(n), reduce or n.__rmod__),
+    "n_plus_1": lambda n, reduce: arith._n_plus_1_proof(n, *_h_s1(n), reduce or n.__rmod__),
 }
 
 
@@ -76,7 +95,7 @@ def _counting(fn):
     return counted, calls
 
 
-def _tested_value(family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
+def _tested_value(tests: dict, family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
     """The first value of family from h = bits/2 up on which every test
     makes reductions, and the number each test makes."""
     h = bits // 2
@@ -84,7 +103,7 @@ def _tested_value(family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
         n = eval_exact(family, h)
         reduce = arith._l_form_reducer(n)
         reductions = {}
-        for name, test in TESTS.items():
+        for name, test in tests.items():
             counted, calls = _counting(reduce)
             test(n, counted)
             reductions[name] = calls[0]
@@ -93,13 +112,14 @@ def _tested_value(family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
         h += 1
 
 
-def strong_tests(bits_list, repeats: int) -> list[dict]:
+def timed_rows(tests: dict, families, bits_list, repeats: int) -> list[dict]:
+    """One row per test, family and size: builtin and reducer timings."""
     rows = []
     for bits in bits_list:
-        for family in LFamily:
-            n, reductions = _tested_value(family, bits)
+        for family in families:
+            n, reductions = _tested_value(tests, family, bits)
             reduce = arith._l_form_reducer(n)
-            for name, test in TESTS.items():
+            for name, test in tests.items():
                 builtin = _timed(lambda: test(n, None), repeats)
                 reduced = _timed(lambda: test(n, reduce), repeats)
                 rows.append({
@@ -155,9 +175,10 @@ def block_stage(p_max: int, repeats: int) -> dict:
     }
 
 
-def layers(bits_list, p_max: int, repeats: int) -> dict:
+def layers(bits_list, l_form_bits, p_max: int, repeats: int) -> dict:
     return {
-        "strong_test": strong_tests(bits_list, repeats),
+        "strong_test": timed_rows(TESTS, LFamily, bits_list, repeats),
+        "l_form_test": timed_rows(L_FORM_TESTS, (LFamily.L2, LFamily.L4), l_form_bits, repeats),
         "block_build": block_build(repeats),
         "block_stage": block_stage(p_max, repeats),
     }
@@ -165,7 +186,7 @@ def layers(bits_list, p_max: int, repeats: int) -> dict:
 
 def _dump(value, depth: int = 0) -> str:
     """value as JSON with one line per item down to depth 3, so that each
-    strong_test row takes one line."""
+    strong_test and l_form_test row takes one line."""
     if depth == 3 or not isinstance(value, (dict, list)):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -189,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
         "l_form_min_bits": arith._L_FORM_MIN_BITS,
-        "layers": layers(BITS, P_MAX, REPEATS),
+        "layers": layers(BITS, L_FORM_BITS, P_MAX, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
