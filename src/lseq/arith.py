@@ -11,14 +11,16 @@ first trial divided further, by the primes up to about b^2/16 for b bits (at
 most 2^18), with one gcd per block of primes between consecutive powers of
 two (for L2 and L4 values, only the primes = +-1 mod 5, the only ones that
 can divide them).  Then values 4^h +/- 2^h - 1 (L2 and L4) get a base-2
-strong test by squarings alone and, if they pass, an N+1 proof by one Lucas
-V-sequence.  A value of no L-form that survives gets a probabilistic
-verdict (base-2 strong test, a strong Lucas test, and a configurable number
-of seeded random-base rounds).  From 704 bits on, each exponentiation
-modulo an L-form value reduces its products by one shift-add fold in place
-of a long division.  Only the seeded rounds depend on more than n, so the
-other stages' outcome for the last n above 2^20 is kept: an L4 twin scan,
-which tests each value twice in a row, runs them once per value.
+strong test and, if they pass, an N+1 proof by one Lucas V-sequence.  For
+all four forms (n - s0)/2 = 2^(h-1) * (2^h + s1), so the N-1 power and the
+L2/L4 base-2 power are one routine of 2h - 1 squarings and one product, and
+every product modulo an L-form value is reduced by one shift-add fold in
+place of a long division.  A value of no L-form that survives gets a
+probabilistic verdict, with builtin pow and % (base-2 strong test, a strong
+Lucas test, and a configurable number of seeded random-base rounds).  Only
+the seeded rounds depend on more than n, so the other stages' outcome for
+the last n above 2^20 is kept: an L4 twin scan, which tests each value
+twice in a row, runs them once per value.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -150,24 +152,24 @@ def _prime_block(j: int, pm1_mod_5: bool) -> int:
     return parts[0]
 
 
-def _block_factor(n: int) -> int | None:
+def _block_factor(n: int, pm1_mod_5: bool) -> int | None:
     """The smallest prime factor of n in (_TRIAL_LIMIT, 2^J], where 2^J is
     the least power of two >= min(_BLOCK_CAP, b*b >> _BLOCK_SHIFT) for a
     b-bit n; None when there is none.  One gcd per block: a gcd g > 1 is a
     product of the block's primes, so its least divisor there is n's factor.
+    Two primes of block j multiply past 2^j, so g <= 2^j is that prime.
 
     A prime q divides an L2/L4 value 4^h + s1*2^h - 1 only if x^2 + s1*x - 1
     has a root mod q, whose discriminant 5 must then be a square mod q: by
-    quadratic reciprocity, q = +-1 mod 5.  Such values are divided by the
-    blocks of those primes alone, half the size of the full blocks."""
+    quadratic reciprocity, q = +-1 mod 5.  Such values (pm1_mod_5) are
+    divided by the blocks of those primes alone, half the size of the full
+    blocks."""
     bits = n.bit_length()
     last = (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length()
-    form = _l_form(n)
-    pm1_mod_5 = form is not None and form[2] < 0
     for j in range(_FIRST_BLOCK, last + 1):
         g = math.gcd(n, _prime_block(j, pm1_mod_5))
         if g > 1:
-            return next(q for q in _block_range(j) if g % q == 0)
+            return g if g <= 1 << j else next(q for q in _block_range(j) if g % q == 0)
     return None
 
 
@@ -252,20 +254,6 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (DETERMINISTIC_LIMIT, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
-# Moduli of the form 4^h + s1*2^h + s0 with at least this many bits are
-# reduced by shifts and adds (_l_form_reducer); below it CPython's builtin
-# pow and % are about as fast.  Builtin time over reducer time, median over
-# L1-L4 and the base-2, Lucas and random-base tests, in three runs of
-# tools/bench_layers.py on CPython 3.11 (2-vCPU x86-64): 0.84-1.17 at 512
-# bits, 0.94-1.36 at 640, 1.07-1.48 at 704, 1.45-1.99 at 1024 and 3.3-4.3
-# at 8192.  704 is the smallest size whose median favours the reducer in
-# every run; single rows there range from 0.79 to 1.67, as the ratio moves
-# with the host's load.  End to end the choice matters little: 7 of the 44
-# strong tests of an L2(p), p <= 2000, scan fall in 704..1023 bits.
-_L_FORM_MIN_BITS = 704
-
-_WINDOW_BITS = 5
-
 
 def _l_form(n: int) -> tuple[int, int, int] | None:
     """(h, s1, s0) when n = 4^h + s1*2^h + s0 with s1, s0 in {1, -1} and
@@ -279,9 +267,9 @@ def _l_form(n: int) -> tuple[int, int, int] | None:
     return h, s1, s0
 
 
-def _l_form_reducer(n: int) -> Callable[[int], int] | None:
-    """x -> x mod n, for any int x, when n has the form of _l_form; None
-    for every other n.
+def _l_form_reducer(n: int, h: int, s1: int, s0: int) -> Callable[[int], int]:
+    """x -> x mod n, for any int x, where n = 4^h + s1*2^h + s0 as read by
+    _l_form.
 
     Since 4^h = -(s1*2^h + s0) (mod n), the bits of x from 2h up fold back
     onto the low 2h bits.  Write x = a + b*4^h and b = b0 + b1*2^h, b0 the
@@ -290,10 +278,6 @@ def _l_form_reducer(n: int) -> Callable[[int], int] | None:
     product of two residues is reduced in one pass instead of a long
     division (Crandall-Pomerance, Prime Numbers, 9.2).
     """
-    form = _l_form(n)
-    if form is None:
-        return None
-    h, s1, s0 = form
     width = 2 * h
     mask = (1 << width) - 1
     low = (1 << h) - 1
@@ -319,43 +303,37 @@ def _l_form_reducer(n: int) -> Callable[[int], int] | None:
     return reduce
 
 
-def _pow_reduced(a: int, e: int, reduce: Callable[[int], int]) -> int:
-    """a**e mod n for 0 <= a < n and e >= 1, where reduce(x) = x mod n:
-    left to right in fixed windows, with reduce in place of %.  For base 2
-    the table holds 2^w, so its multiplies cost no more than shifts."""
-    table = [1, a]
-    for _ in range(2, 1 << _WINDOW_BITS):
-        table.append(reduce(table[-1] * a))
-    bits = bin(e)[2:]
-    head = len(bits) % _WINDOW_BITS or _WINDOW_BITS
-    x = table[int(bits[:head], 2)]
-    for i in range(head, len(bits), _WINDOW_BITS):
-        for _ in range(_WINDOW_BITS):
-            x = reduce(x * x)
-        w = int(bits[i : i + _WINDOW_BITS], 2)
-        if w:
-            x = reduce(x * table[w])
+def _l_form_power(a: int, n: int, h: int, s1: int, reduce: Callable[[int], int]) -> int:
+    """a^((n - s0)/2) mod n for n = 4^h + s1*2^h + s0 (h >= 3) and 0 < a <
+    n coprime to n, where reduce(x) = x mod n.
+
+    (n - s0)/2 = 2^(h-1) * (2^h + s1) for all four forms: h squarings of a
+    give a^(2^h), one product by a^s1 = pow(a, s1, n) makes a^(2^h + s1),
+    and h - 1 more squarings finish.  This is the Euler power a^((n-1)/2) of
+    L1/L3 values and the power 2^((n+1)/2) of the L2/L4 base-2 test.
+    """
+    x = a
+    for _ in range(h):
+        x = reduce(x * x)
+    x = reduce(x * pow(a, s1, n))
+    for _ in range(h - 1):
+        x = reduce(x * x)
     return x
 
 
-def _strong_probable_prime(n: int, a: int, reduce: Callable[[int], int] | None = None) -> bool:
-    """Strong (Miller-Rabin) test base a; n odd and >= 3.  reduce, when
-    given, computes x mod n and replaces builtin pow and %."""
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong (Miller-Rabin) test base a; n odd and >= 3."""
     a %= n
     if a == 0:
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    if reduce is None:
-        x = pow(a, d, n)
-        reduce = n.__rmod__  # x -> x % n
-    else:
-        x = _pow_reduced(a, d, reduce)
+    x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
-        x = reduce(x * x)
+        x = x * x % n
         if x == n - 1:
             return True
     return False
@@ -390,57 +368,35 @@ def _selfridge_d(n: int) -> int | None:
         d = -(d + 2) if d > 0 else -(d - 2)
 
 
-def _half_mod(x: int, n: int, reduce: Callable[[int], int]) -> int:
-    x = reduce(x)
+def _half_mod(x: int, n: int) -> int:
+    x %= n
     return x >> 1 if x % 2 == 0 else (x + n) >> 1
 
 
-def _strong_lucas_probable_prime(n: int, reduce: Callable[[int], int] | None = None) -> bool:
-    """Strong Lucas test with Selfridge parameters; n odd, >= 3, not a square.
-    reduce, when given, computes x mod n in place of builtin %."""
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge parameters; n odd, >= 3, not a square."""
     d_sel = _selfridge_d(n)
     if d_sel is None:
         return False
-    if reduce is None:
-        reduce = n.__rmod__  # x -> x % n
     p, q = 1, (1 - d_sel) // 4
     k = n + 1
     s = (k & -k).bit_length() - 1
     d = k >> s
-    u, v, qk = 1, p, reduce(q)
+    u, v, qk = 1, p, q % n
     for bit in bin(d)[3:]:
-        u, v = reduce(u * v), reduce(v * v - 2 * qk)
-        qk = reduce(qk * qk)
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
         if bit == "1":
-            u, v = _half_mod(p * u + v, n, reduce), _half_mod(d_sel * u + p * v, n, reduce)
-            qk = reduce(qk * q)
+            u, v = _half_mod(p * u + v, n), _half_mod(d_sel * u + p * v, n)
+            qk = qk * q % n
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):
-        v = reduce(v * v - 2 * qk)
+        v = (v * v - 2 * qk) % n
         if v == 0:
             return True
-        qk = reduce(qk * qk)
+        qk = qk * qk % n
     return False
-
-
-def _l_form_base2(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> bool:
-    """The strong base-2 test of n = 4^h + s1*2^h - 1 (h >= 3), by
-    squarings alone; reduce(x) = x mod n.
-
-    n = 7 mod 8, so n - 1 = 2*d with d odd and the test passes iff 2^d =
-    +-1, that is iff 2^((n+1)/2) = +-2.  (n + 1)/2 = 2^(h-1) * (2^h + s1):
-    h squarings of 2 give 2^(2^h), one doubling or halving mod n makes that
-    2^(2^h + s1), and h - 1 more squarings finish, with no multiplication by
-    the base.
-    """
-    x = 2
-    for _ in range(h):
-        x = reduce(x * x)
-    x = reduce(x << 1) if s1 > 0 else _half_mod(x, n, reduce)
-    for _ in range(h - 1):
-        x = reduce(x * x)
-    return x == 2 or x == n - 2
 
 
 def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> PrimalityVerdict | None:
@@ -479,15 +435,16 @@ def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> Pr
     return PrimalityVerdict(n, "composite", f"lucas_v_witness={p}", rounds=2)
 
 
-def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> PrimalityVerdict | None:
-    """Prime or composite, proven from n - 1 or n + 1, when n = 4^h + s1*2^h
-    + s0 (an L1-L4 value, h >= 3); None for every other n, and when no
-    parameter below 1000 fits.  reduce, when given, computes x mod n in
-    place of builtin pow and %.
+def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict | None:
+    """Prime or composite, proven from n - 1 or n + 1, for n = 4^h + s1*2^h
+    + s0 as read by _l_form (an L1-L4 value, h >= 3); None when no parameter
+    below 1000 fits.  Every product is reduced by _l_form_reducer; the
+    L2/L4 base-2 power and the L1/L3 Euler power are both _l_form_power.
 
-    s0 = -1 (L2, L4): the strong base-2 test (_l_form_base2) first, whose
-    failure reads mr_witness=2 with rounds 1; then the N+1 proof
-    (_n_plus_1_proof), rounds 2.
+    s0 = -1 (L2, L4): first the strong base-2 test.  n = 7 mod 8, so n - 1
+    = 2*d with d odd and the test passes iff 2^d = +-1, that is iff
+    2^((n+1)/2) = +-2; a failure reads mr_witness=2 with rounds 1.  Then
+    the N+1 proof (_n_plus_1_proof), rounds 2.
 
     s0 = +1 (L1, L3): for prime n, Euler's criterion gives b^((n-1)/2) =
     (b/n) for every base b, so a base where that fails proves n composite.
@@ -499,25 +456,19 @@ def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> Primali
     (s1 = -1), the Pocklington bound (Brillhart-Lehmer-Selfridge 1975) for
     L1.  Both verdicts have rounds 1.
     """
-    form = _l_form(n)
-    if form is None:
-        return None
-    h, s1, s0 = form
+    reduce = _l_form_reducer(n, h, s1, s0)
     if s0 < 0:
-        if reduce is None:
-            reduce = n.__rmod__  # x -> x % n
-        if not _l_form_base2(n, h, s1, reduce):
+        x = _l_form_power(2, n, h, s1, reduce)
+        if x != 2 and x != n - 2:
             return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
         return _n_plus_1_proof(n, h, s1, reduce)
-    e = (n - 1) >> 1
     # (2/n) = 1, as n = 1 mod 8.
-    if (1 << e % (6 * h)) % n != 1:
+    if (1 << ((n - 1) >> 1) % (6 * h)) % n != 1:
         return PrimalityVerdict(n, "composite", "euler_witness=2", rounds=1)
     a = next((a for a in _TRIAL_PRIMES[1:] if _jacobi(a, n) == -1), None)
     if a is None:
         return None
-    x = pow(a, e, n) if reduce is None else _pow_reduced(a, e, reduce)
-    if x == n - 1:
+    if _l_form_power(a, n, h, s1, reduce) == n - 1:
         proof = "proth" if s1 < 0 else "pocklington"
         return PrimalityVerdict(n, "prime", f"{proof}:a={a}", rounds=1)
     return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
@@ -527,45 +478,42 @@ def _l_form_proof(n: int, reduce: Callable[[int], int] | None = None) -> Primali
 # (as L4(n + 1) of candidate n, then as L4(n) of candidate n + 1), while a
 # re-run or a resumed scan still recomputes every value.
 @functools.lru_cache(maxsize=1)
-def _seed_free_stages(
-    n: int,
-) -> tuple[PrimalityVerdict | None, Callable[[int], int] | None]:
+def _seed_free_stages(n: int) -> PrimalityVerdict | None:
     """Every stage of is_prime for n > _TABLE_LIMIT that draws no random
-    base: (verdict, None) when one of them decides n, and (None, reduce)
-    when n passes the base-2 strong and strong Lucas tests, reduce being
-    the x -> x mod n that the seeded rounds use (None for builtin pow)."""
+    base: the verdict when one of them decides n, None when n passes the
+    base-2 strong and strong Lucas tests."""
     for p in _TRIAL_PRIMES:
         if n % p == 0:
-            return PrimalityVerdict(n, "composite", f"factor={p}"), None
+            return PrimalityVerdict(n, "composite", f"factor={p}")
     if n < DETERMINISTIC_LIMIT:
         for bound, bases in _MR_TIERS:
             if n < bound:
                 for a in bases:
                     if not _strong_probable_prime(n, a):
-                        return PrimalityVerdict(n, "composite", f"mr_witness={a}"), None
+                        return PrimalityVerdict(n, "composite", f"mr_witness={a}")
                 evidence = f"mr_deterministic:{','.join(map(str, bases))}"
-                return PrimalityVerdict(n, "prime", evidence), None
+                return PrimalityVerdict(n, "prime", evidence)
         raise AssertionError("unreachable: tier table covers all n < 2^64")
     root = math.isqrt(n)
     if root * root == n:
-        return PrimalityVerdict(n, "composite", f"square_of={root}"), None
+        return PrimalityVerdict(n, "composite", f"square_of={root}")
+    form = _l_form(n)
     # The blocks skip L1/L3 values: every prime factor of an L1/L3 value of
     # the scan kinds is 1 mod a large power of 2 or 3, far above the blocks.
     # L2/L4 values take them before their N+1 proof.
-    form = _l_form(n)
     if form is None or form[2] < 0:
-        q = _block_factor(n)
+        q = _block_factor(n, form is not None)
         if q is not None:
-            return PrimalityVerdict(n, "composite", f"factor={q}"), None
-    reduce = _l_form_reducer(n) if n.bit_length() >= _L_FORM_MIN_BITS else None
-    proof = _l_form_proof(n, reduce)
-    if proof is not None:
-        return proof, None
-    if not _strong_probable_prime(n, 2, reduce):
-        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1), None
-    if not _strong_lucas_probable_prime(n, reduce):
-        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2), None
-    return None, reduce
+            return PrimalityVerdict(n, "composite", f"factor={q}")
+    if form is not None:
+        proof = _l_form_proof(n, *form)
+        if proof is not None:
+            return proof
+    if not _strong_probable_prime(n, 2):
+        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+    if not _strong_lucas_probable_prime(n):
+        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
+    return None
 
 
 def is_prime(
@@ -586,9 +534,11 @@ def is_prime(
     it passes, n = 4^h +/- 2^h - 1 gets its proof from _l_form_proof too: a
     base-2 strong test ("composite", mr_witness=2, rounds 1), then an N+1
     proof, "prime" with llr:p=P (L4) or morrison:p=P (L2), or "composite"
-    with lucas_v_witness=P, rounds 2.  Any other n is labeled probable_prime
-    after a base-2 strong test, a strong Lucas test, and extra_rounds
-    random-base strong tests drawn from the given seed.
+    with lucas_v_witness=P, rounds 2.  Those proofs reduce every product by
+    the shift-add fold of _l_form_reducer.  Any other n is labeled
+    probable_prime after a base-2 strong test, a strong Lucas test, and
+    extra_rounds random-base strong tests drawn from the given seed, all
+    with builtin pow and %.
 
     Everything but those seeded rounds depends on n alone, and is kept for
     the most recent n above 2^20: a call that repeats the previous call's n
@@ -604,13 +554,13 @@ def is_prime(
         return _set_fields(_new_object(PrimalityVerdict), n, classification, evidence, 0)
     if n <= 1:
         return PrimalityVerdict(1, "unit") if n else PrimalityVerdict(0, "composite", "zero")
-    verdict, reduce = _seed_free_stages(n)
+    verdict = _seed_free_stages(n)
     if verdict is not None:
         return verdict
     rng = random.Random(seed)
     for i in range(extra_rounds):
         a = rng.randrange(3, n - 1)
-        if not _strong_probable_prime(n, a, reduce):
+        if not _strong_probable_prime(n, a):
             return PrimalityVerdict(n, "composite", f"mr_witness={a}", rounds=2 + i + 1)
     return PrimalityVerdict(
         n,
@@ -773,10 +723,11 @@ def lemma2_witness(k: int) -> int:
 
     Every such q divides L1(3^(k-1)) = 2^(2*3^(k-1)) + 2^(3^(k-1)) + 1, but
     that value is never built: each step costs two small modular powers.
-    2^(3^k) = 1 and gcd(2^(3^(k-1)) - 1, q) = 1 put every prime factor of q
-    at 1 mod 2*3^k, so q is proven prime when (2*3^k + 1)^2 > q
-    (Pocklington); below that is_prime decides, deterministically, since q
-    is then below 2^64.  Raises OrderSearchError when no q qualifies.
+    The first q with 2^(3^k) = 1 and gcd(2^(3^(k-1)) - 1, q) = 1 is prime:
+    those two put the order of 2 modulo every prime p | q at exactly 3^k,
+    so p = 1 mod 2*3^k.  A composite q would have such a p < q, which
+    passes both tests at a smaller m and would have been returned first.
+    Raises OrderSearchError when no q qualifies.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -784,10 +735,6 @@ def lemma2_witness(k: int) -> int:
     step = 2 * order
     bound = step * (_LEMMA2_STEPS + 1)
     for q in range(step + 1, bound, step):
-        if (
-            pow(2, order, q) == 1
-            and math.gcd(pow(2, order // 3, q) - 1, q) == 1
-            and ((step + 1) ** 2 > q or is_prime(q).classification == "prime")
-        ):
+        if pow(2, order, q) == 1 and math.gcd(pow(2, order // 3, q) - 1, q) == 1:
             return q
     raise OrderSearchError(f"no witness with q below {bound}")

@@ -8,8 +8,10 @@ from lseq import arith
 @pytest.fixture(autouse=True)
 def _empty_primality_memo():
     """Start and end every test with an empty is_prime memo, so that a test
-    that replaces a primality stage (_l_form_proof, _l_form_reducer, ...) is
-    never served a verdict computed without its replacement."""
+    that replaces a primality stage (_l_form_proof, _block_factor, ...) or
+    the L-form reducer (with n.__rmod__, builtin %, the reference the
+    shift-add fold is compared with) is never served a verdict computed
+    without its replacement."""
     arith._seed_free_stages.cache_clear()
     yield
     arith._seed_free_stages.cache_clear()

@@ -273,22 +273,24 @@ def test_primality_verdict_is_a_frozen_dataclass():
 
 def _count_base2_tests(monkeypatch):
     """A list that grows by one at each base-2 strong test is_prime makes,
-    by exponentiation or, for L2/L4 values above 2^64, by squarings alone."""
+    by the strong test or, for L2/L4 values above 2^64, by _l_form_power
+    (which L1/L3 values call with an odd base)."""
     calls = []
     real = arith._strong_probable_prime
-    real_l_form = arith._l_form_base2
+    real_power = arith._l_form_power
 
-    def spy(n, a, reduce=None):
+    def spy(n, a):
         if a == 2:
             calls.append(n)
-        return real(n, a, reduce)
+        return real(n, a)
 
-    def spy_l_form(n, h, s1, reduce):
-        calls.append(n)
-        return real_l_form(n, h, s1, reduce)
+    def spy_power(a, n, h, s1, reduce):
+        if a == 2:
+            calls.append(n)
+        return real_power(a, n, h, s1, reduce)
 
     monkeypatch.setattr(arith, "_strong_probable_prime", spy)
-    monkeypatch.setattr(arith, "_l_form_base2", spy_l_form)
+    monkeypatch.setattr(arith, "_l_form_power", spy_power)
     return calls
 
 
@@ -300,7 +302,7 @@ def test_twin_scan_tests_each_l4_value_once(monkeypatch):
     calls.clear()
     first = scan_l4_twins(120)
     assert len(calls) == once_each > 0
-    # 22 of them test L4 values above 2^64, by squarings alone.
+    # 22 of them test L4 values above 2^64, by _l_form_power.
     assert sum(n > arith.DETERMINISTIC_LIMIT for n in calls) == 22
     # The memo holds one value, so a re-run recomputes every value.
     calls.clear()
@@ -433,6 +435,9 @@ def test_lemma2_witness_values():
     assert lemma2_witness(8) == 209953
     assert lemma2_witness(9) == 141560137
     assert lemma2_witness(10) == 472393
+    # lemma2_witness makes no primality test: the first hit is prime.
+    for q in (7, 73, 262657, 2593, 487, 80191, 39367, 209953, 141560137, 472393):
+        assert is_prime(q).classification == "prime", q
 
 
 def test_lemma2_witness_order_conditions():
@@ -460,19 +465,22 @@ def test_lemma2_witness_rejects():
 
 # --- shift-add reduction modulo L-form values --------------------------------
 
-FLOOR_H = arith._L_FORM_MIN_BITS // 2
+
+def _builtin_reducer(monkeypatch):
+    """Every L-form proof reduces by builtin % instead of the shift-add fold:
+    the reference that the fold is compared with."""
+    monkeypatch.setattr(arith, "_l_form_reducer", lambda n, *form: n.__rmod__)
 
 
 @pytest.mark.parametrize("family", list(LFamily))
-@pytest.mark.parametrize("h", [FLOOR_H - 1, FLOOR_H, FLOOR_H + 1, 511, 512, 513, 4096])
+@pytest.mark.parametrize("h", [32, 33, 351, 352, 353, 511, 512, 513, 4096])
 def test_l_form_reducer_matches_mod(family, h):
-    # L1/L2 values have 2h+1 bits and L3/L4 values 2h, so the first three
-    # indices put each family just under, at and over the size floor, and the
-    # next three around 1024 bits, the floor of the two-pass fold; L3(4096) =
+    # L1/L2 values have 2h+1 bits and L3/L4 values 2h.  h = 32 and 33 give
+    # the smallest values above 2^64, which the proofs reduce with the fold
+    # too; 351..353 and 511..513 straddle 704 and 1024 bits; L3(4096) =
     # L3(2^12) is the largest value of the l3-pow2 benchmark workload.
     n = eval_exact(family, h)
-    reduce = arith._l_form_reducer(n)
-    assert reduce is not None
+    reduce = arith._l_form_reducer(n, *arith._l_form(n))
     rng = random.Random(h)
     xs = [0, 1, n - 1, n, n + 1, 2 * n, 3 * n - 1, n * n - 1, n**3 + 5, -1, -n, -n - 1, -(n**2)]
     xs += [rng.randrange(n * n) for _ in range(200)]
@@ -481,8 +489,9 @@ def test_l_form_reducer_matches_mod(family, h):
         assert reduce(x) == x % n
 
 
-def test_l_form_reducer_rejects_other_moduli():
-    h = FLOOR_H
+def test_l_form_reducer_rejects_other_moduli(monkeypatch):
+    # _l_form reads no form for these, so is_prime builds no reducer.
+    h = 352
     four = 1 << 2 * h
     # L1(h) - 2 = L2(h) and L3(h) - 2 = L4(h) are L-form themselves, so the
     # near misses are taken on the other side.
@@ -499,57 +508,60 @@ def test_l_form_reducer_rejects_other_moduli():
         2**1279 - 1,
         eval_exact(LFamily.L1, 2),  # h < 3
     ]
+    built = []
+    real = arith._l_form_reducer
+    monkeypatch.setattr(arith, "_l_form_reducer", lambda n, *form: built.append(n) or real(n, *form))
     for n in near_misses:
-        assert arith._l_form_reducer(n) is None, n
+        assert arith._l_form(n) is None, n
+        is_prime(n)
+    assert built == []
 
 
 def _without_l_form_proof(monkeypatch):
-    monkeypatch.setattr(arith, "_l_form_proof", lambda n, reduce=None: None)
+    monkeypatch.setattr(arith, "_l_form_proof", lambda n, h, s1, s0: None)
 
 
 def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
-    # With the N-1 stage off, the L1/L3 base-2 pseudoprimes go on to the
-    # Lucas test, so its reduced arithmetic is covered too.
-    _without_l_form_proof(monkeypatch)
     cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]  # base-2 pseudoprimes
     cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]  # base-2 pseudoprimes
-    # With the proof stage off, BPSW's fallback labels L4(597), 1194 bits.
     cases.append(eval_exact(LFamily.L4, 597))
-    # Every index just above the floor, then every 8th up to 512 (1024 bits,
-    # the floor of the two-pass fold): the band the one-pass fold opened is
-    # compared with builtin pow.
-    indices = sorted({*range(FLOOR_H, FLOOR_H + 12), *range(FLOOR_H, 513, 8)})
+    # Every index from 704 bits on, then every 8th up to 1024 bits, in all
+    # four families.
+    indices = sorted({*range(352, 364), *range(352, 513, 8)})
     cases += [eval_exact(family, h) for family in LFamily for h in indices]
     reduced = []
     real = arith._l_form_reducer
-
-    def spy(n):
-        reduce = real(n)
-        reduced.append(reduce is not None)
-        return reduce
-
-    monkeypatch.setattr(arith, "_l_form_reducer", spy)
+    monkeypatch.setattr(arith, "_l_form_reducer", lambda n, *form: reduced.append(n) or real(n, *form))
+    # With the proof stage off, the L1/L3 base-2 pseudoprimes go on to the
+    # Lucas test, BPSW's fallback labels L4(597), 1194 bits, and no
+    # reducer is built: BPSW runs on builtin pow and %.
+    with monkeypatch.context() as patch:
+        _without_l_form_proof(patch)
+        bpsw = [is_prime(n) for n in cases]
+    assert reduced == []
+    evidence = [v.evidence for v in bpsw]
+    assert evidence[:5] == ["lucas_witness"] * 5
+    assert bpsw[5].classification == "probable_prime"
+    assert bpsw[5].rounds == 4
+    assert "mr_witness=2" in evidence
+    # With it on, every value past trial division and the blocks takes the
+    # reducer path, with the verdicts of builtin %.
+    arith._seed_free_stages.cache_clear()
     with_reducer = [is_prime(n) for n in cases]
-    monkeypatch.setattr(arith, "_l_form_reducer", lambda n: None)
+    _builtin_reducer(monkeypatch)
     builtin = [is_prime(n) for n in cases]
     assert with_reducer == builtin
-    # Every value past trial division took the reducer path.
-    assert reduced and all(reduced)
-    assert len(reduced) == sum(v.rounds > 0 for v in builtin)
-    evidence = [v.evidence for v in with_reducer]
-    assert evidence[:5] == ["lucas_witness"] * 5
-    assert with_reducer[5].classification == "probable_prime"
-    assert with_reducer[5].rounds == 4
-    assert "mr_witness=2" in evidence
+    assert len(reduced) == sum(v.rounds > 0 for v in builtin) > 0
+    assert [v.evidence for v in with_reducer[:6]] == ["euler_witness=7"] * 3 + ["euler_witness=5"] * 2 + ["llr:p=4"]
 
 
 def test_l_form_proof_with_reducer_equals_builtin_path(monkeypatch):
     cases = [eval_exact(LFamily.L3, 2**k) for k in (9, 10, 11)]
     cases += [eval_exact(LFamily.L1, 3**k) for k in (6, 7)]
     cases += [eval_exact(family, h) for family in (LFamily.L1, LFamily.L3)
-              for h in range(FLOOR_H, FLOOR_H + 40)]
+              for h in range(352, 392)]
     with_reducer = [is_prime(n) for n in cases]
-    monkeypatch.setattr(arith, "_l_form_reducer", lambda n: None)
+    _builtin_reducer(monkeypatch)
     builtin = [is_prime(n) for n in cases]
     assert with_reducer == builtin
     proved = [v for v in with_reducer if v.rounds]
@@ -563,22 +575,29 @@ def test_l_form_proof_with_reducer_equals_builtin_path(monkeypatch):
     [(LFamily.L3, 4, "proth:a=7"), (LFamily.L3, 32, "proth:a=7"),
      (LFamily.L1, 3, "pocklington:a=5"), (LFamily.L1, 9, "pocklington:a=5")],
 )
-def test_l_form_proof_proves_primes(family, index, evidence):
+def test_l_form_proof_proves_primes(monkeypatch, family, index, evidence):
     # is_prime decides these below 2^64 before the N-1 stage; called
-    # directly, the stage proves them, with and without the reducer.
+    # directly, the stage proves them, with the reducer and with builtin %.
     n = eval_exact(family, index)
     expected = arith.PrimalityVerdict(n, "prime", evidence, rounds=1)
-    assert arith._l_form_proof(n) == expected
-    assert arith._l_form_proof(n, arith._l_form_reducer(n)) == expected
+    assert arith._l_form_proof(n, *arith._l_form(n)) == expected
+    _builtin_reducer(monkeypatch)
+    assert arith._l_form_proof(n, *arith._l_form(n)) == expected
 
 
-def test_l_form_proof_only_for_l_form_values():
-    assert arith._l_form_proof(eval_exact(LFamily.L1, 27)).evidence == "euler_witness=5"
+def test_l_form_proof_only_for_l_form_values(monkeypatch):
+    n = eval_exact(LFamily.L1, 27)
+    assert arith._l_form_proof(n, *arith._l_form(n)).evidence == "euler_witness=5"
     for family in (LFamily.L2, LFamily.L4):
         n = eval_exact(family, 40)
-        assert arith._l_form_proof(n) == PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+        assert arith._l_form_proof(n, *arith._l_form(n)) == PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+    proved = []
+    real = arith._l_form_proof
+    monkeypatch.setattr(arith, "_l_form_proof", lambda n, *form: proved.append(n) or real(n, *form))
     for n in (2**89 - 1, eval_exact(LFamily.L3, 2)):
-        assert arith._l_form_proof(n) is None
+        assert arith._l_form(n) is None
+        is_prime(n)
+    assert proved == []
 
 
 def test_l_form_proof_agrees_with_bpsw(monkeypatch):
@@ -640,22 +659,58 @@ def test_l_form_base2_is_the_strong_base2_test():
     for family in (LFamily.L2, LFamily.L4):
         for h in range(33, 701):
             n = eval_exact(family, h)
-            _, s1, _ = arith._l_form(n)
+            _, s1, s0 = arith._l_form(n)
             expected = arith._strong_probable_prime(n, 2)
-            assert arith._l_form_base2(n, h, s1, n.__rmod__) == expected, (family, h)
-            assert arith._l_form_base2(n, h, s1, arith._l_form_reducer(n)) == expected, (family, h)
+            for reduce in (n.__rmod__, arith._l_form_reducer(n, h, s1, s0)):
+                assert (arith._l_form_power(2, n, h, s1, reduce) in (2, n - 2)) == expected, (family, h)
+
+
+@pytest.mark.parametrize("family", list(LFamily))
+@pytest.mark.parametrize("h", [*range(32, 41), 351, 352, 353, 4096])
+def test_l_form_power_is_the_half_exponent_power(family, h):
+    # (n - s0)/2 = 2^(h-1) * (2^h + s1) for all four forms, so one routine
+    # makes the L1/L3 Euler power and the L2/L4 base-2 power.  At h = 4096,
+    # where builtin pow takes seconds, one base and the reducer only.  The
+    # bases are coprime to n, as in the proofs.
+    n = eval_exact(family, h)
+    _, s1, s0 = arith._l_form(n)
+    odd = [a for a in (3, 5, 7, 11, 13) if n % a]
+    reducers = [arith._l_form_reducer(n, h, s1, s0)]
+    if h == 4096:
+        bases = odd[:1]
+    else:
+        bases = [2, *odd[:2], n - 2]
+        reducers.append(n.__rmod__)
+    for a in bases:
+        expected = pow(a, (n - s0) // 2, n)
+        for reduce in reducers:
+            assert arith._l_form_power(a, n, h, s1, reduce) == expected, a
+
+
+def test_l_form_read_once_per_value(monkeypatch):
+    # Past the square check, is_prime reads a value's form once and hands it
+    # to the blocks, the proof and the reducer.
+    values = [eval_exact(family, h) for family in LFamily for h in range(33, 121)]
+    values += [2**89 - 1, 2**127 - 1, 1013 * (2**2203 - 1)]
+    reads = []
+    real = arith._l_form
+    monkeypatch.setattr(arith, "_l_form", lambda n: reads.append(n) or real(n))
+    verdicts = [is_prime(n) for n in values]
+    past_trial = [v.n for v in verdicts if not v.evidence.startswith("factor=") or int(v.evidence[7:]) > 1000]
+    assert reads == past_trial
 
 
 @pytest.mark.parametrize(
     "family, index, evidence",
     [(LFamily.L4, 38, "llr:p=5"), (LFamily.L4, 597, "llr:p=4"), (LFamily.L2, 379, "morrison:p=15")],
 )
-def test_l_form_proof_proves_l2_l4_primes(family, index, evidence):
+def test_l_form_proof_proves_l2_l4_primes(monkeypatch, family, index, evidence):
     n = eval_exact(family, index)
     expected = PrimalityVerdict(n, "prime", evidence, rounds=2)
-    assert arith._l_form_proof(n) == expected
-    assert arith._l_form_proof(n, arith._l_form_reducer(n)) == expected
+    assert arith._l_form_proof(n, *arith._l_form(n)) == expected
     assert is_prime(n) == expected
+    _builtin_reducer(monkeypatch)
+    assert arith._l_form_proof(n, *arith._l_form(n)) == expected
 
 
 def test_n_plus_1_proof_rejects_composites():
@@ -666,8 +721,8 @@ def test_n_plus_1_proof_rejects_composites():
             n = eval_exact(family, h)
             if is_prime(n).classification != "composite":
                 continue
-            _, s1, _ = arith._l_form(n)
-            for reduce in (n.__rmod__, arith._l_form_reducer(n)):
+            _, s1, s0 = arith._l_form(n)
+            for reduce in (n.__rmod__, arith._l_form_reducer(n, h, s1, s0)):
                 verdict = arith._n_plus_1_proof(n, h, s1, reduce)
                 assert verdict.classification == "composite", (family, h)
                 assert verdict.evidence.startswith("lucas_v_witness=") and verdict.rounds == 2
@@ -747,7 +802,7 @@ def test_block_stage_names_the_smallest_prime_factor():
 def test_block_stage_changes_only_its_own_verdicts(monkeypatch):
     values = _l2_l4_values()
     with_blocks = [is_prime(n) for n in values]
-    monkeypatch.setattr(arith, "_block_factor", lambda n: None)
+    monkeypatch.setattr(arith, "_block_factor", lambda n, pm1_mod_5: None)
     without = [is_prime(n) for n in values]
     changed = 0
     for new, old in zip(with_blocks, without):
@@ -779,6 +834,10 @@ def test_block_stage_bound_is_pinned():
     # 1013 = 3 mod 5 is in no L2/L4 block, but a value of no L-form sees it.
     m1013 = 1013 * mersenne
     assert is_prime(m1013) == PrimalityVerdict(m1013, "composite", "factor=1013")
+    # A gcd of two primes of a block exceeds 2^j, so the block is searched
+    # for its least prime; a gcd of one prime is that prime.
+    m1009_1013 = 1009 * 1013 * mersenne
+    assert is_prime(m1009_1013) == PrimalityVerdict(m1009_1013, "composite", "factor=1009")
 
 
 def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
@@ -796,8 +855,8 @@ def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
     kinds = []
     real = arith._prime_block
     monkeypatch.setattr(arith, "_prime_block", lambda j, pm1: kinds.append(pm1) or real(j, pm1))
-    assert arith._block_factor(eval_exact(LFamily.L4, 184)) == 16139
-    assert arith._block_factor(1013 * (2**2203 - 1)) == 1013
+    assert arith._block_factor(eval_exact(LFamily.L4, 184), True) == 16139
+    assert arith._block_factor(1013 * (2**2203 - 1), False) == 1013
     assert kinds == [True] * 5 + [False]
 
 

@@ -1,4 +1,4 @@
-"""Layer benchmark: times the exponentiation and block layers of lseq.arith
+"""Layer benchmark: times the L-form proof and block layers of lseq.arith
 on fixed inputs and writes BENCH_<label>.json at the repository root.
 
     python3 tools/bench_layers.py --label L
@@ -9,19 +9,14 @@ takes a few minutes on 2 vCPUs), after an untimed run that counts the work
 and fills every cache the timed code uses.  The counts let a change in work
 be told apart from a change in speed.  The layers:
 
-- strong_test: the base-2 strong test, the strong Lucas test and a
-  random-base strong test on L1-L4 values of 512 to 8192 bits, each with
-  builtin pow and % ("builtin_ms") and with the shift-add reducer
-  ("reducer_ms"), whatever size floor is_prime applies; the work is the
-  number of reductions the reducer path makes.  A value on which one of
-  the tests returns before exponentiating (the Lucas parameter search can
-  find a factor) is replaced by the next one of its family.
-- l_form_test: the two steps of the L2/L4 stage on L2 and L4 values of 704
-  to 4096 bits, with builtin % and with the reducer, as in strong_test:
-  the strong base-2 test by squarings alone ("base2_squarings") and the
-  N+1 proof ("n_plus_1").  Rows of different layers are taken minutes
-  apart, so set "base2_squarings" against strong_test's "base2" only by
-  runs made back to back.
+- l_form_test: the exponentiations of the L-form proof stage on L1-L4
+  values of 256 to 8192 bits, each with builtin % ("builtin_ms") and with
+  the shift-add reducer ("reducer_ms"), which is_prime uses: the power
+  a^((n - s0)/2) of all four families ("power"; a is 2 for L2/L4 and the
+  Euler base of the N-1 proof for L1/L3) and the N+1 proof of L2 and L4
+  ("n_plus_1").  The work is the number of reductions each makes.  A value
+  on which one of them makes none (the N+1 parameter search can fail) is
+  replaced by the next one of its family.
 - block_build: building the blocks of primes 10..18 from the smallest-factor
   table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
 - block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
@@ -34,7 +29,6 @@ import argparse
 import json
 import os
 import platform
-import random
 import statistics
 import sys
 import time
@@ -45,29 +39,28 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
 
-BITS = (512, 640, 704, 768, 1024, 2048, 4096, 8192)
-L_FORM_BITS = (704, 1024, 2048, 4096)
+L_FORM_BITS = (256, 512, 1024, 2048, 4096, 8192)
 P_MAX = 2000
 REPEATS = 5
 BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
-TESTS = {
-    "base2": lambda n, reduce: arith._strong_probable_prime(n, 2, reduce),
-    "lucas": lambda n, reduce: arith._strong_lucas_probable_prime(n, reduce),
-    "random_base": lambda n, reduce: arith._strong_probable_prime(
-        n, random.Random(n).randrange(3, n - 1), reduce
-    ),
-}
 
 
-def _h_s1(n: int) -> tuple[int, int]:
+def _power(n: int, reduce) -> int:
+    h, s1, s0 = arith._l_form(n)
+    a = 2 if s0 < 0 else next(a for a in arith._TRIAL_PRIMES[1:] if arith._jacobi(a, n) == -1)
+    return arith._l_form_power(a, n, h, s1, reduce)
+
+
+def _n_plus_1(n: int, reduce):
     h, s1, _ = arith._l_form(n)
-    return h, s1
+    return arith._n_plus_1_proof(n, h, s1, reduce)
 
 
-# The L2/L4 stage's steps take reduce(x) = x mod n; n.__rmod__ is builtin %.
+# Each step takes reduce(x) = x mod n (n.__rmod__ is builtin %), and the
+# families it applies to.
 L_FORM_TESTS = {
-    "base2_squarings": lambda n, reduce: arith._l_form_base2(n, *_h_s1(n), reduce or n.__rmod__),
-    "n_plus_1": lambda n, reduce: arith._n_plus_1_proof(n, *_h_s1(n), reduce or n.__rmod__),
+    "power": (_power, tuple(LFamily)),
+    "n_plus_1": (_n_plus_1, (LFamily.L2, LFamily.L4)),
 }
 
 
@@ -95,16 +88,19 @@ def _counting(fn):
     return counted, calls
 
 
+def _reducer(n: int):
+    return arith._l_form_reducer(n, *arith._l_form(n))
+
+
 def _tested_value(tests: dict, family: LFamily, bits: int) -> tuple[int, dict[str, int]]:
     """The first value of family from h = bits/2 up on which every test
     makes reductions, and the number each test makes."""
     h = bits // 2
     while True:
         n = eval_exact(family, h)
-        reduce = arith._l_form_reducer(n)
         reductions = {}
         for name, test in tests.items():
-            counted, calls = _counting(reduce)
+            counted, calls = _counting(_reducer(n))
             test(n, counted)
             reductions[name] = calls[0]
         if all(reductions.values()):
@@ -112,15 +108,16 @@ def _tested_value(tests: dict, family: LFamily, bits: int) -> tuple[int, dict[st
         h += 1
 
 
-def timed_rows(tests: dict, families, bits_list, repeats: int) -> list[dict]:
+def l_form_rows(bits_list, repeats: int) -> list[dict]:
     """One row per test, family and size: builtin and reducer timings."""
     rows = []
     for bits in bits_list:
-        for family in families:
+        for family in LFamily:
+            tests = {name: test for name, (test, families) in L_FORM_TESTS.items() if family in families}
             n, reductions = _tested_value(tests, family, bits)
-            reduce = arith._l_form_reducer(n)
+            reduce = _reducer(n)
             for name, test in tests.items():
-                builtin = _timed(lambda: test(n, None), repeats)
+                builtin = _timed(lambda: test(n, n.__rmod__), repeats)
                 reduced = _timed(lambda: test(n, reduce), repeats)
                 rows.append({
                     "test": name,
@@ -153,7 +150,7 @@ def block_build(repeats: int) -> dict:
 def block_stage(p_max: int, repeats: int) -> dict:
     values = []
     real = arith._block_factor
-    arith._block_factor = lambda n: values.append(n) or real(n)
+    arith._block_factor = lambda n, pm1_mod_5: values.append((n, pm1_mod_5)) or real(n, pm1_mod_5)
     try:
         for p in arith.sieve_primes(p_max):
             arith.is_prime(eval_exact(LFamily.L2, p))
@@ -163,22 +160,21 @@ def block_stage(p_max: int, repeats: int) -> dict:
     block = arith._prime_block
     arith._prime_block, gcds = _counting(block)
     try:
-        found = sum(real(n) is not None for n in values)
+        found = sum(real(*value) is not None for value in values)
     finally:
         arith._prime_block = block
     return {
         "p_max": p_max,
-        "ms": _timed(lambda: [real(n) for n in values], repeats),
+        "ms": _timed(lambda: [real(*value) for value in values], repeats),
         "values": len(values),
         "gcds": gcds[0],
         "factors": found,
     }
 
 
-def layers(bits_list, l_form_bits, p_max: int, repeats: int) -> dict:
+def layers(l_form_bits, p_max: int, repeats: int) -> dict:
     return {
-        "strong_test": timed_rows(TESTS, LFamily, bits_list, repeats),
-        "l_form_test": timed_rows(L_FORM_TESTS, (LFamily.L2, LFamily.L4), l_form_bits, repeats),
+        "l_form_test": l_form_rows(l_form_bits, repeats),
         "block_build": block_build(repeats),
         "block_stage": block_stage(p_max, repeats),
     }
@@ -186,7 +182,7 @@ def layers(bits_list, l_form_bits, p_max: int, repeats: int) -> dict:
 
 def _dump(value, depth: int = 0) -> str:
     """value as JSON with one line per item down to depth 3, so that each
-    strong_test and l_form_test row takes one line."""
+    l_form_test row takes one line."""
     if depth == 3 or not isinstance(value, (dict, list)):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -209,8 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "l_form_min_bits": arith._L_FORM_MIN_BITS,
-        "layers": layers(BITS, L_FORM_BITS, P_MAX, REPEATS),
+        "layers": layers(L_FORM_BITS, P_MAX, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
