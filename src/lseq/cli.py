@@ -13,24 +13,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import __version__, paper
+from . import __version__
 from .arith import (
     DEFAULT_EXTRA_ROUNDS,
     OrderSearchError,
     is_prime,
     lemma2_witness,
     multiplicative_order,
-)
-from .gcdlaws import (
-    GcdCheckRecord,
-    IndexSetSpec,
-    gcd_l1,
-    gcd_l1_cross,
-    gcd_l3,
-    gcd_l3_cross,
-    insularity_harness,
 )
 from .lfamily import (
     DEFAULT_EVAL_BIT_BUDGET,
@@ -44,7 +35,6 @@ from .lfamily import (
     verify_statement2_orbit,
     verify_theorem3,
 )
-from .repunit import RepunitKind, gcd_repunit, repunit
 from .search import (
     SCAN_KINDS,
     ResumeError,
@@ -57,6 +47,9 @@ from .search import (
     resume,
     run_scan,
 )
+
+if TYPE_CHECKING:
+    from .gcdlaws import GcdCheckRecord
 
 __all__ = ["main"]
 
@@ -226,6 +219,8 @@ def _gcd_result(out: _Output, family: str, record: GcdCheckRecord) -> int:
 
 
 def _cmd_gcd_l1(args: argparse.Namespace, out: _Output) -> int:
+    from .gcdlaws import gcd_l1, gcd_l1_cross
+
     if args.k1 == args.k2:
         _, record = gcd_l1(args.k1, args.t1, args.t2)
     else:
@@ -235,6 +230,8 @@ def _cmd_gcd_l1(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_gcd_l3(args: argparse.Namespace, out: _Output) -> int:
+    from .gcdlaws import gcd_l3, gcd_l3_cross
+
     if (args.m1, args.n1) == (args.m2, args.n2):
         _, record = gcd_l3(args.m1, args.n1, args.t1, args.t2)
     else:
@@ -244,6 +241,8 @@ def _cmd_gcd_l3(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_gcd_repunit(args: argparse.Namespace, out: _Output) -> int:
+    from .repunit import RepunitKind, gcd_repunit
+
     kind = RepunitKind.parse(args.kind)
     computed, predicted, match = gcd_repunit(args.b, args.n, args.m, kind)
     out.header({"b": args.b, "n": args.n, "m": args.m, "kind": kind.value})
@@ -259,6 +258,9 @@ def _cmd_gcd_repunit(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_insularity(args: argparse.Namespace, out: _Output) -> int:
+    from .gcdlaws import IndexSetSpec, insularity_harness
+    from .repunit import RepunitKind, repunit
+
     if args.sequence.upper() == "L1":
         spec = IndexSetSpec("structured", pow3=args.pow3, pow2=0, bound=args.bound)
         seq: Callable[[int], int] = lambda n: eval_exact(LFamily.L1, n)
@@ -344,6 +346,8 @@ def _cmd_product_identity(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_repunit(args: argparse.Namespace, out: _Output) -> int:
+    from .repunit import RepunitKind, repunit
+
     kind = RepunitKind.parse(args.kind)
     value = repunit(args.b, args.n, kind)
     out.header({"b": args.b, "n": args.n, "kind": kind.value})
@@ -419,6 +423,8 @@ def _cmd_resume(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace, out: _Output) -> int:
+    from . import paper
+
     selected = set(paper.ANCHORS)
     if args.only is not None:
         selected = {name.strip() for name in args.only.split(",")}
@@ -464,10 +470,12 @@ _FSYNC = ("--fsync", {"action": "store_true"})
 _REPUNIT_KINDS = ["minus", "plus"]
 
 # Subcommand name -> (help, handler, options).  Every subcommand also takes
-# --json and --digits-cap.  Handlers call library functions through this
-# module's globals, and verify-paper's anchors through their defining
-# modules, so a caller that replaces one in both places (the benchmark's
-# tracer does) sees every call.
+# --json and --digits-cap.  The gcd, repunit and verify-paper handlers import
+# gcdlaws, repunit and paper when they run, so no other launch loads them.
+# Handlers call arith, lfamily and search functions through this module's
+# globals; those handlers, and verify-paper's anchors, read functions from
+# their defining modules at each call.  So a caller that replaces a function
+# in both places (the benchmark's tracer does) sees every call.
 _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], list[_Argument]]] = {
     "eval": (
         "exact sequence value",

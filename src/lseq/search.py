@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import time
@@ -57,6 +56,13 @@ def _canonical_json(obj: Any) -> str:
     """The one JSON encoding of spec hashes, report bytes, journal lines and
     the CLI's --json lines: sorted keys, no spaces."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> Any:
+    """The SHA-256 hash object of ASCII text: the one place a digest is taken."""
+    import hashlib  # maps OpenSSL; a launch that takes no digest never loads it
+
+    return hashlib.sha256(text.encode("ascii"))
 
 
 class ResumeError(Exception):
@@ -129,7 +135,7 @@ class ScanSpec:
         return _canonical_json(self.to_dict())
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
+        return _sha256(self.canonical()).hexdigest()
 
 
 def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
@@ -227,7 +233,7 @@ class ScanReport:
 
 def _candidate_seed(spec: ScanSpec, label: tuple[int, ...]) -> int:
     text = f"{spec.seed}|{spec.kind}|" + "|".join(map(str, label))
-    return int.from_bytes(hashlib.sha256(text.encode("ascii")).digest()[:8], "big")
+    return int.from_bytes(_sha256(text).digest()[:8], "big")
 
 
 def _classify(spec: ScanSpec, family: LFamily, n: int, label: tuple[int, ...]) -> dict[str, Any]:
@@ -590,7 +596,7 @@ def resume(
     # The hash covers the spec as written, defaults filled in: a journal
     # whose header spells the family "l4" resumes as the "L4" scan.
     written = _canonical_json({**spec.to_dict(), **header["spec"]})
-    if header.get("spec_sha256") != hashlib.sha256(written.encode("ascii")).hexdigest():
+    if header.get("spec_sha256") != _sha256(written).hexdigest():
         raise ResumeError("stored spec hash does not match the stored spec")
     if header.get("fingerprint") != engine_fingerprint(spec):
         raise ResumeError("engine fingerprint changed; refusing to mix results")

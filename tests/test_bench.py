@@ -45,7 +45,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         report = json.load(report_file)
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
-    assert set(layers) == {"l_form_test", "block_build", "block_stage"}
+    assert set(layers) == {"l_form_test", "block_build", "block_stage", "launch"}
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
     # reductions on every value, so each row times its family at h = bits/2
@@ -72,3 +72,12 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     stage = layers["block_stage"]
     assert set(stage["ms"]) == timing
     assert stage["values"] > 0 and stage["gcds"] >= stage["values"] >= stage["factors"] > 0
+    launch = layers["launch"]
+    assert set(launch) == {"pass", "import_cli", "version", "cli_modules"}
+    for name in ("pass", "import_cli", "version"):
+        assert set(launch[name]) == {"ms", "rss_mb"}
+        assert set(launch[name]["ms"]) == timing
+        assert launch[name]["rss_mb"] > 0
+    # Importing the CLI loads modules and takes memory beyond the bare interpreter.
+    assert launch["cli_modules"] > 0
+    assert launch["import_cli"]["rss_mb"] > launch["pass"]["rss_mb"]

@@ -733,7 +733,9 @@ def test_startup_builds_no_smallest_factor_table():
 def test_pool_and_tempfile_load_only_when_used(tmp_path):
     # -S: the site module may import tempfile itself.  Modules are compared
     # with the set loaded before lseq, so what the interpreter preloads does
-    # not matter.
+    # not matter.  The same holds for hashlib, which maps OpenSSL and loads
+    # with the first digest, and for the modules of the gcd, repunit and
+    # verify-paper commands.
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -744,6 +746,10 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
         import contextlib, io, json, sys
         before = set(sys.modules)
         from lseq import cli
+        from lseq.search import ScanSpec
+
+        def added(*names):
+            return sorted(set(names) & (set(sys.modules) - before))
 
         def run(*argv):
             out = io.StringIO()
@@ -755,8 +761,20 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
                 for line in out.getvalue().splitlines()
             ]
 
+        with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["--version"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", "--family", "L1", "--n", "9"]) == 0
+        unused = added("hashlib", "_hashlib", "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
+        assert not unused, unused
+        run("verify-paper", "--only", "golden-values,square-divisors", "--json")
+        assert not added("_hashlib")
         scan = ["scan", "--kind", "l4-twins", "--n-max", "30", "--json"]
         solo = run(*scan, "--jobs", "1")
+        assert added("_hashlib")
+        import hashlib
+        canonical = ScanSpec(kind="l4_twins", n_max=30).canonical()
+        assert solo[0]["spec_sha256"] == hashlib.sha256(canonical.encode("ascii")).hexdigest()
         run(*scan, "--limit", "7", "--checkpoint", {cut!r})
         run("resume", "--path", {cut!r}, "--json")
         loaded = sorted(

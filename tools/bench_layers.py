@@ -1,12 +1,13 @@
-"""Layer benchmark: times the L-form proof and block layers of lseq.arith
-on fixed inputs and writes BENCH_<label>.json at the repository root.
+"""Layer benchmark: times the L-form proof and block layers of lseq.arith,
+and the launch of the CLI, on fixed inputs and writes BENCH_<label>.json at
+the repository root.
 
     python3 tools/bench_layers.py --label L
 
-Run from a source checkout (``src`` is put on the path).  Each timing is
-the median and quartiles, in ms, of REPEATS in-process runs (the full run
-takes a few minutes on 2 vCPUs), after an untimed run that counts the work
-and fills every cache the timed code uses.  The counts let a change in work
+Run from a source checkout (``src`` is put on the path).  Each timing but
+the launches is the median and quartiles, in ms, of REPEATS in-process
+runs (the full run takes a few minutes on 2 vCPUs), after an untimed run
+that counts the work and fills every cache the timed code uses.  The counts let a change in work
 be told apart from a change in speed.  The layers:
 
 - l_form_test: the exponentiations of the L-form proof stage on L1-L4
@@ -21,6 +22,11 @@ be told apart from a change in speed.  The layers:
   table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
 - block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
   is_prime hands to it, with the gcds made and the factors found.
+- launch: fresh ``python -S`` processes for ``-c pass`` (the interpreter
+  alone), ``-c "import lseq.cli"`` and ``-m lseq.cli --version`` (bench/run.py
+  times it, with site, as setup_s), each with its peak RSS from wait4.  They
+  run in turn, LAUNCH_ROUNDS times per repeat, so that they share the host's
+  load.  The work is the number of modules ``import lseq.cli`` adds.
 """
 
 from __future__ import annotations
@@ -30,11 +36,14 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
 
 from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
@@ -43,6 +52,12 @@ L_FORM_BITS = (256, 512, 1024, 2048, 4096, 8192)
 P_MAX = 2000
 REPEATS = 5
 BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
+LAUNCHES = {
+    "pass": ["-c", "pass"],
+    "import_cli": ["-c", "import lseq.cli"],
+    "version": ["-m", "lseq.cli", "--version"],
+}
+LAUNCH_ROUNDS = 4
 
 
 def _power(n: int, reduce) -> int:
@@ -71,6 +86,10 @@ def _timed(fn, repeats: int) -> dict[str, float]:
         start = time.perf_counter_ns()
         fn()
         runs.append((time.perf_counter_ns() - start) / 1e6)
+    return _quartiles(runs)
+
+
+def _quartiles(runs: list[float]) -> dict[str, float]:
     if len(runs) == 1:
         return {"median": runs[0], "q1": runs[0], "q3": runs[0]}
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
@@ -172,11 +191,65 @@ def block_stage(p_max: int, repeats: int) -> dict:
     }
 
 
+# Runs one launch, python -S with the arguments given, and prints its wall
+# time in ns, exit code and peak RSS in KiB.  A process's peak RSS counts the
+# pages of the process it was forked from, so each launch is forked from this
+# small interpreter, not from the benchmark, whose pages would count instead.
+_SPAWN = """
+import os, sys, time
+start = time.perf_counter_ns()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-S", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter_ns() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _python_s(args: list[str], env: dict[str, str]) -> str:
+    """The output of python -S args."""
+    command = [sys.executable, "-S", *args]
+    return subprocess.run(command, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
+def _launch(args: list[str], env: dict[str, str]) -> tuple[float, float]:
+    """Wall time in ms and peak RSS in MiB of one python -S launch."""
+    ns, code, rss = map(int, _python_s(["-c", _SPAWN, *args], env).split())
+    if code != 0:
+        raise RuntimeError(f"python -S {' '.join(args)} exited {code}")
+    return ns / 1e6, rss / 1024
+
+
+def launch(repeats: int) -> dict:
+    """Each launch's wall time and peak RSS, and the modules the CLI adds.
+    The launches find src on the path and its bytecode cached, as an
+    installed package would have it."""
+    count = "import sys; n = len(sys.modules); import lseq.cli; print(len(sys.modules) - n)"
+    runs = {name: [] for name in LAUNCHES}
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        modules = int(_python_s(["-c", count], env))  # untimed; writes the bytecode
+        for _ in range(LAUNCH_ROUNDS * repeats):
+            for name, args in LAUNCHES.items():
+                runs[name].append(_launch(args, env))
+    row = {
+        name: {
+            "ms": _quartiles([ms for ms, _ in taken]),
+            "rss_mb": statistics.median(rss for _, rss in taken),
+        }
+        for name, taken in runs.items()
+    }
+    return {**row, "cli_modules": modules}
+
+
 def layers(l_form_bits, p_max: int, repeats: int) -> dict:
     return {
         "l_form_test": l_form_rows(l_form_bits, repeats),
         "block_build": block_build(repeats),
         "block_stage": block_stage(p_max, repeats),
+        "launch": launch(repeats),
     }
 
 
