@@ -15,12 +15,12 @@ strong test and, if they pass, an N+1 proof by one Lucas V-sequence.  For
 all four forms (n - s0)/2 = 2^(h-1) * (2^h + s1), so the N-1 power and the
 L2/L4 base-2 power are one routine of 2h - 1 squarings and one product, and
 every product modulo an L-form value is reduced by one shift-add fold in
-place of a long division.  A value of no L-form that survives gets a
-probabilistic verdict, with builtin pow and % (base-2 strong test, a strong
-Lucas test, and a configurable number of seeded random-base rounds).  Only
-the seeded rounds depend on more than n, so the other stages' outcome for
-the last n above 2^20 is kept: an L4 twin scan, which tests each value
-twice in a row, runs them once per value.
+place of a long division; both parameter searches end, so every L-form
+verdict depends on n alone.  A value of no L-form that survives gets BPSW,
+with builtin pow and %: a base-2 strong test, the extra strong Lucas test on
+the N+1 proof's V-chain, and a configurable number of seeded random-base
+rounds.  The last verdict above 2^20 is kept: an L4 twin scan, which tests
+each value twice in a row, decides each value once.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -30,6 +30,7 @@ are sieved once at import.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -192,7 +193,8 @@ class PrimalityVerdict:
     failed-test witness ("mr_witness=2", "euler_witness=7"), or a marker for
     the deterministic method used ("proth:a=7", "llr:p=4").  rounds counts
     the tests applied above 2^64: 1 for an N-1 proof or a failed base-2
-    test, 2 for an N+1 proof, up to 2 + extra_rounds for BPSW.
+    test, 2 for an N+1 proof, up to 2 + extra_rounds for BPSW, the one
+    verdict that depends on more than n (its seeded rounds).
     """
 
     n: int
@@ -355,59 +357,66 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _selfridge_d(n: int) -> int | None:
-    """First D in 5, -7, 9, -11, ... with (D/n) = -1, or None when the
-    search itself exposes a factor (only possible for composite n)."""
-    d = 5
-    while True:
-        j = _jacobi(d, n)
-        if j == -1:
-            return d
-        if j == 0 and abs(d) % n != 0:
-            return None
-        d = -(d + 2) if d > 0 else -(d - 2)
+def _factor_verdict(n: int, k: int) -> PrimalityVerdict:
+    """Composite n with Jacobi symbol (k/n) = 0, so gcd(k, n) > 1: factor=q
+    for n's least prime factor q, found by trial division up to k."""
+    q = next(d for d in _wheel(k) if n % d == 0)
+    return PrimalityVerdict(n, "composite", f"factor={q}")
 
 
-def _half_mod(x: int, n: int) -> int:
-    x %= n
-    return x >> 1 if x % 2 == 0 else (x + n) >> 1
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameters; n odd, >= 3, not a square."""
-    d_sel = _selfridge_d(n)
-    if d_sel is None:
-        return False
-    p, q = 1, (1 - d_sel) // 4
-    k = n + 1
-    s = (k & -k).bit_length() - 1
-    d = k >> s
-    u, v, qk = 1, p, q % n
-    for bit in bin(d)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
+def _lucas_v(p: int, k: int, reduce: Callable[[int], int]) -> tuple[int, int]:
+    """(V_k, V_k+1) of the Lucas sequence V_0 = 2, V_1 = P, V_m+1 = P*V_m -
+    V_m-1 (parameters P and Q = 1), for k >= 1, where reduce(x) = x mod n:
+    from (V_1, V_2) = (P, P^2 - 2), left unreduced, up the bits of k by
+    V_2m = V_m^2 - 2 and V_2m+1 = V_m*V_m+1 - P."""
+    v, w = p, p * p - 2
+    for bit in bin(k)[3:]:
         if bit == "1":
-            u, v = _half_mod(p * u + v, n), _half_mod(d_sel * u + p * v, n)
-            qk = qk * q % n
-    if u == 0 or v == 0:
+            v, w = reduce(v * w - p), reduce(w * w - 2)
+        else:
+            v, w = reduce(v * v - 2), reduce(v * w - p)
+    return v, w
+
+
+def _extra_strong_lucas_probable_prime(n: int) -> bool:
+    """Extra strong Lucas test (Grantham 2001); n odd, >= 3, not a square.
+
+    P is the least P >= 3 with ((P^2 - 4)/n) = -1; a symbol of 0 where n
+    does not divide P^2 - 4 exposes a factor, and n fails.  With n + 1 =
+    d*2^s, d odd, n passes if U_d = 0 and V_d = +-2, or if V_(d*2^r) = 0
+    for some 0 <= r < s - 1 (mod n).  As Q = 1, D*U_d = 2*V_d+1 - P*V_d for
+    D = P^2 - 4, a unit mod n, so the one V-chain of _lucas_v gives both.
+    """
+    for p in itertools.count(3):
+        symbol = _jacobi(p * p - 4, n)
+        if symbol == -1:
+            break
+        if symbol == 0 and (p * p - 4) % n:
+            return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w = _lucas_v(p, (n + 1) >> s, n.__rmod__)
+    v %= n
+    if (v == 2 or v == n - 2) and (2 * w - p * v) % n == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
         if v == 0:
             return True
-        qk = qk * qk % n
+        v = (v * v - 2) % n
     return False
 
 
-def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> PrimalityVerdict | None:
+def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> PrimalityVerdict:
     """Prime or composite, proven from n + 1 = 2^h * (2^h + s1), for n = 4^h
-    + s1*2^h - 1 (an L2 or L4 value, h >= 3); None when no P < 1000 has
-    Jacobi symbols ((P-2)/n) = 1 and ((P+2)/n) = -1.  reduce(x) = x mod n.
+    + s1*2^h - 1 (an L2 or L4 value, h >= 3), where reduce(x) = x mod n.
 
-    With such a P and w = (P + sqrt(P^2 - 4))/2, u = V_((n+1)/4)(P, 1) =
-    w^((n+1)/4) + w^(-(n+1)/4) is taken mod n: V_k for k = 2^h + s1 by the
-    chain V_2m = V_m^2 - 2, V_2m+1 = V_m*V_m+1 - P, then h - 2 steps u ->
-    u^2 - 2.  n is prime iff u = 0:
+    P is the least P >= 3 with Jacobi symbols ((P-2)/n) = 1 and ((P+2)/n) =
+    -1.  One exists: n = 7 mod 8, so (2/n) = 1, and if q is the least k with
+    (k/n) != 1, P = 4q - 2 qualifies unless (q/n) = 0.  A symbol of 0 met on
+    the way gives _factor_verdict.
+
+    With w = (P + sqrt(P^2 - 4))/2, u = V_((n+1)/4)(P, 1) = w^((n+1)/4) +
+    w^(-(n+1)/4) is taken mod n: V_k for k = 2^h + s1 by _lucas_v, then
+    h - 2 steps u -> u^2 - 2.  n is prime iff u = 0:
     - if n is prime, w is the square of (sqrt(P+2) + sqrt(P-2))/2, whose
       n-th power is (sqrt(P-2) - sqrt(P+2))/2 by the two Jacobi symbols, so
       w^((n+1)/2) = -1 and u = 0 (Rodseth 1994: Lucas-Lehmer-Riesel for L4);
@@ -417,16 +426,13 @@ def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> Pr
       such a p <= sqrt(n) < 2^h + 1, that is p = 2^h - 1; but n = s1 = +-1
       mod 2^h - 1 (Brillhart-Lehmer-Selfridge 1975, Morrison 1975 for L2).
     """
-    p = next((p for p in range(3, 1000) if _jacobi(p - 2, n) == 1 and _jacobi(p + 2, n) == -1), None)
-    if p is None:
-        return None
-    # (v, w) = (V_m, V_m+1), from m = 1 up the bits of k = 2^h + s1.
-    v, w = p, p * p - 2
-    for bit in bin((1 << h) + s1)[3:]:
-        if bit == "1":
-            v, w = reduce(v * w - p), reduce(w * w - 2)
-        else:
-            v, w = reduce(v * v - 2), reduce(v * w - p)
+    for p in itertools.count(3):
+        symbols = _jacobi(p - 2, n), _jacobi(p + 2, n)
+        if 0 in symbols:
+            return _factor_verdict(n, p + 2)
+        if symbols == (1, -1):
+            break
+    v, _ = _lucas_v(p, (1 << h) + s1, reduce)
     for _ in range(h - 2):
         v = reduce(v * v - 2)
     if v == 0:
@@ -435,11 +441,11 @@ def _n_plus_1_proof(n: int, h: int, s1: int, reduce: Callable[[int], int]) -> Pr
     return PrimalityVerdict(n, "composite", f"lucas_v_witness={p}", rounds=2)
 
 
-def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict | None:
+def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict:
     """Prime or composite, proven from n - 1 or n + 1, for n = 4^h + s1*2^h
-    + s0 as read by _l_form (an L1-L4 value, h >= 3); None when no parameter
-    below 1000 fits.  Every product is reduced by _l_form_reducer; the
-    L2/L4 base-2 power and the L1/L3 Euler power are both _l_form_power.
+    + s0 as read by _l_form (an L1-L4 value, h >= 3).  Every product is
+    reduced by _l_form_reducer; the L2/L4 base-2 power and the L1/L3 Euler
+    power are both _l_form_power.
 
     s0 = -1 (L2, L4): first the strong base-2 test.  n = 7 mod 8, so n - 1
     = 2*d with d odd and the test passes iff 2^d = +-1, that is iff
@@ -449,12 +455,13 @@ def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict | None:
     s0 = +1 (L1, L3): for prime n, Euler's criterion gives b^((n-1)/2) =
     (b/n) for every base b, so a base where that fails proves n composite.
     Base 2 is tried first: n divides 2^(6h) - 1, so its power costs one
-    shift and one division.  Then a, the first odd prime with (a/n) = -1,
-    costs one exponentiation.  If a^((n-1)/2) = -1, every prime p | n has
-    2^h | ord_p(a), as n - 1 = 2^h * (2^h + s1) with 2^h + s1 odd; so p >=
-    2^h + 1 and, since (2^h + 1)^2 > n, n is prime: Proth's theorem for L3
-    (s1 = -1), the Pocklington bound (Brillhart-Lehmer-Selfridge 1975) for
-    L1.  Both verdicts have rounds 1.
+    shift and one division.  Then a, the least odd a >= 3 with (a/n) != 1
+    (one exists, as (2/n) = 1 and n is no square), costs one
+    exponentiation; (a/n) = 0 gives _factor_verdict.  If a^((n-1)/2) = -1,
+    every prime p | n has 2^h | ord_p(a), as n - 1 = 2^h * (2^h + s1) with
+    2^h + s1 odd; so p >= 2^h + 1 and, since (2^h + 1)^2 > n, n is prime:
+    Proth's theorem for L3 (s1 = -1), the Pocklington bound
+    (Brillhart-Lehmer-Selfridge 1975) for L1.  Both verdicts have rounds 1.
     """
     reduce = _l_form_reducer(n, h, s1, s0)
     if s0 < 0:
@@ -465,23 +472,38 @@ def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict | None:
     # (2/n) = 1, as n = 1 mod 8.
     if (1 << ((n - 1) >> 1) % (6 * h)) % n != 1:
         return PrimalityVerdict(n, "composite", "euler_witness=2", rounds=1)
-    a = next((a for a in _TRIAL_PRIMES[1:] if _jacobi(a, n) == -1), None)
-    if a is None:
-        return None
+    a = next(a for a in itertools.count(3, 2) if _jacobi(a, n) != 1)
+    if _jacobi(a, n) == 0:
+        return _factor_verdict(n, a)
     if _l_form_power(a, n, h, s1, reduce) == n - 1:
         proof = "proth" if s1 < 0 else "pocklington"
         return PrimalityVerdict(n, "prime", f"{proof}:a={a}", rounds=1)
     return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
 
 
-# Kept for the last n only: an L4 twin scan tests each value twice in a row
-# (as L4(n + 1) of candidate n, then as L4(n) of candidate n + 1), while a
-# re-run or a resumed scan still recomputes every value.
+def _bpsw(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
+    """Probable prime or composite, for n above 2^64 of no L-form that
+    trial division and the blocks leave: a base-2 strong test, the extra
+    strong Lucas test, and extra_rounds strong tests to bases drawn from
+    random.Random(seed), all with builtin pow and %."""
+    if not _strong_probable_prime(n, 2):
+        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
+    if not _extra_strong_lucas_probable_prime(n):
+        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
+    rng = random.Random(seed)
+    for i in range(extra_rounds):
+        a = rng.randrange(3, n - 1)
+        if not _strong_probable_prime(n, a):
+            return PrimalityVerdict(n, "composite", f"mr_witness={a}", rounds=3 + i)
+    return PrimalityVerdict(n, "probable_prime", f"bpsw+{extra_rounds}r:seed={seed}", rounds=2 + extra_rounds)
+
+
+# Kept for the last call only: an L4 twin scan tests each value twice in a
+# row (as L4(n + 1) of candidate n, then as L4(n) of candidate n + 1), while
+# a re-run or a resumed scan still recomputes every value.
 @functools.lru_cache(maxsize=1)
-def _seed_free_stages(n: int) -> PrimalityVerdict | None:
-    """Every stage of is_prime for n > _TABLE_LIMIT that draws no random
-    base: the verdict when one of them decides n, None when n passes the
-    base-2 strong and strong Lucas tests."""
+def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
+    """is_prime's verdict for n > _TABLE_LIMIT."""
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return PrimalityVerdict(n, "composite", f"factor={p}")
@@ -506,14 +528,8 @@ def _seed_free_stages(n: int) -> PrimalityVerdict | None:
         if q is not None:
             return PrimalityVerdict(n, "composite", f"factor={q}")
     if form is not None:
-        proof = _l_form_proof(n, *form)
-        if proof is not None:
-            return proof
-    if not _strong_probable_prime(n, 2):
-        return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
-    if not _strong_lucas_probable_prime(n):
-        return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
-    return None
+        return _l_form_proof(n, *form)
+    return _bpsw(n, extra_rounds, seed)
 
 
 def is_prime(
@@ -535,15 +551,13 @@ def is_prime(
     base-2 strong test ("composite", mr_witness=2, rounds 1), then an N+1
     proof, "prime" with llr:p=P (L4) or morrison:p=P (L2), or "composite"
     with lucas_v_witness=P, rounds 2.  Those proofs reduce every product by
-    the shift-add fold of _l_form_reducer.  Any other n is labeled
-    probable_prime after a base-2 strong test, a strong Lucas test, and
-    extra_rounds random-base strong tests drawn from the given seed, all
-    with builtin pow and %.
-
-    Everything but those seeded rounds depends on n alone, and is kept for
-    the most recent n above 2^20: a call that repeats the previous call's n
-    (as an L4 twin scan does) runs only its own seeded rounds, with the same
-    verdict as a first call.  Every L-form verdict depends on n alone.
+    the shift-add fold of _l_form_reducer; a Jacobi symbol of 0 in their
+    parameter search reads factor=q, n's least prime factor.  Any other n is
+    labeled probable_prime after BPSW: a base-2 strong test, the extra strong
+    Lucas test, and extra_rounds random-base strong tests drawn from the
+    given seed, all with builtin pow and %.  The verdict of the last call
+    above 2^20 is kept, so a repeated call (an L4 twin scan makes them)
+    runs no test.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -554,20 +568,7 @@ def is_prime(
         return _set_fields(_new_object(PrimalityVerdict), n, classification, evidence, 0)
     if n <= 1:
         return PrimalityVerdict(1, "unit") if n else PrimalityVerdict(0, "composite", "zero")
-    verdict = _seed_free_stages(n)
-    if verdict is not None:
-        return verdict
-    rng = random.Random(seed)
-    for i in range(extra_rounds):
-        a = rng.randrange(3, n - 1)
-        if not _strong_probable_prime(n, a):
-            return PrimalityVerdict(n, "composite", f"mr_witness={a}", rounds=2 + i + 1)
-    return PrimalityVerdict(
-        n,
-        "probable_prime",
-        f"bpsw+{extra_rounds}r:seed={seed}",
-        rounds=2 + extra_rounds,
-    )
+    return _verdict_above_table(n, extra_rounds, seed)
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:

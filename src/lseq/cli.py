@@ -2,10 +2,12 @@
 
 Every subcommand supports a human-readable table form (default) and a
 structured form (--json, one JSON object per line) in which all integers
-are exact decimal strings.  Headers always carry the engine version and,
-where randomness is involved, the seed and round count, so any verdict can
-be reproduced.  Verification commands exit 0 only when every requested
-check passed; scans exit 0 only when they ran to completion.
+are exact decimal strings.  Headers always carry the engine version and the
+seed and round count of the commands that take them, so any verdict can be
+reproduced (prime-check draws random bases only for values above 2^64 of no
+L-form; a scan keeps them in its spec, but they change no record).
+Verification commands exit 0 only when every requested check passed; scans
+exit 0 only when they ran to completion.
 """
 
 from __future__ import annotations
@@ -466,6 +468,7 @@ def _int(flag: str, default: int | None, help_text: str | None = None) -> _Argum
 _FAMILY = ("--family", {"required": True})
 _SEED = _int("--seed", 0)
 _EXTRA_ROUNDS = _int("--extra-rounds", DEFAULT_EXTRA_ROUNDS)
+_KEPT_IN_SPEC = "kept in the spec and fingerprint; changes no scan record"
 _FSYNC = ("--fsync", {"action": "store_true"})
 _REPUNIT_KINDS = ["minus", "plus"]
 
@@ -557,8 +560,8 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
             ("--kind", {"required": True, "choices": [k.replace("_", "-") for k in SCAN_KINDS]}),
             ("--family", {}),
             *[_int(flag, None) for flag in ("--n-max", "--p-max", "--m-max", "--k-max")],
-            _SEED,
-            _EXTRA_ROUNDS,
+            _int("--seed", 0, _KEPT_IN_SPEC),
+            _int("--extra-rounds", DEFAULT_EXTRA_ROUNDS, _KEPT_IN_SPEC),
             _int("--jobs", None, "default: LSEQ_JOBS or 1"),
             ("--checkpoint", {"help": "journal progress to this file"}),
             _int("--limit", None, "evaluate at most this many candidates"),

@@ -2,10 +2,13 @@
 index families, twin searches, square-divisor sweeps, and congruence audits.
 
 Every scan is driven by a ScanSpec and produces a ScanReport whose records
-are deterministic functions of the spec and seed: the same spec yields the
-same records regardless of worker count or interruption points.  Progress
-can be journaled to an append-only checkpoint file (one JSON object per
-line) and picked up later with resume().
+are deterministic functions of the spec: the same spec yields the same
+records regardless of worker count or interruption points.  Every value a
+scan tests is below 2^64 or of L-form, which is_prime decides from the value
+alone, so the spec's seed and extra_rounds, kept in it and in the engine
+fingerprint, change no record.  Progress can be journaled to an append-only
+checkpoint file (one JSON object per line) and picked up later with
+resume().
 
 jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
@@ -231,17 +234,9 @@ class ScanReport:
         return out
 
 
-def _candidate_seed(spec: ScanSpec, label: tuple[int, ...]) -> int:
-    text = f"{spec.seed}|{spec.kind}|" + "|".join(map(str, label))
-    return int.from_bytes(_sha256(text).digest()[:8], "big")
-
-
-def _classify(spec: ScanSpec, family: LFamily, n: int, label: tuple[int, ...]) -> dict[str, Any]:
-    verdict = is_prime(
-        eval_exact(family, n),
-        extra_rounds=spec.extra_rounds,
-        seed=_candidate_seed(spec, label),
-    )
+def _classify(family: LFamily, n: int) -> dict[str, Any]:
+    """The primality verdict of the family's value at n, from the value alone."""
+    verdict = is_prime(eval_exact(family, n))
     return {
         "classification": verdict.classification,
         "evidence": verdict.evidence,
@@ -288,7 +283,7 @@ def _prime_kind(
 
     def evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
         n = sequence_index(*index)
-        result = _classify(spec, family, n, index)
+        result = _classify(family, n)
         return result.pop("classification"), {"sequence_index": n, **result}
 
     return _Kind(bounds, candidates, evaluate, _prime_summary)
@@ -296,8 +291,8 @@ def _prime_kind(
 
 def _evaluate_twins(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
     n = index[0]
-    left = _classify(spec, LFamily.L4, n, (n, 0))
-    right = _classify(spec, LFamily.L4, n + 1, (n, 1))
+    left = _classify(LFamily.L4, n)
+    right = _classify(LFamily.L4, n + 1)
     sides = {left["classification"], right["classification"]}
     if sides <= set(_PRIMEISH):
         verdict = "twin"

@@ -12,6 +12,6 @@ def _empty_primality_memo():
     the L-form reducer (with n.__rmod__, builtin %, the reference the
     shift-add fold is compared with) is never served a verdict computed
     without its replacement."""
-    arith._seed_free_stages.cache_clear()
+    arith._verdict_above_table.cache_clear()
     yield
-    arith._seed_free_stages.cache_clear()
+    arith._verdict_above_table.cache_clear()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -201,6 +202,54 @@ def test_is_prime_lucas_catches_base2_pseudoprime():
     v = is_prime(2**67 - 1)
     assert v.classification == "composite"
     assert v.evidence == "lucas_witness"
+
+
+def _extra_strong_lucas_by_recurrence(n):
+    """The extra strong Lucas test with U_k and V_k built term by term from
+    U_k+1 = P*U_k - U_k-1 and V_k+1 = P*V_k - V_k-1 (Q = 1)."""
+    for p in itertools.count(3):
+        g = math.gcd(p * p - 4, n)
+        if 1 < g < n:
+            return False
+        if g == 1 and arith._jacobi(p * p - 4, n) == -1:
+            break
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    u, v = [0, 1], [2, p % n]
+    for _ in range((n + 1) // 2 - 1):
+        u.append((p * u[-1] - u[-2]) % n)
+        v.append((p * v[-1] - v[-2]) % n)
+    if u[d] == 0 and v[d] in (2, n - 2):
+        return True
+    return any(v[d << r] == 0 for r in range(s - 1))
+
+
+def test_extra_strong_lucas_matches_the_recurrences():
+    passed = 0
+    for n in range(3, 3000, 2):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        expected = _extra_strong_lucas_by_recurrence(n)
+        assert arith._extra_strong_lucas_probable_prime(n) == expected, n
+        passed += expected
+    assert passed > 400
+
+
+def test_extra_strong_lucas_pseudoprimes_below_10_5():
+    # The odd composites below 10^5 that pass are the extra strong Lucas
+    # pseudoprimes (OEIS A217719), none of them a base-2 strong
+    # pseudoprime; every odd prime passes.
+    primes = set(sieve_primes(10**5))
+    passing = [
+        n for n in range(3, 10**5, 2)
+        if math.isqrt(n) ** 2 != n and arith._extra_strong_lucas_probable_prime(n)
+    ]
+    pseudoprimes = [n for n in passing if n not in primes]
+    assert pseudoprimes == [
+        989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077
+    ]
+    assert not any(arith._strong_probable_prime(n, 2) for n in pseudoprimes)
+    assert len(passing) - len(pseudoprimes) == len(primes) - 1
 
 
 def test_is_prime_perfect_square_guard():
@@ -518,7 +567,8 @@ def test_l_form_reducer_rejects_other_moduli(monkeypatch):
 
 
 def _without_l_form_proof(monkeypatch):
-    monkeypatch.setattr(arith, "_l_form_proof", lambda n, h, s1, s0: None)
+    """Send L-form values to BPSW, as if they had no L-form."""
+    monkeypatch.setattr(arith, "_l_form_proof", lambda n, h, s1, s0: arith._bpsw(n, 2, 0))
 
 
 def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
@@ -546,7 +596,7 @@ def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
     assert "mr_witness=2" in evidence
     # With it on, every value past trial division and the blocks takes the
     # reducer path, with the verdicts of builtin %.
-    arith._seed_free_stages.cache_clear()
+    arith._verdict_above_table.cache_clear()
     with_reducer = [is_prime(n) for n in cases]
     _builtin_reducer(monkeypatch)
     builtin = [is_prime(n) for n in cases]
@@ -714,8 +764,11 @@ def test_l_form_proof_proves_l2_l4_primes(monkeypatch, family, index, evidence):
 
 
 def test_n_plus_1_proof_rejects_composites():
-    # Called past the base-2 check, which would reject these values first.
-    composites = 0
+    # Called past the base-2 check and trial division, which would reject
+    # these values first.  A value with a small factor, such as an L2 value
+    # divisible by 5, may meet a Jacobi symbol of 0 in the parameter search,
+    # which names its least prime factor.
+    composites = factored = 0
     for family in (LFamily.L2, LFamily.L4):
         for h in range(33, 121):
             n = eval_exact(family, h)
@@ -725,9 +778,15 @@ def test_n_plus_1_proof_rejects_composites():
             for reduce in (n.__rmod__, arith._l_form_reducer(n, h, s1, s0)):
                 verdict = arith._n_plus_1_proof(n, h, s1, reduce)
                 assert verdict.classification == "composite", (family, h)
-                assert verdict.evidence.startswith("lucas_v_witness=") and verdict.rounds == 2
+                if verdict.evidence.startswith("factor="):
+                    least = next(q for q in range(3, 1000, 2) if n % q == 0)
+                    assert verdict.evidence == f"factor={least}" and verdict.rounds == 0
+                else:
+                    assert verdict.evidence.startswith("lucas_v_witness=") and verdict.rounds == 2
             composites += 1
+            factored += verdict.evidence.startswith("factor=")
     assert composites > 150
+    assert 0 < factored < composites
 
 
 def test_l2_l4_verdicts_do_not_depend_on_seed_or_rounds():
@@ -736,7 +795,7 @@ def test_l2_l4_verdicts_do_not_depend_on_seed_or_rounds():
         assert first.rounds in (1, 2)
         for seed in (0, 1, 7):
             for extra_rounds in (0, 2, 5):
-                arith._seed_free_stages.cache_clear()
+                arith._verdict_above_table.cache_clear()
                 assert is_prime(n, seed=seed, extra_rounds=extra_rounds) == first
 
 

@@ -37,7 +37,13 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    small = (("ROOT", str(tmp_path)), ("L_FORM_BITS", (256, 512)), ("P_MAX", 400), ("REPEATS", 1))
+    small = (
+        ("ROOT", str(tmp_path)),
+        ("L_FORM_BITS", (256, 512)),
+        ("BPSW_BITS", (128, 256)),
+        ("P_MAX", 400),
+        ("REPEATS", 1),
+    )
     for name, value in small:
         monkeypatch.setattr(tool, name, value)
     assert tool.main(["--label", "small"]) == 0
@@ -45,7 +51,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         report = json.load(report_file)
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
-    assert set(layers) == {"l_form_test", "block_build", "block_stage", "launch"}
+    assert set(layers) == {"l_form_test", "bpsw", "block_build", "block_stage", "launch"}
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
     # reductions on every value, so each row times its family at h = bits/2
@@ -63,6 +69,12 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         h = row["bits"] // 2
         proof = 3 * h - 2 if row["family"] == "L2" else 3 * h - 4
         assert row["reductions"] == (2 * h if row["test"] == "power" else proof)
+    # A prime of no L-form passes the base-2 and Lucas tests and both
+    # seeded rounds.
+    assert [row["bits"] for row in layers["bpsw"]] == [128, 256]
+    for row in layers["bpsw"]:
+        assert set(row["ms"]) == timing
+        assert row["rounds"] == 4
     build = layers["block_build"]
     assert build["blocks"] == [10, 18]
     for kind in ("all", "pm1_mod_5"):

@@ -6,8 +6,10 @@ import time
 import pytest
 
 from lseq.arith import is_prime
+from lseq import search
 from lseq.lfamily import LFamily, eval_exact, residue
 from lseq.search import (
+    SCAN_KINDS,
     ResumeError,
     ScanSpec,
     engine_fingerprint,
@@ -239,10 +241,54 @@ def test_resume_through_the_pool(tmp_path):
 
 
 def test_canonical_bytes_seed_sensitivity():
-    a = scan_l4_twins(20, seed=0)
-    b = scan_l4_twins(20, seed=1)
-    assert a.canonical_bytes() != b.canonical_bytes()
-    assert [r.verdict for r in a.records] == [r.verdict for r in b.records]
+    # The seed and extra_rounds are kept in the spec and the fingerprint, so
+    # the bytes differ; the values reach L4(60), past 2^64, where every
+    # verdict is a proof from the value alone, so the records do not.
+    reports = [scan_l4_twins(60, seed=seed, extra_rounds=rounds) for seed in (0, 1) for rounds in (0, 3)]
+    assert len({report.canonical_bytes() for report in reports}) == len(reports)
+    records = [json.loads(report.canonical_bytes())["records"] for report in reports]
+    assert all(other == records[0] for other in records[1:])
+    assert any(rec["detail"]["right"]["evidence"].startswith("llr:") for rec in records[0])
+
+
+def test_journaled_scan_takes_one_digest(tmp_path, monkeypatch):
+    # The header's spec_sha256 is the only digest: no candidate is hashed.
+    digests = []
+    real = search._sha256
+    monkeypatch.setattr(search, "_sha256", lambda text: digests.append(text) or real(text))
+    spec = ScanSpec(kind="l4_twins", n_max=60, seed=5)
+    path = tmp_path / "scan.jsonl"
+    run_scan(spec, checkpoint_path=str(path))
+    assert digests == [spec.canonical()]
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["spec_sha256"] == real(spec.canonical()).hexdigest()
+
+
+# A small spec of each scan kind whose values, where it makes any, reach past
+# 2^64.
+_SMALL_SPECS = [
+    {"kind": "l2_prime_exponent", "p_max": 100},
+    {"kind": "l2_pow2", "n_max": 7},
+    {"kind": "l3_pow2", "n_max": 7},
+    {"kind": "l3_mixed", "m_max": 2, "n_max": 4},
+    {"kind": "l1_pow3", "k_max": 4},
+    {"kind": "l4_twins", "n_max": 40},
+    {"kind": "square_divisors", "family": "L1", "n_max": 20, "p_max": 50},
+    {"kind": "congruence_audit", "n_max": 20},
+]
+
+
+def test_small_specs_cover_every_kind():
+    assert sorted(fields["kind"] for fields in _SMALL_SPECS) == sorted(SCAN_KINDS)
+
+
+@pytest.mark.parametrize("fields", _SMALL_SPECS)
+def test_no_scan_record_reads_bpsw(fields):
+    # Every value a scan kind makes is below 2^64 or of L-form, so none
+    # reaches BPSW and its seeded rounds.
+    report = run_scan(ScanSpec(**fields, seed=3))
+    assert report.complete
+    assert b"bpsw+" not in report.canonical_bytes()
 
 
 def test_checkpoint_write_and_resume(tmp_path):

@@ -1,5 +1,5 @@
-"""Layer benchmark: times the L-form proof and block layers of lseq.arith,
-and the launch of the CLI, on fixed inputs and writes BENCH_<label>.json at
+"""Layer benchmark: times the L-form proof, BPSW and block layers of
+lseq.arith, and the launch of the CLI, on fixed inputs and writes BENCH_<label>.json at
 the repository root.
 
     python3 tools/bench_layers.py --label L
@@ -16,8 +16,12 @@ be told apart from a change in speed.  The layers:
   a^((n - s0)/2) of all four families ("power"; a is 2 for L2/L4 and the
   Euler base of the N-1 proof for L1/L3) and the N+1 proof of L2 and L4
   ("n_plus_1").  The work is the number of reductions each makes.  A value
-  on which one of them makes none (the N+1 parameter search can fail) is
-  replaced by the next one of its family.
+  on which one of them makes none (the N+1 parameter search can meet a
+  factor) is replaced by the next one of its family.
+- bpsw: is_prime on a fixed prime of no L-form, the first at or above a
+  seeded random odd value, at 512, 1024 and 2048 bits: a base-2 strong
+  test, the extra strong Lucas test and two seeded rounds, with builtin %.
+  Its memo is emptied before each run.  The work is the verdict's rounds.
 - block_build: building the blocks of primes 10..18 from the smallest-factor
   table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
 - block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
@@ -35,6 +39,8 @@ import argparse
 import json
 import os
 import platform
+import itertools
+import random
 import statistics
 import subprocess
 import sys
@@ -49,6 +55,7 @@ from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
 
 L_FORM_BITS = (256, 512, 1024, 2048, 4096, 8192)
+BPSW_BITS = (512, 1024, 2048)
 P_MAX = 2000
 REPEATS = 5
 BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
@@ -62,7 +69,7 @@ LAUNCH_ROUNDS = 4
 
 def _power(n: int, reduce) -> int:
     h, s1, s0 = arith._l_form(n)
-    a = 2 if s0 < 0 else next(a for a in arith._TRIAL_PRIMES[1:] if arith._jacobi(a, n) == -1)
+    a = 2 if s0 < 0 else next(a for a in itertools.count(3, 2) if arith._jacobi(a, n) != 1)
     return arith._l_form_power(a, n, h, s1, reduce)
 
 
@@ -147,6 +154,31 @@ def l_form_rows(bits_list, repeats: int) -> list[dict]:
                     "builtin_over_reducer": builtin["median"] / reduced["median"],
                     "reductions": reductions[name],
                 })
+    return rows
+
+
+def _bpsw_prime(bits: int) -> int:
+    """The first prime of no L-form at or above a random odd value of the
+    given bit length, seeded by it."""
+    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+    while arith._l_form(n) is not None or not arith.is_prime(n).is_prime_or_probable:
+        n += 2
+    return n
+
+
+def bpsw_rows(bits_list, repeats: int) -> list[dict]:
+    """One row per size: is_prime on _bpsw_prime(bits), the memo emptied
+    before each run."""
+    rows = []
+    for bits in bits_list:
+        n = _bpsw_prime(bits)
+
+        def run(n=n):
+            arith._verdict_above_table.cache_clear()
+            return arith.is_prime(n)
+
+        rounds = run().rounds
+        rows.append({"bits": n.bit_length(), "ms": _timed(run, repeats), "rounds": rounds})
     return rows
 
 
@@ -244,9 +276,10 @@ def launch(repeats: int) -> dict:
     return {**row, "cli_modules": modules}
 
 
-def layers(l_form_bits, p_max: int, repeats: int) -> dict:
+def layers(l_form_bits, bpsw_bits, p_max: int, repeats: int) -> dict:
     return {
         "l_form_test": l_form_rows(l_form_bits, repeats),
+        "bpsw": bpsw_rows(bpsw_bits, repeats),
         "block_build": block_build(repeats),
         "block_stage": block_stage(p_max, repeats),
         "launch": launch(repeats),
@@ -278,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "layers": layers(L_FORM_BITS, P_MAX, REPEATS),
+        "layers": layers(L_FORM_BITS, BPSW_BITS, P_MAX, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
