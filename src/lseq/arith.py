@@ -358,10 +358,14 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _factor_verdict(n: int, k: int) -> PrimalityVerdict:
-    """Composite n with Jacobi symbol (k/n) = 0, so gcd(k, n) > 1: factor=q
-    for n's least prime factor q, found by trial division up to k."""
-    q = next(d for d in _wheel(k) if n % d == 0)
-    return PrimalityVerdict(n, "composite", f"factor={q}")
+    """Composite n with Jacobi symbol (k/n) = 0: factor=k, n's least prime
+    factor.  Both parameter searches visit their arguments in increasing
+    order and stop at the first symbol 0, so every number below k that may
+    divide n had a nonzero symbol: L1/L3 visit every odd number (n is odd),
+    L2/L4 every number (each P - 2 is an earlier P + 2 or at most 4, and 3
+    divides no L2/L4 value).  k shares a factor with n and no smaller number
+    does, so k is prime and no smaller prime divides n."""
+    return PrimalityVerdict(n, "composite", f"factor={k}")
 
 
 def _lucas_v(p: int, k: int, reduce: Callable[[int], int]) -> tuple[int, int]:

@@ -1,12 +1,18 @@
 """Gcd identities of the L-sequences and generic gcd-insularity checking.
 
 A sequence R is insular on an index set M when gcd(R(n), R(m)) equals
-R(gcd(n, m)) for all n, m in M.  The L1 sequence is insular on index sets of
-the shape 3^k * t (t odd, not divisible by 3) with k fixed, L3 on sets of
-the shape 3^m * 2^n * t with (m, n) fixed, and indices drawn from sets with
-different fixed exponents are coprime.  One routine, ``_gcd_law``, computes
-the law for every check here and for ``repunit.gcd_repunit``, and each check
-returns the computed and the predicted gcd so mismatches are auditable.
+R(gcd(n, m)) for all n, m in M.  One law, ``_l_gcd``, gives every pair of L1
+or L3 indices: gcd(L(i), L(j)) = L(gcd(i, j)) when v_3 (L1), or v_2 and v_3
+(L3), of i and j agree; otherwise 3 when 3 divides both values (L1 at even,
+L3 at odd indices), and 1 when not.  By L1(n) = Phi_3(2^n) and L3(n) =
+Phi_6(2^n), two values share a factor Phi_d(2) only when the valuations
+agree, and distinct Phi_a(2), Phi_b(2) share a prime p only if a/b is a
+power of p, which leaves p = 3.  The paper's insular sets are 3^k * t (L1)
+and 3^m * 2^n * t with n >= 1 (L3), t prime to 6: t prime to 3 (and odd, for
+L3) fixes the valuations, and t odd (n >= 1, for L3) keeps two sets from
+sharing the factor 3.  ``_gcd_law`` predicts R(gcd) for any sequence (the
+sampling harness and ``repunit.gcd_repunit``); each check returns the
+computed and the predicted gcd so mismatches are auditable.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ __all__ = [
     "gcd_l1_cross",
     "gcd_l3",
     "gcd_l3_cross",
-    "corollary2_divisor",
     "insularity_harness",
 ]
 
@@ -43,16 +48,26 @@ class GcdCheckRecord:
         return self.computed == self.predicted
 
 
-def _gcd_law(sequence: Callable[[int], int], i: int, j: int, insular: bool = True) -> tuple[int, int]:
-    """(gcd(R(i), R(j)), its prediction): R(gcd(i, j)) when i and j lie in one
-    insular index set, 1 when they lie in two different ones."""
-    computed = math.gcd(sequence(i), sequence(j))
-    return computed, sequence(math.gcd(i, j)) if insular else 1
+def _gcd_law(sequence: Callable[[int], int], i: int, j: int) -> tuple[int, int]:
+    """(gcd(R(i), R(j)), R(gcd(i, j))): the gcd and its prediction where R
+    is insular."""
+    return math.gcd(sequence(i), sequence(j)), sequence(math.gcd(i, j))
 
 
-def _l_check(family: LFamily, i: int, j: int, insular: bool) -> tuple[int, GcdCheckRecord]:
-    computed, predicted = _gcd_law(lambda n: eval_exact(family, n), i, j, insular)
-    return computed, GcdCheckRecord((i, j), computed, predicted)
+def _l_gcd(family: LFamily, i: int, j: int) -> int:
+    """The law's gcd(L(i), L(j)) for L1 or L3.  With g = gcd(i, j), the
+    valuations v_3 (L1), or v_2 and v_3 (L3), of i and j agree exactly when
+    i/g and j/g are both prime to m = 3 (L1) or 6 (L3)."""
+    m, parity = (3, 0) if family is LFamily.L1 else (6, 1)
+    g = math.gcd(i, j)
+    if math.gcd(i // g, m) == math.gcd(j // g, m) == 1:
+        return eval_exact(family, g)
+    return 3 if i % 2 == j % 2 == parity else 1
+
+
+def _l_check(family: LFamily, i: int, j: int) -> tuple[int, GcdCheckRecord]:
+    computed = math.gcd(eval_exact(family, i), eval_exact(family, j))
+    return computed, GcdCheckRecord((i, j), computed, _l_gcd(family, i, j))
 
 
 def _require_admissible_t(**ts: int) -> None:
@@ -70,7 +85,7 @@ def gcd_l1(k: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     _require_admissible_t(t1=t1, t2=t2)
-    return _l_check(LFamily.L1, 3**k * t1, 3**k * t2, True)
+    return _l_check(LFamily.L1, 3**k * t1, 3**k * t2)
 
 
 def gcd_l1_cross(k1: int, t1: int, k2: int, t2: int) -> tuple[int, GcdCheckRecord]:
@@ -80,7 +95,7 @@ def gcd_l1_cross(k1: int, t1: int, k2: int, t2: int) -> tuple[int, GcdCheckRecor
     if k1 == k2:
         raise ValueError(f"exponents must differ (got k1 = k2 = {k1}); use gcd_l1")
     _require_admissible_t(t1=t1, t2=t2)
-    return _l_check(LFamily.L1, 3**k1 * t1, 3**k2 * t2, False)
+    return _l_check(LFamily.L1, 3**k1 * t1, 3**k2 * t2)
 
 
 def gcd_l3(m: int, n: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
@@ -91,7 +106,7 @@ def gcd_l3(m: int, n: int, t1: int, t2: int) -> tuple[int, GcdCheckRecord]:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_admissible_t(t1=t1, t2=t2)
     base = 3**m * 2**n
-    return _l_check(LFamily.L3, base * t1, base * t2, True)
+    return _l_check(LFamily.L3, base * t1, base * t2)
 
 
 def gcd_l3_cross(
@@ -108,27 +123,7 @@ def gcd_l3_cross(
             f"exponent pairs must differ (got ({m1}, {n1}) twice); use gcd_l3"
         )
     _require_admissible_t(t1=t1, t2=t2)
-    return _l_check(LFamily.L3, 3**m1 * 2**n1 * t1, 3**m2 * 2**n2 * t2, False)
-
-
-def corollary2_divisor(n: int, t: int) -> bool:
-    """Divisor relation between L3(2^n) and L3(2^n * t) for odd t > 1.
-
-    For t not divisible by 3, checks that L3(2^n) is a proper nontrivial
-    divisor of L3(2^n * t); for t divisible by 3, checks that the two values
-    are coprime.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if t <= 1:
-        raise ValueError(f"t must be > 1, got {t}")
-    if t % 2 == 0:
-        raise ValueError(f"t must be odd, got {t}")
-    small = eval_exact(LFamily.L3, 2**n)
-    large = eval_exact(LFamily.L3, 2**n * t)
-    if t % 3 != 0:
-        return large % small == 0 and 1 < small < large
-    return math.gcd(large, small) == 1
+    return _l_check(LFamily.L3, 3**m1 * 2**n1 * t1, 3**m2 * 2**n2 * t2)
 
 
 @dataclass(frozen=True)

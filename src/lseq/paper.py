@@ -91,8 +91,8 @@ def _verify_gcd_grid(
 ) -> tuple[bool, str]:
     """The gcd law on a grid of insular index sets, one per cell of exponents:
     pair(*cell, t1, t2) must match for t1, t2 in ts, and cross_pair(*cell1, t1,
-    *cell2, t2) must be 1 for two cells and t1, t2 in cross_ts.  labels names a
-    cell in the passing detail and formats one and two cells for a failure."""
+    *cell2, t2) must match (gcd 1) for two cells and t1, t2 in cross_ts.  labels
+    names a cell in the passing detail and formats one and two cells for a failure."""
     cell_name, cell_at, cross_at = labels
     same = list(itertools.product(cells, ts, ts))
     cross = [q for q in itertools.product(cells, cells, cross_ts, cross_ts) if q[0] != q[1]]
@@ -100,7 +100,7 @@ def _verify_gcd_grid(
         if not pair(*cell, t1, t2)[1].match:
             return False, f"mismatch at {cell_at.format(*cell)}, t1={t1}, t2={t2}"
     for c1, c2, t1, t2 in cross:
-        if cross_pair(*c1, t1, *c2, t2)[0] != 1:
+        if not cross_pair(*c1, t1, *c2, t2)[1].match:
             return False, f"cross gcd != 1 at {cross_at.format(c1, c2)}, t1={t1}, t2={t2}"
     return True, f"{len(same)} same-{cell_name} pairs match; {len(cross)} cross pairs coprime"
 

@@ -15,7 +15,7 @@ import time
 
 from lseq import paper
 from lseq.arith import is_prime
-from lseq.gcdlaws import corollary2_divisor, gcd_l1, gcd_l3, gcd_l3_cross
+from lseq.gcdlaws import gcd_l1, gcd_l3, gcd_l3_cross
 from lseq.lfamily import (
     LFamily,
     eval_exact,
@@ -123,10 +123,16 @@ def test_criterion_04_l3_insularity_suite():
             for t in ADMISSIBLE_T25:
                 value, _ = gcd_l3_cross(a[0], a[1], t, b[0], b[1], t)
                 assert value == 1
-    # the divisor relation on a small grid
+    # the divisor relation on a small grid: L3(2^n) divides L3(2^n * t) for
+    # t = 5, 7, 11 and is coprime to it for t = 3, 9 (another 3-adic exponent)
     for n in range(1, 4):
-        for t in (3, 5, 7, 9, 11):
-            assert corollary2_divisor(n, t)
+        small = eval_exact(LFamily.L3, 2**n)
+        for t in (5, 7, 11):
+            value, record = gcd_l3(0, n, 1, t)
+            assert value == small and record.match
+        for m in (1, 2):
+            value, record = gcd_l3_cross(0, n, 1, m, n, 1)
+            assert value == 1 and record.match
     finish(start, 60.0, "criterion 4: L3 same-exponent grid + cross coprimality")
 
 

@@ -40,6 +40,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     small = (
         ("ROOT", str(tmp_path)),
         ("L_FORM_BITS", (256, 512)),
+        ("SMALL_H", range(33, 49)),
         ("BPSW_BITS", (128, 256)),
         ("P_MAX", 400),
         ("REPEATS", 1),
@@ -51,7 +52,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         report = json.load(report_file)
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
-    assert set(layers) == {"l_form_test", "bpsw", "block_build", "block_stage", "launch"}
+    assert set(layers) == {"l_form_test", "small_l_form", "bpsw", "block_build", "block_stage", "launch"}
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
     # reductions on every value, so each row times its family at h = bits/2
@@ -69,6 +70,13 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         h = row["bits"] // 2
         proof = 3 * h - 2 if row["family"] == "L2" else 3 * h - 4
         assert row["reductions"] == (2 * h if row["test"] == "power" else proof)
+    # Every L1-L4 value with 33 <= h <= 48, timed with both reductions; trial
+    # division and the blocks decide some, the proof stage the others.
+    small = layers["small_l_form"]
+    assert small["h"] == [33, 48] and small["values"] == 4 * 16
+    assert 0 < small["proofs"] < small["values"]
+    assert set(small["reducer_ms"]) == set(small["builtin_ms"]) == timing
+    assert small["builtin_over_reducer"] > 0
     # A prime of no L-form passes the base-2 and Lucas tests and both
     # seeded rounds.
     assert [row["bits"] for row in layers["bpsw"]] == [128, 256]

@@ -8,7 +8,8 @@ import pytest
 from lseq.gcdlaws import (
     GcdCheckRecord,
     IndexSetSpec,
-    corollary2_divisor,
+    _l_check,
+    _l_gcd,
     gcd_l1,
     gcd_l1_cross,
     gcd_l3,
@@ -117,12 +118,32 @@ def test_cross_checks_reject_exponents_out_of_range(check, args, message):
     assert str(info.value) == message
 
 
+def test_l_gcd_law_on_every_pair_to_300():
+    # gcd(L(i), L(j)) is L(gcd(i, j)) where the valuations agree, else 3 (L1
+    # at two even, L3 at two odd indices) or 1: all 45,150 pairs 1 <= i <= j
+    # <= 300 of each family.
+    for family in (LFamily.L1, LFamily.L3):
+        values = [0] + [eval_exact(family, n) for n in range(1, 301)]
+        wrong = [
+            (i, j)
+            for i in range(1, 301)
+            for j in range(i, 301)
+            if _l_gcd(family, i, j) != math.gcd(values[i], values[j])
+        ]
+        assert wrong == [], family
+
+
 def test_corollary2_divisor_branches():
+    # L3(2^n) divides L3(2^n * t) when 3 does not divide t (equal v_2 and
+    # v_3), and the two are coprime when it does (even indices).
     for n in range(1, 5):
+        small = eval_exact(LFamily.L3, 2**n)
         for t in (5, 7, 11, 13, 25):
-            assert corollary2_divisor(n, t)
+            value, record = _l_check(LFamily.L3, 2**n, 2**n * t)
+            assert value == record.predicted == small
         for t in (3, 9, 15, 21):
-            assert corollary2_divisor(n, t)
+            value, record = _l_check(LFamily.L3, 2**n, 2**n * t)
+            assert value == record.predicted == 1
 
 
 def test_corollary2_divisor_manual():
@@ -130,19 +151,10 @@ def test_corollary2_divisor_manual():
     large = eval_exact(LFamily.L3, 20)
     assert small == 241
     assert large % small == 0
-    assert corollary2_divisor(2, 5)
-    # t divisible by 3 lands in the coprime branch
+    assert _l_gcd(LFamily.L3, 4, 20) == small
+    # t divisible by 3 lands in the coprime case
     assert math.gcd(eval_exact(LFamily.L3, 12), small) == 1
-    assert corollary2_divisor(2, 3)
-
-
-def test_corollary2_divisor_rejects():
-    with pytest.raises(ValueError):
-        corollary2_divisor(0, 5)
-    with pytest.raises(ValueError):
-        corollary2_divisor(2, 1)
-    with pytest.raises(ValueError):
-        corollary2_divisor(2, 4)
+    assert _l_gcd(LFamily.L3, 4, 12) == 1
 
 
 def test_index_set_spec_enumeration():

@@ -1,6 +1,6 @@
-"""Layer benchmark: times the L-form proof, BPSW and block layers of
-lseq.arith, and the launch of the CLI, on fixed inputs and writes BENCH_<label>.json at
-the repository root.
+"""Layer benchmark: times the L-form proof, small L-form, BPSW and block
+layers of lseq.arith, and the launch of the CLI, on fixed inputs and writes
+BENCH_<label>.json at the repository root.
 
     python3 tools/bench_layers.py --label L
 
@@ -18,6 +18,13 @@ be told apart from a change in speed.  The layers:
   ("n_plus_1").  The work is the number of reductions each makes.  A value
   on which one of them makes none (the N+1 parameter search can meet a
   factor) is replaced by the next one of its family.
+- small_l_form: is_prime on every L1-L4 value with h in SMALL_H (33 <= h <=
+  256, 65 to 513 bits), the memo emptied before each value, timed
+  with the shift-add reducer ("reducer_ms") and with _l_form_reducer patched
+  to builtin % ("builtin_ms"), the two in turn on each repeat so that they
+  share the host's load.  The work is the number of values and of those
+  that reach the proof stage (make an _l_form_reducer call); trial division
+  and the blocks decide the rest.
 - bpsw: is_prime on a fixed prime of no L-form, the first at or above a
   seeded random odd value, at 512, 1024 and 2048 bits: a base-2 strong
   test, the extra strong Lucas test and two seeded rounds, with builtin %.
@@ -55,6 +62,7 @@ from lseq import arith  # noqa: E402
 from lseq.lfamily import LFamily, eval_exact  # noqa: E402
 
 L_FORM_BITS = (256, 512, 1024, 2048, 4096, 8192)
+SMALL_H = range(33, 257)
 BPSW_BITS = (512, 1024, 2048)
 P_MAX = 2000
 REPEATS = 5
@@ -155,6 +163,34 @@ def l_form_rows(bits_list, repeats: int) -> list[dict]:
                     "reductions": reductions[name],
                 })
     return rows
+
+
+def small_l_form(h_range: range, repeats: int) -> dict:
+    """is_prime on every L1-L4 value with h in h_range, with the fold and
+    with builtin %, and how many values reach the proof stage."""
+    values = [eval_exact(family, h) for h in h_range for family in LFamily]
+
+    def run() -> None:
+        for n in values:
+            arith._verdict_above_table.cache_clear()
+            arith.is_prime(n)
+
+    fold = arith._l_form_reducer
+    reducers = {"reducer_ms": fold, "builtin_ms": lambda n, *form: n.__rmod__}
+    runs = {key: [] for key in reducers}
+    arith._l_form_reducer, proofs = _counting(fold)
+    try:
+        run()  # untimed; counts the proofs
+        for _ in range(repeats):
+            for key, reducer in reducers.items():
+                arith._l_form_reducer = reducer
+                runs[key].append(_timed(run, 1)["median"])
+    finally:
+        arith._l_form_reducer = fold
+    row = {"h": [h_range.start, h_range.stop - 1], "values": len(values), "proofs": proofs[0]}
+    row.update((key, _quartiles(taken)) for key, taken in runs.items())
+    row["builtin_over_reducer"] = row["builtin_ms"]["median"] / row["reducer_ms"]["median"]
+    return row
 
 
 def _bpsw_prime(bits: int) -> int:
@@ -276,9 +312,10 @@ def launch(repeats: int) -> dict:
     return {**row, "cli_modules": modules}
 
 
-def layers(l_form_bits, bpsw_bits, p_max: int, repeats: int) -> dict:
+def layers(l_form_bits, small_h, bpsw_bits, p_max: int, repeats: int) -> dict:
     return {
         "l_form_test": l_form_rows(l_form_bits, repeats),
+        "small_l_form": small_l_form(small_h, repeats),
         "bpsw": bpsw_rows(bpsw_bits, repeats),
         "block_build": block_build(repeats),
         "block_stage": block_stage(p_max, repeats),
@@ -311,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "layers": layers(L_FORM_BITS, BPSW_BITS, P_MAX, REPEATS),
+        "layers": layers(L_FORM_BITS, SMALL_H, BPSW_BITS, P_MAX, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
