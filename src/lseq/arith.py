@@ -3,24 +3,25 @@ multiplicative order.
 
 Primality verdicts are deterministic below 2^64.  n <= 2^20 is decided by
 one lookup in a smallest-prime-factor table, built on first use (evidence
-"trial_division" for a prime, "factor=p" for a composite); larger n by trial
-division by the primes below 1000 and a fixed Miller-Rabin witness set proven
-exhaustive below 2^64.  Above that, values 4^h +/- 2^h + 1 (L1 and L3) are
-proven prime or composite by one N-1 exponentiation.  Every other value is
-first trial divided further, by the primes up to about b^2/16 for b bits (at
-most 2^18), with one gcd per block of primes between consecutive powers of
-two (for L2 and L4 values, only the primes = +-1 mod 5, the only ones that
-can divide them).  Then values 4^h +/- 2^h - 1 (L2 and L4) get a base-2
-strong test and, if they pass, an N+1 proof by one Lucas V-sequence.  For
-all four forms (n - s0)/2 = 2^(h-1) * (2^h + s1), so the N-1 power and the
-L2/L4 base-2 power are one routine of 2h - 1 squarings and one product, and
-every product modulo an L-form value is reduced by one shift-add fold in
-place of a long division; both parameter searches end, so every L-form
-verdict depends on n alone.  A value of no L-form that survives gets BPSW,
-with builtin pow and %: a base-2 strong test, the extra strong Lucas test on
-the N+1 proof's V-chain, and a configurable number of seeded random-base
-rounds.  The last verdict above 2^20 is kept: an L4 twin scan, which tests
-each value twice in a row, decides each value once.
+"trial_division" for a prime, "factor=p" for a composite).  Every larger n
+takes one trial-division stage, a gcd per block of primes between
+consecutive powers of two from 2 up (its least factor there reads factor=p),
+then one deciding test.  The stage reaches 2^10, the table's primes, below
+2^64 and for values 4^h +/- 2^h + 1 (L1, L3); for any other n about b^2/16
+for b bits (at most 2^18), and for 4^h +/- 2^h - 1 (L2, L4) only the primes
+= +-1 mod 5 above 2^10, the only ones that can divide them.  The test is a
+Miller-Rabin witness set proven exhaustive below 2^64; above, one N-1
+exponentiation proves an L1/L3 value prime or composite, and an L2/L4 value
+gets a base-2 strong test and, if it passes, an N+1 proof by one Lucas
+V-sequence.  For all four forms (n - s0)/2 = 2^(h-1) * (2^h + s1), so the
+N-1 power and the L2/L4 base-2 power are one routine of 2h - 1 squarings and
+one product, and every product modulo an L-form value is reduced by one
+shift-add fold in place of a long division; both parameter searches end, so
+every L-form verdict depends on n alone.  A value of no L-form that survives
+gets BPSW, with builtin pow and %: a square check, a base-2 strong test, the
+extra strong Lucas test on the N+1 proof's V-chain, and a configurable
+number of seeded random-base rounds.  The last verdict above 2^20 is kept:
+an L4 twin scan, which tests each value twice in a row, decides each once.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -77,13 +78,11 @@ def sieve_primes(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if sieve[n]]
 
 
-# The 172 primes <= isqrt(_TABLE_LIMIT); trial division above the table
-# divides every n by those below _TRIAL_LIMIT, one at a time, and values above
-# 2^64 that no N-1 proof covers by larger primes too, one gcd per block
-# (_block_factor).  Entry i of _spf_table() maps to _TABLE_VERDICTS[i].
-_TRIAL_LIMIT = 1000
+# The 172 primes <= isqrt(_TABLE_LIMIT) = 2^10: the table's factors, and the
+# blocks 1.._ROOT_BLOCK that divide every n above the table (_block_factor).
+# Entry i of _spf_table() maps to _TABLE_VERDICTS[i].
 _ROOT_PRIMES = sieve_primes(math.isqrt(_TABLE_LIMIT))
-_TRIAL_PRIMES = [p for p in _ROOT_PRIMES if p < _TRIAL_LIMIT]
+_ROOT_BLOCK = math.isqrt(_TABLE_LIMIT).bit_length() - 1
 _TABLE_VERDICTS = (
     ("prime", "trial_division"),
     *(("composite", f"factor={p}") for p in _ROOT_PRIMES),
@@ -108,27 +107,24 @@ def _spf_table() -> bytearray:
     return _spf
 
 
-# Block j is the product of the primes in (2^(j-1), 2^j] above _TRIAL_LIMIT,
-# from j = _FIRST_BLOCK up (block 10 holds 1009, 1013, 1019 and 1021); the
-# L2/L4 block j of only those = +-1 mod 5 (block 10: 1009, 1019 and 1021).
-# A b-bit value is divided by the blocks up to the first that reaches
-# min(_BLOCK_CAP, b*b >> _BLOCK_SHIFT).
-_FIRST_BLOCK = _TRIAL_LIMIT.bit_length()
+# Block j is the product of the primes in (2^(j-1), 2^j]: block 1 is 2, and
+# blocks 1.._ROOT_BLOCK hold _ROOT_PRIMES.  Above _ROOT_BLOCK an L2/L4 value
+# takes the L2/L4 block j of only those = +-1 mod 5 (_block_factor).
 # The bound b*b/16 keeps the largest gcd a small part of the base-2 strong
 # test it may save.  Measured on CPython 3.11 (2-vCPU x86-64) for L2 values
 # and their L2/L4 blocks: block 15 costs 0.02 ms at 601 bits against a
 # 1.2 ms test, block 18 0.43 ms at 2001 bits against 8.2 ms and 0.93 ms at
 # 4001 bits against 80 ms.
 _BLOCK_SHIFT = 4
-# Blocks 10..18 take 33 ms to build and hold 47 KB, their L2/L4 blocks 7 ms
-# and 23 KB.  L2/L4 blocks 19 and 20 would take another 41 ms and strike
+# Blocks 1..18 take 29 ms to build and hold 47 KB, an L2/L4 value's 7 ms
+# and 24 KB.  L2/L4 blocks 19 and 20 would take another 41 ms and strike
 # only 3 more of the 303 L2(p), p <= 2000, whose base-2 tests take 0.04 s.
 _BLOCK_CAP = 1 << 18
 
 
 def _block_range(j: int) -> range:
-    """The odd numbers in (2^(j-1), 2^j] above _TRIAL_LIMIT."""
-    return range(max(1 << (j - 1), _TRIAL_LIMIT) + 1, (1 << j) + 1, 2)
+    """The odd numbers in (2^(j-1), 2^j], or 2 for j = 1."""
+    return range((1 << (j - 1)) + 1, (1 << j) + 1, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,22 +149,30 @@ def _prime_block(j: int, pm1_mod_5: bool) -> int:
     return parts[0]
 
 
-def _block_factor(n: int, pm1_mod_5: bool) -> int | None:
-    """The smallest prime factor of n in (_TRIAL_LIMIT, 2^J], where 2^J is
-    the least power of two >= min(_BLOCK_CAP, b*b >> _BLOCK_SHIFT) for a
-    b-bit n; None when there is none.  One gcd per block: a gcd g > 1 is a
-    product of the block's primes, so its least divisor there is n's factor.
-    Two primes of block j multiply past 2^j, so g <= 2^j is that prime.
+def _block_factor(n: int, form: tuple[int, int, int] | None) -> int | None:
+    """The smallest prime factor of n > _TABLE_LIMIT up to 2^J, or None,
+    where form is _l_form(n) for n >= 2^64 and None below.  One gcd per
+    block from block 1 up: a gcd g > 1 is a product of the block's primes,
+    so its least divisor there is n's factor; two primes of block j multiply
+    past 2^j, so g <= 2^j is that prime.
+
+    J is _ROOT_BLOCK below 2^64 and for L1/L3 values, whose prime factors in
+    the scan kinds are 1 mod a large power of 2 or 3, far above the blocks.
+    For any other b-bit n, 2^J is the least power of two >= min(_BLOCK_CAP,
+    b*b >> _BLOCK_SHIFT), and J >= _ROOT_BLOCK.
 
     A prime q divides an L2/L4 value 4^h + s1*2^h - 1 only if x^2 + s1*x - 1
     has a root mod q, whose discriminant 5 must then be a square mod q: by
-    quadratic reciprocity, q = +-1 mod 5.  Such values (pm1_mod_5) are
-    divided by the blocks of those primes alone, half the size of the full
-    blocks."""
-    bits = n.bit_length()
-    last = (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length()
-    for j in range(_FIRST_BLOCK, last + 1):
-        g = math.gcd(n, _prime_block(j, pm1_mod_5))
+    quadratic reciprocity, q = 5 or q = +-1 mod 5.  Such values are divided
+    by the blocks of those primes alone above _ROOT_BLOCK, half the size of
+    the full blocks."""
+    last, pm1_mod_5 = _ROOT_BLOCK, False
+    if n >= DETERMINISTIC_LIMIT and (form is None or form[2] < 0):
+        bits = n.bit_length()
+        last = max(last, (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length())
+        pm1_mod_5 = form is not None
+    for j in range(1, last + 1):
+        g = math.gcd(n, _prime_block(j, pm1_mod_5 and j > _ROOT_BLOCK))
         if g > 1:
             return g if g <= 1 << j else next(q for q in _block_range(j) if g % q == 0)
     return None
@@ -487,9 +491,13 @@ def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict:
 
 def _bpsw(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
     """Probable prime or composite, for n above 2^64 of no L-form that
-    trial division and the blocks leave: a base-2 strong test, the extra
+    trial division leaves: a square check, a base-2 strong test, the extra
     strong Lucas test, and extra_rounds strong tests to bases drawn from
-    random.Random(seed), all with builtin pow and %."""
+    random.Random(seed), all with builtin pow and %.  The Lucas test needs a
+    non-square n; 4^h +- 2^h +- 1 lies strictly between consecutive squares."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return PrimalityVerdict(n, "composite", f"square_of={root}")
     if not _strong_probable_prime(n, 2):
         return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
     if not _extra_strong_lucas_probable_prime(n):
@@ -507,10 +515,11 @@ def _bpsw(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
 # a re-run or a resumed scan still recomputes every value.
 @functools.lru_cache(maxsize=1)
 def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
-    """is_prime's verdict for n > _TABLE_LIMIT."""
-    for p in _TRIAL_PRIMES:
-        if n % p == 0:
-            return PrimalityVerdict(n, "composite", f"factor={p}")
+    """is_prime's verdict for n > _TABLE_LIMIT: trial division, then one test."""
+    form = _l_form(n) if n >= DETERMINISTIC_LIMIT else None
+    q = _block_factor(n, form)
+    if q is not None:
+        return PrimalityVerdict(n, "composite", f"factor={q}")
     if n < DETERMINISTIC_LIMIT:
         for bound, bases in _MR_TIERS:
             if n < bound:
@@ -520,17 +529,6 @@ def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdi
                 evidence = f"mr_deterministic:{','.join(map(str, bases))}"
                 return PrimalityVerdict(n, "prime", evidence)
         raise AssertionError("unreachable: tier table covers all n < 2^64")
-    root = math.isqrt(n)
-    if root * root == n:
-        return PrimalityVerdict(n, "composite", f"square_of={root}")
-    form = _l_form(n)
-    # The blocks skip L1/L3 values: every prime factor of an L1/L3 value of
-    # the scan kinds is 1 mod a large power of 2 or 3, far above the blocks.
-    # L2/L4 values take them before their N+1 proof.
-    if form is None or form[2] < 0:
-        q = _block_factor(n, form is not None)
-        if q is not None:
-            return PrimalityVerdict(n, "composite", f"factor={q}")
     if form is not None:
         return _l_form_proof(n, *form)
     return _bpsw(n, extra_rounds, seed)
@@ -544,24 +542,25 @@ def is_prime(
 ) -> PrimalityVerdict:
     """Classify n as unit, prime, probable_prime, or composite.
 
-    Below 2^64 the verdict is deterministic.  Above it, n = 4^h +/- 2^h + 1
-    that survives trial division gets a proof from _l_form_proof: "prime"
-    with evidence proth:a=A (L3) or pocklington:a=A (L1), or "composite"
-    with euler_witness=A, both with rounds 1.  Any other n is also divided by
-    the primes above 1000 up to the first power of two at or above
-    min(2^18, b*b >> 4), b its bit length, one gcd per block
-    (_block_factor); its smallest factor there is reported as factor=p.  If
-    it passes, n = 4^h +/- 2^h - 1 gets its proof from _l_form_proof too: a
-    base-2 strong test ("composite", mr_witness=2, rounds 1), then an N+1
-    proof, "prime" with llr:p=P (L4) or morrison:p=P (L2), or "composite"
-    with lucas_v_witness=P, rounds 2.  Those proofs reduce every product by
-    the shift-add fold of _l_form_reducer; a Jacobi symbol of 0 in their
-    parameter search reads factor=q, n's least prime factor.  Any other n is
-    labeled probable_prime after BPSW: a base-2 strong test, the extra strong
-    Lucas test, and extra_rounds random-base strong tests drawn from the
-    given seed, all with builtin pow and %.  The verdict of the last call
-    above 2^20 is kept, so a repeated call (an L4 twin scan makes them)
-    runs no test.
+    Below 2^64 the verdict is deterministic.  n <= 2^20 is one lookup in the
+    smallest-factor table.  Every larger n is trial divided, one gcd per
+    block of primes from 2 up (_block_factor), to 2^10 for n below 2^64 and
+    for n = 4^h +/- 2^h + 1, else to the first power of two at or above
+    min(2^18, b*b >> 4), b its bit length; its smallest factor there reads
+    factor=p.  Then one test decides: below 2^64 a Miller-Rabin tier; above
+    it, for n = 4^h +/- 2^h + 1, a proof from _l_form_proof: "prime" with
+    evidence proth:a=A (L3) or pocklington:a=A (L1), or "composite" with
+    euler_witness=A, both with rounds 1.  n = 4^h +/- 2^h - 1 gets its proof
+    from _l_form_proof too: a base-2 strong test ("composite", mr_witness=2,
+    rounds 1), then an N+1 proof, "prime" with llr:p=P (L4) or morrison:p=P
+    (L2), or "composite" with lucas_v_witness=P, rounds 2.  Those proofs
+    reduce every product by the shift-add fold of _l_form_reducer; a Jacobi
+    symbol of 0 in their parameter search reads factor=q, n's least prime
+    factor.  Any other n is labeled probable_prime after BPSW: a square check
+    (square_of=r), a base-2 strong test, the extra strong Lucas test, and
+    extra_rounds random-base strong tests drawn from the given seed, all
+    with builtin pow and %.  The verdict of the last call above 2^20 is
+    kept, so a repeated call (an L4 twin scan makes them) runs no test.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -100,10 +100,11 @@ def test_is_prime_table_edges():
             is_prime(n)
     assert is_prime(0) == PrimalityVerdict(0, "composite", "zero")
     assert is_prime(1) == PrimalityVerdict(1, "unit")
-    # Above 2^20, trial division stops at 997, so a smallest factor of 1009
-    # or 1021 is not named; the deterministic Miller-Rabin tier decides.
-    for n in (1009 * 1000003, 1021**3):
-        assert is_prime(n) == PrimalityVerdict(n, "composite", "mr_witness=2", rounds=0)
+    # Above 2^20, trial division reaches every prime up to 2^10, the
+    # table's, so a smallest factor of 1009 or 1021 is named before any
+    # Miller-Rabin tier runs.
+    for n, q in ((1009 * 1000003, 1009), (1021**3, 1021)):
+        assert is_prime(n) == PrimalityVerdict(n, "composite", f"factor={q}")
 
 
 def test_sieve_primes_where_table_and_large_path_meet():
@@ -115,7 +116,7 @@ def test_sieve_primes_where_table_and_large_path_meet():
     reference = [n for n in range(2, top + 1) if flags[n]]
     for limit in (2**20 - 1, 2**20, 2**20 + 1, top):
         assert sieve_primes(limit) == [p for p in reference if p <= limit], limit
-    assert arith._TRIAL_PRIMES == [p for p in reference if p < 1000]
+    assert arith._ROOT_PRIMES == [p for p in reference if p <= 1024]
 
 
 def test_is_prime_deterministic_below_2_64():
@@ -738,16 +739,18 @@ def test_l_form_power_is_the_half_exponent_power(family, h):
 
 
 def test_l_form_read_once_per_value(monkeypatch):
-    # Past the square check, is_prime reads a value's form once and hands it
-    # to the blocks, the proof and the reducer.
+    # From 2^64 up, is_prime reads a value's form once, before the trial
+    # stage, whose bound and blocks it picks, and hands it on to the proof
+    # and the reducer.  Below 2^64 no form is read, not even an L2 value's.
     values = [eval_exact(family, h) for family in LFamily for h in range(33, 121)]
     values += [2**89 - 1, 2**127 - 1, 1013 * (2**2203 - 1)]
+    below = [eval_exact(LFamily.L2, 20), 2**61 - 1]
     reads = []
     real = arith._l_form
     monkeypatch.setattr(arith, "_l_form", lambda n: reads.append(n) or real(n))
-    verdicts = [is_prime(n) for n in values]
-    past_trial = [v.n for v in verdicts if not v.evidence.startswith("factor=") or int(v.evidence[7:]) > 1000]
-    assert reads == past_trial
+    for n in values + below:
+        is_prime(n)
+    assert reads == values
 
 
 @pytest.mark.parametrize(
@@ -810,15 +813,15 @@ def test_l3_pow2_scan_bytes_pinned():
     assert digest == "606e095a29976b88c412115c9e10918c667f29cb24733cd478865b6c6eda915d"
 
 
-# --- trial division by blocks of primes above 1000 ---------------------------
+# --- trial division by blocks of primes ------------------------------------
 
 
 def _trial_top(n):
-    """Trial division of a value above 2^64 reaches every prime below 1000
-    and, by blocks, every prime up to the first power of two at or above
-    min(2^18, b*b >> 4), b the value's bit length."""
+    """Trial division of a value above 2^64 of no L1/L3 form reaches every
+    prime up to 2^10 and up to the first power of two at or above min(2^18,
+    b*b >> 4), b the value's bit length."""
     bits = n.bit_length()
-    return max(1000, 1 << (min(2**18, bits * bits >> 4) - 1).bit_length())
+    return max(1024, 1 << (min(2**18, bits * bits >> 4) - 1).bit_length())
 
 
 def _l2_l4_values():
@@ -839,7 +842,9 @@ def test_block_stage_factors_l2_pow2(k, q):
 
 def test_block_stage_names_the_smallest_prime_factor():
     # Brute force, one prime at a time, up to each value's bound: L2 and L4
-    # values and random odd values of other forms.
+    # values and random odd values of other forms above 2^64, and below it,
+    # where the bound is 2^10, windows of consecutive n just above 2^20 and
+    # near 2^32.
     rng = random.Random(0)
     values = _l2_l4_values() + [rng.getrandbits(bits) | 1 for bits in range(65, 700, 3)]
     limit = 2**16
@@ -856,21 +861,34 @@ def test_block_stage_names_the_smallest_prime_factor():
             assert verdict == PrimalityVerdict(n, "composite", f"factor={spf}"), n
             reached += spf > 1000
     assert reached == 61
+    for n in [*range(2**20 + 1, 2**20 + 2001), *range(2**32, 2**32 + 2000)]:
+        spf = next((p for p in arith._ROOT_PRIMES if n % p == 0), None)
+        verdict = is_prime(n)
+        if spf is not None:
+            assert verdict == PrimalityVerdict(n, "composite", f"factor={spf}"), n
+        elif n < 1031**2:  # 1031 is the least prime above 2^10
+            assert verdict.classification == "prime", n
+        else:
+            assert verdict.evidence.startswith(("mr_deterministic:", "mr_witness=")), n
 
 
 def test_block_stage_changes_only_its_own_verdicts(monkeypatch):
+    # With the cap at 2^10, every value takes blocks 1-10 only, the primes
+    # of the table.  53 values changed when the primes below 1000 were a
+    # loop of their own and the blocks began at 1009; L2(284) (factor 1009)
+    # and L2(323) (factor 1019) now stay in the blocks that remain.
     values = _l2_l4_values()
     with_blocks = [is_prime(n) for n in values]
-    monkeypatch.setattr(arith, "_block_factor", lambda n, pm1_mod_5: None)
+    monkeypatch.setattr(arith, "_BLOCK_CAP", 1 << 10)
     without = [is_prime(n) for n in values]
     changed = 0
     for new, old in zip(with_blocks, without):
         if new != old:
             changed += 1
             q = int(new.evidence.removeprefix("factor="))
-            assert q > 1000 and new.n % q == 0
+            assert q > 1024 and new.n % q == 0
             assert (old.classification, old.evidence) == ("composite", "mr_witness=2")
-    assert changed == 53
+    assert changed == 51
 
 
 def test_block_stage_bound_is_pinned():
@@ -887,9 +905,18 @@ def test_block_stage_bound_is_pinned():
     below, above = 262139 * mersenne, 262147 * mersenne
     assert is_prime(below) == PrimalityVerdict(below, "composite", "factor=262139")
     assert is_prime(above) == PrimalityVerdict(above, "composite", "mr_witness=2", rounds=1)
-    # 1009 is the first prime past the primes below 1000, in the first block.
-    l2_284 = eval_exact(LFamily.L2, 284)
-    assert is_prime(l2_284) == PrimalityVerdict(l2_284, "composite", "factor=1009")
+    # Every n above 2^20 takes blocks 1-10, the primes up to 2^10, from block
+    # 1 = {2} up, below 2^64 too.  1009 is in block 10, and 1031, the first
+    # prime of block 11, is past the bound below 2^64 but not at 2214 bits.
+    for n, q in (
+        (2**20 + 2, 2),
+        (eval_exact(LFamily.L2, 284), 1009),
+        (1013 * (2**61 - 1), 1013),
+        (1021 * 1000003, 1021),
+        (1031 * mersenne, 1031),
+    ):
+        assert is_prime(n) == PrimalityVerdict(n, "composite", f"factor={q}")
+    assert is_prime(1031 * (2**31 - 1)).evidence == "mr_witness=2"
     # 1013 = 3 mod 5 is in no L2/L4 block, but a value of no L-form sees it.
     m1013 = 1013 * mersenne
     assert is_prime(m1013) == PrimalityVerdict(m1013, "composite", "factor=1013")
@@ -907,16 +934,25 @@ def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
         if q > 1000 and q % 5 in (2, 3):
             for s1 in (1, -1):
                 assert all((x * x + s1 * x - 1) % q for x in range(q)), (q, s1)
-    assert arith._prime_block(10, True) == 1009 * 1019 * 1021
-    assert arith._prime_block(10, False) == 1009 * 1013 * 1019 * 1021
+    # Blocks 1-10 are full for every value: they hold the primes of the
+    # table, 5 among them, which divides L4(3) = 55.  Block 10 holds 1009,
+    # 1013, 1019 and 1021 with the other primes above 512; the L2/L4 blocks
+    # begin at 11.
+    assert eval_exact(LFamily.L4, 3) == 5 * 11
+    assert arith._prime_block(10, False) == math.prod(p for p in sieve_primes(1024) if p > 512)
+    assert math.prod(arith._prime_block(j, False) for j in range(1, 11)) == math.prod(sieve_primes(1024))
+    assert arith._prime_block(11, True) == math.prod(
+        p for p in sieve_primes(2048) if p > 1024 and p % 5 in (1, 4)
+    )
     # An L4 value takes those blocks, up to its bound 2^14; a value of no
     # L-form takes the full ones.
     kinds = []
     real = arith._prime_block
     monkeypatch.setattr(arith, "_prime_block", lambda j, pm1: kinds.append(pm1) or real(j, pm1))
-    assert arith._block_factor(eval_exact(LFamily.L4, 184), True) == 16139
-    assert arith._block_factor(1013 * (2**2203 - 1), False) == 1013
-    assert kinds == [True] * 5 + [False]
+    l4_184 = eval_exact(LFamily.L4, 184)
+    assert arith._block_factor(l4_184, arith._l_form(l4_184)) == 16139
+    assert arith._block_factor(1013 * (2**2203 - 1), None) == 1013
+    assert kinds == [False] * 10 + [True] * 4 + [False] * 10
 
 
 def test_block_stage_skips_l1_l3_values():

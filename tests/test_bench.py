@@ -9,6 +9,8 @@ import json
 import os
 import sys
 
+from lseq import arith
+from lseq.lfamily import LFamily, eval_exact
 from lseq.paper import ANCHORS
 from lseq.search import resume, run_scan
 
@@ -43,6 +45,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         ("SMALL_H", range(33, 49)),
         ("BPSW_BITS", (128, 256)),
         ("P_MAX", 400),
+        ("WINDOW", 200),
         ("REPEATS", 1),
     )
     for name, value in small:
@@ -52,7 +55,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         report = json.load(report_file)
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
-    assert set(layers) == {"l_form_test", "small_l_form", "bpsw", "block_build", "block_stage", "launch"}
+    assert set(layers) == {"l_form_test", "small_l_form", "bpsw", "block_build", "trial", "launch"}
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
     # reductions on every value, so each row times its family at h = bits/2
@@ -84,14 +87,27 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         assert set(row["ms"]) == timing
         assert row["rounds"] == 4
     build = layers["block_build"]
-    assert build["blocks"] == [10, 18]
+    assert build["blocks"] == [1, 18]
     for kind in ("all", "pm1_mod_5"):
         assert set(build[kind]["ms"]) == timing
     # The L2/L4 blocks hold the primes = +-1 mod 5, about half of them.
     assert 0.4 < build["pm1_mod_5"]["bits"] / build["all"]["bits"] < 0.6
-    stage = layers["block_stage"]
-    assert set(stage["ms"]) == timing
-    assert stage["values"] > 0 and stage["gcds"] >= stage["values"] >= stage["factors"] > 0
+    # Every value above 2^20 takes the trial stage: each L2(p), p >= 11, and
+    # each n of the window, which is divided by blocks 1 to 10 up to the
+    # block of its least prime factor, if that is at most 2^10.
+    stage = layers["trial"]
+    assert set(stage) == {"l2_prime_exponent", "window_2_32"}
+    l2 = stage["l2_prime_exponent"]
+    assert l2["p_max"] == 400
+    assert l2["values"] == sum(eval_exact(LFamily.L2, p) > 2**20 for p in arith.sieve_primes(400))
+    assert l2["gcds"] >= l2["values"] >= l2["factors"] > 0
+    window = stage["window_2_32"]
+    assert window["n"] == [2**32, 2**32 + 199] and window["values"] == 200
+    least = [next((p for p in arith._ROOT_PRIMES if n % p == 0), None) for n in range(2**32, 2**32 + 200)]
+    assert window["factors"] == sum(p is not None for p in least)
+    assert window["gcds"] == sum(10 if p is None else (p - 1).bit_length() for p in least)
+    for row in (l2, window):
+        assert set(row["ms"]) == timing
     launch = layers["launch"]
     assert set(launch) == {"pass", "import_cli", "version", "cli_modules"}
     for name in ("pass", "import_cli", "version"):

@@ -1,6 +1,6 @@
-"""Layer benchmark: times the L-form proof, small L-form, BPSW and block
-layers of lseq.arith, and the launch of the CLI, on fixed inputs and writes
-BENCH_<label>.json at the repository root.
+"""Layer benchmark: times the L-form proof, small L-form, BPSW, block and
+trial-division layers of lseq.arith, and the launch of the CLI, on fixed
+inputs and writes BENCH_<label>.json at the repository root.
 
     python3 tools/bench_layers.py --label L
 
@@ -29,10 +29,12 @@ be told apart from a change in speed.  The layers:
   seeded random odd value, at 512, 1024 and 2048 bits: a base-2 strong
   test, the extra strong Lucas test and two seeded rounds, with builtin %.
   Its memo is emptied before each run.  The work is the verdict's rounds.
-- block_build: building the blocks of primes 10..18 from the smallest-factor
-  table, the full blocks and the L2/L4 blocks of primes = +-1 mod 5.
-- block_stage: _block_factor on every L2(p), p <= 2000 prime, value that
-  is_prime hands to it, with the gcds made and the factors found.
+- block_build: building the blocks of primes 1..18 from the smallest-factor
+  table, the full blocks ("all") and the blocks an L2/L4 value takes, the
+  full ones up to 10 and above them those of primes = +-1 mod 5.
+- trial: the trial-division stage, _block_factor, on every value that
+  is_prime hands to it from the L2(p), p <= 2000 prime, and from WINDOW
+  consecutive n from 2^32, with the gcds made and the factors found.
 - launch: fresh ``python -S`` processes for ``-c pass`` (the interpreter
   alone), ``-c "import lseq.cli"`` and ``-m lseq.cli --version`` (bench/run.py
   times it, with site, as setup_s), each with its peak RSS from wait4.  They
@@ -65,8 +67,9 @@ L_FORM_BITS = (256, 512, 1024, 2048, 4096, 8192)
 SMALL_H = range(33, 257)
 BPSW_BITS = (512, 1024, 2048)
 P_MAX = 2000
+WINDOW = 20_000
 REPEATS = 5
-BLOCKS = range(arith._FIRST_BLOCK, arith._BLOCK_CAP.bit_length())
+BLOCKS = range(1, arith._BLOCK_CAP.bit_length())
 LAUNCHES = {
     "pass": ["-c", "pass"],
     "import_cli": ["-c", "import lseq.cli"],
@@ -219,43 +222,52 @@ def bpsw_rows(bits_list, repeats: int) -> list[dict]:
 
 
 def block_build(repeats: int) -> dict:
-    def build(pm1_mod_5: bool) -> None:
+    def build(pm1_mod_5: bool) -> list[int]:
         arith._prime_block.cache_clear()
-        for j in BLOCKS:
-            arith._prime_block(j, pm1_mod_5)
+        return [arith._prime_block(j, pm1_mod_5 and j > arith._ROOT_BLOCK) for j in BLOCKS]
 
     row = {"blocks": [BLOCKS.start, BLOCKS.stop - 1]}
     for kind, pm1_mod_5 in (("all", False), ("pm1_mod_5", True)):
-        build(pm1_mod_5)
-        row[kind] = {
-            "ms": _timed(lambda: build(pm1_mod_5), repeats),
-            "bits": sum(arith._prime_block(j, pm1_mod_5).bit_length() for j in BLOCKS),
-        }
+        bits = sum(block.bit_length() for block in build(pm1_mod_5))  # untimed
+        row[kind] = {"ms": _timed(lambda: build(pm1_mod_5), repeats), "bits": bits}
     return row
 
 
-def block_stage(p_max: int, repeats: int) -> dict:
-    values = []
+def _trial_row(numbers, repeats: int) -> dict:
+    """_block_factor on the calls is_prime makes for numbers."""
+    calls = []
     real = arith._block_factor
-    arith._block_factor = lambda n, pm1_mod_5: values.append((n, pm1_mod_5)) or real(n, pm1_mod_5)
+    arith._block_factor = lambda n, form: calls.append((n, form)) or real(n, form)
     try:
-        for p in arith.sieve_primes(p_max):
-            arith.is_prime(eval_exact(LFamily.L2, p))
+        for n in numbers:
+            arith.is_prime(n)
     finally:
         arith._block_factor = real
     # _block_factor makes one gcd per _prime_block call.
     block = arith._prime_block
     arith._prime_block, gcds = _counting(block)
     try:
-        found = sum(real(*value) is not None for value in values)
+        found = sum(real(*call) is not None for call in calls)
     finally:
         arith._prime_block = block
     return {
-        "p_max": p_max,
-        "ms": _timed(lambda: [real(*value) for value in values], repeats),
-        "values": len(values),
+        "ms": _timed(lambda: [real(*call) for call in calls], repeats),
+        "values": len(calls),
         "gcds": gcds[0],
         "factors": found,
+    }
+
+
+def trial(p_max: int, window: int, repeats: int) -> dict:
+    return {
+        "l2_prime_exponent": {
+            "p_max": p_max,
+            **_trial_row([eval_exact(LFamily.L2, p) for p in arith.sieve_primes(p_max)], repeats),
+        },
+        "window_2_32": {
+            "n": [2**32, 2**32 + window - 1],
+            **_trial_row(range(2**32, 2**32 + window), repeats),
+        },
     }
 
 
@@ -312,13 +324,13 @@ def launch(repeats: int) -> dict:
     return {**row, "cli_modules": modules}
 
 
-def layers(l_form_bits, small_h, bpsw_bits, p_max: int, repeats: int) -> dict:
+def layers(l_form_bits, small_h, bpsw_bits, p_max: int, window: int, repeats: int) -> dict:
     return {
         "l_form_test": l_form_rows(l_form_bits, repeats),
         "small_l_form": small_l_form(small_h, repeats),
         "bpsw": bpsw_rows(bpsw_bits, repeats),
         "block_build": block_build(repeats),
-        "block_stage": block_stage(p_max, repeats),
+        "trial": trial(p_max, window, repeats),
         "launch": launch(repeats),
     }
 
@@ -348,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "layers": layers(L_FORM_BITS, SMALL_H, BPSW_BITS, P_MAX, REPEATS),
+        "layers": layers(L_FORM_BITS, SMALL_H, BPSW_BITS, P_MAX, WINDOW, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
