@@ -9,8 +9,8 @@ consecutive powers of two from 2 up (its least factor there reads factor=p),
 then one deciding test.  The stage reaches 2^10, the table's primes, below
 2^64 and for values 4^h +/- 2^h + 1 (L1, L3); for any other n about b^2/16
 for b bits (at most 2^18), and for 4^h +/- 2^h - 1 (L2, L4) only the primes
-= +-1 mod 5 above 2^10, the only ones that can divide them.  The test is a
-Miller-Rabin witness set proven exhaustive below 2^64; above, one N-1
+= +-1 mod 5 above 2^10, the only ones that can divide them.  The test is
+Miller-Rabin to seven bases proven exhaustive below 2^64; above, one N-1
 exponentiation proves an L1/L3 value prime or composite, and an L2/L4 value
 gets a base-2 strong test and, if it passes, an N+1 proof by one Lucas
 V-sequence.  For all four forms (n - s0)/2 = 2^(h-1) * (2^h + s1), so the
@@ -243,22 +243,11 @@ def _set_fields(
     return verdict
 
 
-# Deterministic Miller-Rabin witness sets, each proven exhaustive below its
-# bound; the final row covers everything below 2^64.
-_MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2047, (2,)),
-    (1373653, (2, 3)),
-    (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
-    (4759123141, (2, 7, 61)),
-    (1122004669633, (2, 13, 23, 1662803)),
-    (2152302898747, (2, 3, 5, 7, 11)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (DETERMINISTIC_LIMIT, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-)
+# The deciding test below DETERMINISTIC_LIMIT: Sinclair's seven bases, proven
+# exhaustive for every n < 2^64 against the Feitsma-Galway list of base-2
+# strong pseudoprimes.  A base = 0 mod n passes, but every composite divisor
+# of a base above 2^20 is even or a multiple of 3: trial division takes it.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _l_form(n: int) -> tuple[int, int, int] | None:
@@ -521,14 +510,10 @@ def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdi
     if q is not None:
         return PrimalityVerdict(n, "composite", f"factor={q}")
     if n < DETERMINISTIC_LIMIT:
-        for bound, bases in _MR_TIERS:
-            if n < bound:
-                for a in bases:
-                    if not _strong_probable_prime(n, a):
-                        return PrimalityVerdict(n, "composite", f"mr_witness={a}")
-                evidence = f"mr_deterministic:{','.join(map(str, bases))}"
-                return PrimalityVerdict(n, "prime", evidence)
-        raise AssertionError("unreachable: tier table covers all n < 2^64")
+        for a in _MR_BASES:
+            if not _strong_probable_prime(n, a):
+                return PrimalityVerdict(n, "composite", f"mr_witness={a}")
+        return PrimalityVerdict(n, "prime", f"mr_deterministic:{','.join(map(str, _MR_BASES))}")
     if form is not None:
         return _l_form_proof(n, *form)
     return _bpsw(n, extra_rounds, seed)
@@ -547,16 +532,18 @@ def is_prime(
     block of primes from 2 up (_block_factor), to 2^10 for n below 2^64 and
     for n = 4^h +/- 2^h + 1, else to the first power of two at or above
     min(2^18, b*b >> 4), b its bit length; its smallest factor there reads
-    factor=p.  Then one test decides: below 2^64 a Miller-Rabin tier; above
-    it, for n = 4^h +/- 2^h + 1, a proof from _l_form_proof: "prime" with
-    evidence proth:a=A (L3) or pocklington:a=A (L1), or "composite" with
-    euler_witness=A, both with rounds 1.  n = 4^h +/- 2^h - 1 gets its proof
-    from _l_form_proof too: a base-2 strong test ("composite", mr_witness=2,
-    rounds 1), then an N+1 proof, "prime" with llr:p=P (L4) or morrison:p=P
-    (L2), or "composite" with lucas_v_witness=P, rounds 2.  Those proofs
-    reduce every product by the shift-add fold of _l_form_reducer; a Jacobi
-    symbol of 0 in their parameter search reads factor=q, n's least prime
-    factor.  Any other n is labeled probable_prime after BPSW: a square check
+    factor=p.  Then one test decides: below 2^64 a strong test to each of
+    Sinclair's seven bases (_MR_BASES): "prime" with mr_deterministic:2,325,
+    ... or mr_witness=a, the first base failed; above it, for n = 4^h +/-
+    2^h + 1, a proof from _l_form_proof: "prime" with evidence proth:a=A
+    (L3) or pocklington:a=A (L1), or "composite" with euler_witness=A, both
+    with rounds 1.  n = 4^h +/- 2^h - 1 gets its proof from _l_form_proof
+    too: a base-2 strong test ("composite", mr_witness=2, rounds 1), then an
+    N+1 proof, "prime" with llr:p=P (L4) or morrison:p=P (L2), or
+    "composite" with lucas_v_witness=P, rounds 2.  Those proofs reduce every
+    product by the shift-add fold of _l_form_reducer; a Jacobi symbol of 0
+    in their parameter search reads factor=q, n's least prime factor.  Any
+    other n is labeled probable_prime after BPSW: a square check
     (square_of=r), a base-2 strong test, the extra strong Lucas test, and
     extra_rounds random-base strong tests drawn from the given seed, all
     with builtin pow and %.  The verdict of the last call above 2^20 is
@@ -700,9 +687,9 @@ def multiplicative_order(a: int, m: int) -> OrderResult:
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"base {a} is not coprime to modulus {m}")
+    a %= m
     if is_prime(m).is_prime_or_probable:
         group = m - 1
     else:

@@ -67,12 +67,11 @@ def _verify_golden_values() -> tuple[bool, str]:
 
 
 def _verify_congruences() -> tuple[bool, str]:
-    rules = 0
-    for family in LFamily:
-        for rule in lfamily.builtin_congruence_rules(family):
-            if not rule.holds_through(10000):
-                return False, f"rule {rule} fails below 10000"
-            rules += 1
+    audit = search.run_scan(search.ScanSpec(kind="congruence_audit", n_max=10000))
+    for rec in audit.records:
+        if rec.verdict != "holds":
+            d = rec.detail
+            return False, f"{d['family']}: {d['description']} fails at n={d['first_violation']}"
     checked = 0
     for family in LFamily:
         report = search.scan_square_divisors(family, 130, 20)
@@ -82,7 +81,7 @@ def _verify_congruences() -> tuple[bool, str]:
             if not lfamily.verify_statement2_orbit(family, n, p, e, 1):
                 return False, f"power orbit fails at {family.name}, n={n}, p={p}, t={e}"
             checked += 1
-    return True, f"{rules} rules to n=10000; orbit checks for {checked} square hits"
+    return True, f"{len(audit.records)} rules to n=10000; orbit checks for {checked} square hits"
 
 
 def _verify_gcd_grid(
@@ -119,6 +118,20 @@ def _verify_gcd_l3() -> tuple[bool, str]:
         gcdlaws.gcd_l3, gcdlaws.gcd_l3_cross, cells, ADMISSIBLE_T25, ADMISSIBLE_T25[:3],
         ("cell", "m={0}, n={1}", "{0} x {1}"),
     )
+
+
+def _verify_gcd_all_pairs() -> tuple[bool, str]:
+    """gcd(L(i), L(j)) against gcdlaws._l_gcd on every pair 1 <= i <= j <=
+    120 of L1 and of L3, insular or not."""
+    indices = range(1, 121)
+    pairs = 0
+    for family in (LFamily.L1, LFamily.L3):
+        values = {n: lfamily.eval_exact(family, n) for n in indices}
+        for i, j in itertools.combinations_with_replacement(indices, 2):
+            if math.gcd(values[i], values[j]) != gcdlaws._l_gcd(family, i, j):
+                return False, f"{family.name}: gcd law fails at i={i}, j={j}"
+            pairs += 1
+    return True, f"{pairs} pairs i <= j <= 120 of L1 and L3 match the gcd law"
 
 
 def _verify_gcd_repunit() -> tuple[bool, str]:
@@ -238,6 +251,7 @@ ANCHORS: dict[str, Callable[[], tuple[bool, str]]] = {
     "congruence-orbits": _verify_congruences,
     "gcd-insularity-l1": _verify_gcd_l1,
     "gcd-insularity-l3": _verify_gcd_l3,
+    "gcd-all-pairs": _verify_gcd_all_pairs,
     "gcd-insularity-repunit": _verify_gcd_repunit,
     "seven-power-orbit": _verify_theorem3_grid,
     "product-identity": _verify_product_identity,

@@ -155,7 +155,10 @@ def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
         # 4: L2/L4 values above 2^64 get N+1 proofs, llr:p=P or morrison:p=P
         # in place of bpsw+..., and lucas_v_witness=P in place of a BPSW
         # witness.
-        "primality": 4,
+        # 5: n between 2^20 and 2^64 is decided by Sinclair's seven bases
+        # alone, so primes read mr_deterministic:2,325,... and some base-2
+        # strong pseudoprimes a new mr_witness=a.
+        "primality": 5,
         "extra_rounds": spec.extra_rounds,
         "seed": spec.seed,
     }

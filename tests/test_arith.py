@@ -102,7 +102,7 @@ def test_is_prime_table_edges():
     assert is_prime(1) == PrimalityVerdict(1, "unit")
     # Above 2^20, trial division reaches every prime up to 2^10, the
     # table's, so a smallest factor of 1009 or 1021 is named before any
-    # Miller-Rabin tier runs.
+    # strong test runs.
     for n, q in ((1009 * 1000003, 1009), (1021**3, 1021)):
         assert is_prime(n) == PrimalityVerdict(n, "composite", f"factor={q}")
 
@@ -121,9 +121,8 @@ def test_sieve_primes_where_table_and_large_path_meet():
 
 def test_is_prime_deterministic_below_2_64():
     # 2047 = 23 * 89 and 3215031751 = 151 * 751 * 28351 fall to trial
-    # division before any Miller-Rabin tier runs; the tiers themselves are
-    # pinned by test_mr_tier_bounds_are_strong_pseudoprimes_to_their_own_bases
-    # and test_mr_tier_bounds_fall_to_the_next_row.
+    # division before any strong test runs; the seven bases themselves are
+    # pinned by test_is_prime_below_2_64_on_strong_pseudoprimes.
     assert is_prime(2047).classification == "composite"
     assert is_prime(3215031751).classification == "composite"
     assert is_prime(3825123056546413051).classification == "composite"
@@ -148,44 +147,58 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def test_mr_tier_bounds_are_strong_pseudoprimes_to_their_own_bases():
-    # Each bound below 2^64 is the least composite that passes its row's
-    # bases, so a tier that also took n == bound would call it prime.
-    # (test_mr_tier_bounds_fall_to_the_next_row shows that each is composite.)
-    rows = arith._MR_TIERS[:-1]
-    assert len(rows) == 11
-    for bound, bases in rows:
-        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+# Each former witness set's bound is the least composite that passes its
+# bases (n < bound was proven for that set), and is_prime's verdict on it
+# under the seven bases: a factor up to 2^10 or the first base it fails.
+_FORMER_TIERS = [
+    (2047, (2,), "factor=23"),
+    (1373653, (2, 3), "factor=829"),
+    (9080191, (31, 73), "mr_witness=2"),
+    (25326001, (2, 3, 5), "mr_witness=325"),
+    (3215031751, (2, 3, 5, 7), "factor=151"),
+    (4759123141, (2, 7, 61), "mr_witness=28178"),
+    (1122004669633, (2, 13, 23, 1662803), "mr_witness=325"),
+    (2152302898747, (2, 3, 5, 7, 11), "mr_witness=325"),
+    (3474749660383, (2, 3, 5, 7, 11, 13), "mr_witness=28178"),
+    (341550071728321, (2, 3, 5, 7, 11, 13, 17), "mr_witness=28178"),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23), "mr_witness=28178"),
+]
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-
-# The eight bounds with no prime factor below 1000, and the witness that the
-# next row's bases give for each (the first base that the bound fails).
-_TIER_BOUND_WITNESSES = [
-    (9080191, 2),
-    (25326001, 7),
-    (4759123141, 1662803),
-    (1122004669633, 5),
-    (2152302898747, 13),
-    (3474749660383, 17),
-    (341550071728321, 23),
-    (3825123056546413051, 28178),
+# The 25 composite base-2 strong pseudoprimes in (2^20, 2^23) with no prime
+# factor up to 2^10, which trial division leaves to the seven bases.
+_SPSP2_ABOVE_TABLE = [
+    1194649, 2284453, 2304167, 3090091, 3375041, 3400013, 3898129, 4181921,
+    4360621, 4469471, 4863127, 5044033, 5173169, 5489641, 5919187, 6226193,
+    6233977, 6368689, 6787327, 6952037, 7306261, 7306561, 7820201, 8036033,
+    8095447,
 ]
 
 
-def test_mr_tier_bounds_fall_to_the_next_row():
-    bounds = [bound for bound, _ in arith._MR_TIERS]
-    for bound, witness in _TIER_BOUND_WITNESSES:
-        assert all(bound % p for p in range(2, 1000))
-        next_bases = arith._MR_TIERS[bounds.index(bound) + 1][1]
-        first = next(a for a in next_bases if not _strong_probable_prime(bound, a))
-        assert first == witness
-        verdict = is_prime(bound)
-        assert (verdict.classification, verdict.evidence) == ("composite", f"mr_witness={witness}")
-    # The other three have a factor below 1000: trial division decides them.
-    for n, p in ((2047, 23), (1373653, 829), (3215031751, 151)):
-        assert n % p == 0
-        assert is_prime(n).evidence == f"factor={p}"
-    assert len(_TIER_BOUND_WITNESSES) + 3 == len(bounds) - 1
+def test_is_prime_below_2_64_on_strong_pseudoprimes():
+    assert len(_FORMER_TIERS) == 11
+    for bound, bases, evidence in _FORMER_TIERS:
+        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+        assert is_prime(bound) == PrimalityVerdict(bound, "composite", evidence)
+        if evidence.startswith("factor="):
+            q = int(evidence[7:])
+            assert bound % q == 0 and all(bound % p for p in range(2, q))
+        else:
+            a = int(evidence[11:])
+            failed = [b for b in _SINCLAIR_BASES if not _strong_probable_prime(bound, b)]
+            assert failed[0] == a, bound
+    # A base = 0 mod n passes.  299210837 divides 1795265022 and is prime;
+    # its composite multiple 3 * 299210837 falls to trial division.
+    assert is_prime(299210837) == PrimalityVerdict(
+        299210837, "prime", f"mr_deterministic:{','.join(map(str, _SINCLAIR_BASES))}"
+    )
+    assert 1795265022 % 299210837 == 0 and naive_is_prime(299210837)
+    assert is_prime(897632511) == PrimalityVerdict(897632511, "composite", "factor=3")
+    for n in _SPSP2_ABOVE_TABLE:
+        assert 2**20 < n < 2**23 and not naive_is_prime(n), n
+        assert all(n % p for p in arith._ROOT_PRIMES) and _strong_probable_prime(n, 2), n
+        witness = 9375 if n == 4181921 else 325
+        assert is_prime(n) == PrimalityVerdict(n, "composite", f"mr_witness={witness}"), n
 
 
 def test_is_prime_probabilistic_above_2_64():
@@ -295,14 +308,14 @@ def test_primality_verdict_is_a_frozen_dataclass():
     }
     assert pickle.loads(pickle.dumps(v)) == v
     # The same for the verdicts is_prime returns: the table path (7, 10^6)
-    # builds them without calling the class; above 2^20 a witness tier, the
+    # builds them without calling the class; above 2^20 the seven bases, the
     # N-1 stage, a block and BPSW decide.
     for n, evidence in [
         (7, "trial_division"),
         (10**6, "factor=2"),
         (0, "zero"),
         (1, None),
-        (2**20 + 7, "mr_deterministic:2,3"),
+        (2**20 + 7, "mr_deterministic:2,325,9375,28178,450775,9780504,1795265022"),
         (eval_exact(LFamily.L3, 36), "euler_witness=11"),
         (1009 * (2**89 - 1), "factor=1009"),
         (2**89 - 1, "bpsw+2r:seed=0"),
@@ -456,6 +469,11 @@ def test_order_divides_totient_for_primes():
 def test_order_rejects():
     with pytest.raises(ValueError):
         multiplicative_order(6, 9)  # gcd != 1
+    # a >= m: the message names the base as given, not its residue.
+    with pytest.raises(ValueError, match="^base 2 is not coprime to modulus 2$"):
+        multiplicative_order(2, 2)
+    with pytest.raises(ValueError, match="^base 15 is not coprime to modulus 9$"):
+        multiplicative_order(15, 9)
     with pytest.raises(ValueError):
         multiplicative_order(2, 1)
     with pytest.raises(ValueError):
@@ -806,11 +824,11 @@ def test_l3_pow2_scan_bytes_pinned():
     # sha256 of the report as first taken with builtin pow and %, re-taken
     # when N-1 proofs replaced BPSW for L3 values above 2^64 (k = 7..11 read
     # euler_witness=7, and the fingerprint gained "primality"), and again when
-    # the block stage moved "primality" to 3, and the L2/L4 N+1 proofs to 4
-    # (header only: no L3 verdict changed).  The reducer must not change a
-    # byte.
+    # the block stage moved "primality" to 3, the L2/L4 N+1 proofs to 4 and
+    # the one witness set below 2^64 to 5 (header only: no L3 verdict
+    # changed).  The reducer must not change a byte.
     digest = hashlib.sha256(run_scan(ScanSpec(kind="l3_pow2", n_max=11)).canonical_bytes()).hexdigest()
-    assert digest == "606e095a29976b88c412115c9e10918c667f29cb24733cd478865b6c6eda915d"
+    assert digest == "ffffd0d7a688aac54c36b701e84686a77bf3980576844a5d0ca2e515f134fff7"
 
 
 # --- trial division by blocks of primes ------------------------------------

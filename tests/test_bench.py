@@ -6,6 +6,7 @@ tools/bench_layers.py, runs here on small inputs."""
 import importlib.util
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -55,7 +56,9 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         report = json.load(report_file)
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
-    assert set(layers) == {"l_form_test", "small_l_form", "bpsw", "block_build", "trial", "launch"}
+    assert set(layers) == {
+        "l_form_test", "small_l_form", "bpsw", "block_build", "trial", "mr64", "launch"
+    }
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
     # reductions on every value, so each row times its family at h = bits/2
@@ -108,6 +111,15 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     assert window["gcds"] == sum(10 if p is None else (p - 1).bit_length() for p in least)
     for row in (l2, window):
         assert set(row["ms"]) == timing
+    # The window's n with no prime factor up to 2^10 reach the strong tests:
+    # a prime passes all seven bases, a composite there fails base 2.
+    mr = layers["mr64"]
+    survivors = [n for n, p in zip(range(2**32, 2**32 + 200), least) if p is None]
+    primes = sum(all(n % d for d in range(3, math.isqrt(n) + 1, 2)) for n in survivors)
+    assert mr["n"] == [2**32, 2**32 + 199] and mr["values"] == len(survivors)
+    assert mr["primes"] == primes > 0
+    assert mr["strong_tests"] == 7 * primes + len(survivors) - primes
+    assert set(mr["ms"]) == timing
     launch = layers["launch"]
     assert set(launch) == {"pass", "import_cli", "version", "cli_modules"}
     for name in ("pass", "import_cli", "version"):

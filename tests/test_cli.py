@@ -652,7 +652,8 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     # L4 record above 2^64 reads mr_witness=2 where a factor up to the block
     # bound now reads factor=q.  With "primality": 3, an L2 or L4 prime above
     # 2^64 reads bpsw+2r:seed=S where it now reads llr:p=P or morrison:p=P.
-    # None may be extended.
+    # With "primality": 4, a prime between 2^20 and 2^64 may read a shorter
+    # mr_deterministic base list.  None may be extended.
     path = tmp_path / "scan.jsonl"
     code, _, _ = run_cli(
         capsys, "scan", "--kind", "l3-pow2", "--n-max", "9",
@@ -660,7 +661,7 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     )
     assert code == 1
     lines = path.read_text(encoding="ascii").splitlines()
-    for older in (None, 2, 3):
+    for older in (None, 2, 3, 4):
         header = json.loads(lines[0])
         if older is None:
             del header["fingerprint"]["primality"]
@@ -964,47 +965,54 @@ def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
 # They were re-taken once more when L2/L4 values above 2^64 got N+1 proofs:
 # every header's "primality" went from 3 to 4, and the l4-twins records of
 # L4(38), L4(45), L4(50) and L4(57) read llr:p=P, rounds 2, not bpsw+2r.
-# The table form prints no evidence, so the table digests stand.
+# And again when Sinclair's seven bases became the one witness set below
+# 2^64: every header's "primality" went from 4 to 5; the primes L2(16)
+# (l2-pow2) and L4(18) (l4-twins, twice) read the seven bases as their
+# mr_deterministic list, and the base-2 strong pseudoprimes L3(18) (l3-mixed)
+# and L1(27) (l1-pow3) read mr_witness=325, not 13 and 3.  The table
+# lines of the prime kinds print the evidence, so the table digests of
+# l2-pow2, l3-mixed and l1-pow3 were re-taken with them; the table has no
+# header fingerprint, and the other table digests stand.
 PINNED_SCANS = [
     (
         ["l2-prime-exponent", "--p-max", "200"],
         "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
-        "6288abeebba08780b19ee839fa3bf673fca1ef530236ccd419b41cd5a50c563a",
+        "183eecaa02503a69d9de396370fad87affa695837c581aaa49f284d4802374e0",
     ),
     (
         ["l2-pow2", "--n-max", "8"],
-        "4253c12b256d5452e8403ca2adac3b0bdd4a3b283d27166030050f837c4d685d",
-        "0900f4ae235f764ed34a6e2772ecfabe968b468e16974b064bc0a79cf04579ec",
+        "e0225550299dc2ca03cf765ecad10cad45837c0b854f0d87b2396ac4ad052d64",
+        "8ece2d3ae93883a2925f6aa3b53a8e4e67f584a248e66936671514ab5d501386",
     ),
     (
         ["l3-pow2", "--n-max", "9"],
         "f81136bfd4851dca64a5137431d23dc87bea20cb560ac8e708b74c4ce79e7fef",
-        "c2c8fd44abd01878c410ef61b20f64eb26712b3459c9a0729a4e809ee7969715",
+        "d25835f718d6b3598840a758e1bfb3159df6fc6f790c9408b8efe79aa9c20626",
     ),
     (
         ["l3-mixed", "--m-max", "2", "--n-max", "3"],
-        "2ea4a805d2c6f5d2d2627169bb2ddd4f69475d7e692bd0995078ae324b50962c",
-        "b69bb48cc1fdd63e948e39afa88e4f878d67f1bc8cdd4c84bf5008cc07e63b98",
+        "e5806017be5cf2739a649b3b02c76043de42d01256d75d8a1929752a008e2993",
+        "e0bdeaf92e6d598f2121110637d9068ddad92f58582b84cd3364046e9be828a8",
     ),
     (
         ["l1-pow3", "--k-max", "4"],
-        "52ddb13a3c1291e66512737dd59c9229e5dd7f6935e4cd3a7a3fdf3b3a4ef687",
-        "267784b34845f487ef546d71cdb37a4b848753abe6358054079a28f6680e0e44",
+        "adedcda2105fbc56313d17cc5c3fc1feef350360d9d281227e2656ea23a015de",
+        "b5227a94b1c691be33d052a8e57192aa249ee2f83218a13409f0dd3916fed5af",
     ),
     (
         ["l4-twins", "--n-max", "60"],
         "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
-        "bfbab4734373dc037efe3eb2844d9f6e8cf442123c3fbd5dc9d8cf11f8ac1166",
+        "340690fc5c444649dc5ccc94675786f6c9ab993061e6c708a85114c7cd00c29a",
     ),
     (
         ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
         "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
-        "1cefc8ec44fcdb42596478c6c822f5322b79df447a344ad622a8c78315b6f4e5",
+        "922cae484a192d3d4b3e7cd1ee405aaf8bf94f15aa4f07152dea12a10a40bb7f",
     ),
     (
         ["congruence-audit", "--n-max", "200"],
         "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
-        "2eae461acd4960afcfd6bed00ca66d2a100099084de7bd9b588c09dc5620d2d8",
+        "9fb3e4ed98e863560431fe537380315857e3ecb0cd15265bde579bbbe170c540",
     ),
 ]
 
@@ -1163,9 +1171,11 @@ PINNED_COMMANDS = [
     (["verify-paper", "--only", _FAST_CHECKS],
      "bc4e48c36a8af8ae5f936041d61521ea2dcbde26c69247734900f8c9a1a102bb",
      "d802bf05edb4772c52e931a298367f809be88010ea0b298a5f2f45c8a20eb416"),
+    # Re-taken when the gcd-all-pairs anchor joined the known anchors that
+    # this error lists.
     (["verify-paper", "--only", "nonsense"],
-     "5e936f212269fcd1b62990bf53276d2e5be4a4a31d9e95ecc0d821a568d51574",
-     "5e936f212269fcd1b62990bf53276d2e5be4a4a31d9e95ecc0d821a568d51574"),
+     "248d9572108aa403b09fb5980913bf93bc1bfb68933d5cf05d90af05050c4fb9",
+     "248d9572108aa403b09fb5980913bf93bc1bfb68933d5cf05d90af05050c4fb9"),
 ]
 
 

@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from lseq import gcdlaws, paper
 from lseq.gcdlaws import (
     GcdCheckRecord,
     IndexSetSpec,
@@ -131,6 +132,19 @@ def test_l_gcd_law_on_every_pair_to_300():
             if _l_gcd(family, i, j) != math.gcd(values[i], values[j])
         ]
         assert wrong == [], family
+
+
+def test_gcd_all_pairs_anchor(monkeypatch):
+    # verify-paper's gcd-all-pairs anchor makes the same comparison on every
+    # pair to 120 and names the first pair where law and gcd disagree.
+    anchor = paper.ANCHORS["gcd-all-pairs"]
+    assert anchor() == (True, "14520 pairs i <= j <= 120 of L1 and L3 match the gcd law")
+
+    def law(family, i, j):  # gcd(L3(4), L3(20)) is L3(4) = 241
+        return 1 if (family, i, j) == (LFamily.L3, 4, 20) else _l_gcd(family, i, j)
+
+    monkeypatch.setattr(gcdlaws, "_l_gcd", law)
+    assert anchor() == (False, "L3: gcd law fails at i=4, j=20")
 
 
 def test_corollary2_divisor_branches():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from lseq import lfamily
+from lseq import lfamily, paper
 from lseq.lfamily import (
     BudgetExceededError,
     CongruenceRule,
@@ -176,6 +176,16 @@ def test_false_rule_is_violated():
     assert rule.first_violation(3) == 3
     assert rule.first_violation(10**6) == 3
     assert not rule.holds_through(3)
+
+
+def test_congruence_anchor_names_a_violated_rule(monkeypatch):
+    # The congruence-orbits anchor audits the catalogue through the
+    # congruence_audit scan and names the first rule it finds violated.
+    false = CongruenceRule(LFamily.L1, 7, 3, (3,), "divisible by 7 at multiples of 3")
+    monkeypatch.setitem(lfamily._RULES, LFamily.L1, (*lfamily._RULES[LFamily.L1], false))
+    assert paper.ANCHORS["congruence-orbits"]() == (
+        False, "L1: divisible by 7 at multiples of 3 fails at n=3"
+    )
 
 
 def test_first_violation_walks_covered_indices_in_order():

@@ -464,7 +464,7 @@ def test_fingerprint_contents():
     assert fp["engine"] == "lseq"
     assert fp["seed"] == 3
     assert fp["deterministic_limit"] == 1 << 64
-    assert fp["primality"] == 4
+    assert fp["primality"] == 5
 
 
 def test_limit_validation(tmp_path):

@@ -1,6 +1,7 @@
-"""Layer benchmark: times the L-form proof, small L-form, BPSW, block and
-trial-division layers of lseq.arith, and the launch of the CLI, on fixed
-inputs and writes BENCH_<label>.json at the repository root.
+"""Layer benchmark: times the L-form proof, small L-form, BPSW, block,
+trial-division and below-2^64 Miller-Rabin layers of lseq.arith, and the
+launch of the CLI, on fixed inputs and writes BENCH_<label>.json at the
+repository root.
 
     python3 tools/bench_layers.py --label L
 
@@ -35,6 +36,10 @@ be told apart from a change in speed.  The layers:
 - trial: the trial-division stage, _block_factor, on every value that
   is_prime hands to it from the L2(p), p <= 2000 prime, and from WINDOW
   consecutive n from 2^32, with the gcds made and the factors found.
+- mr64: is_prime on the n of those WINDOW from 2^32 that trial division
+  leaves, which the seven bases of the strong tests below 2^64 decide, the
+  memo emptied before each value.  The work is the number of values, of
+  primes among them and of strong tests made.
 - launch: fresh ``python -S`` processes for ``-c pass`` (the interpreter
   alone), ``-c "import lseq.cli"`` and ``-m lseq.cli --version`` (bench/run.py
   times it, with site, as setup_s), each with its peak RSS from wait4.  They
@@ -271,6 +276,33 @@ def trial(p_max: int, window: int, repeats: int) -> dict:
     }
 
 
+def mr64(window: int, repeats: int) -> dict:
+    """is_prime on the n in [2^32, 2^32 + window) with no prime factor up to
+    2^10, the memo emptied before each, and the strong tests it makes."""
+    values = [n for n in range(2**32, 2**32 + window) if arith._block_factor(n, None) is None]
+
+    def run() -> list[arith.PrimalityVerdict]:
+        verdicts = []
+        for n in values:
+            arith._verdict_above_table.cache_clear()
+            verdicts.append(arith.is_prime(n))
+        return verdicts
+
+    strong = arith._strong_probable_prime
+    arith._strong_probable_prime, tests = _counting(strong)
+    try:
+        primes = sum(v.classification == "prime" for v in run())  # untimed; counts the tests
+    finally:
+        arith._strong_probable_prime = strong
+    return {
+        "n": [2**32, 2**32 + window - 1],
+        "ms": _timed(run, repeats),
+        "values": len(values),
+        "primes": primes,
+        "strong_tests": tests[0],
+    }
+
+
 # Runs one launch, python -S with the arguments given, and prints its wall
 # time in ns, exit code and peak RSS in KiB.  A process's peak RSS counts the
 # pages of the process it was forked from, so each launch is forked from this
@@ -331,6 +363,7 @@ def layers(l_form_bits, small_h, bpsw_bits, p_max: int, window: int, repeats: in
         "bpsw": bpsw_rows(bpsw_bits, repeats),
         "block_build": block_build(repeats),
         "trial": trial(p_max, window, repeats),
+        "mr64": mr64(window, repeats),
         "launch": launch(repeats),
     }
 
