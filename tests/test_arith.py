@@ -122,7 +122,8 @@ def test_sieve_primes_where_table_and_large_path_meet():
 def test_is_prime_deterministic_below_2_64():
     # 2047 = 23 * 89 and 3215031751 = 151 * 751 * 28351 fall to trial
     # division before any strong test runs; the seven bases themselves are
-    # pinned by test_is_prime_below_2_64_on_strong_pseudoprimes.
+    # pinned by test_mr_tier_bounds_fall_to_the_next_row and
+    # test_is_prime_below_2_64_on_strong_pseudoprimes.
     assert is_prime(2047).classification == "composite"
     assert is_prime(3215031751).classification == "composite"
     assert is_prime(3825123056546413051).classification == "composite"
@@ -175,18 +176,31 @@ _SPSP2_ABOVE_TABLE = [
 ]
 
 
-def test_is_prime_below_2_64_on_strong_pseudoprimes():
+def test_mr_tier_bounds_are_strong_pseudoprimes_to_their_own_bases():
+    # Each former bound passes its own row's bases, so those witness sets
+    # needed a tier above them; test_mr_tier_bounds_fall_to_the_next_row
+    # shows that the seven bases decide each one.
     assert len(_FORMER_TIERS) == 11
-    for bound, bases, evidence in _FORMER_TIERS:
+    for bound, bases, _ in _FORMER_TIERS:
         assert all(_strong_probable_prime(bound, a) for a in bases), bound
+
+
+def test_mr_tier_bounds_fall_to_the_next_row():
+    # The next row of every former bound is now the seven bases: is_prime
+    # names its least factor up to 2^10 or the first of the bases it fails.
+    for bound, _, evidence in _FORMER_TIERS:
         assert is_prime(bound) == PrimalityVerdict(bound, "composite", evidence)
         if evidence.startswith("factor="):
             q = int(evidence[7:])
             assert bound % q == 0 and all(bound % p for p in range(2, q))
         else:
             a = int(evidence[11:])
+            assert all(bound % p for p in arith._ROOT_PRIMES), bound
             failed = [b for b in _SINCLAIR_BASES if not _strong_probable_prime(bound, b)]
             assert failed[0] == a, bound
+
+
+def test_is_prime_below_2_64_on_strong_pseudoprimes():
     # A base = 0 mod n passes.  299210837 divides 1795265022 and is prime;
     # its composite multiple 3 * 299210837 falls to trial division.
     assert is_prime(299210837) == PrimalityVerdict(
