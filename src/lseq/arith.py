@@ -149,6 +149,13 @@ def _prime_block(j: int, pm1_mod_5: bool) -> int:
     return parts[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _prime_blocks(last: int, pm1_mod_5: bool) -> tuple[int, ...]:
+    """Blocks 1..last, those above _ROOT_BLOCK of only the primes = +-1 mod 5
+    when pm1_mod_5: one cache lookup per _block_factor call."""
+    return tuple(_prime_block(j, pm1_mod_5 and j > _ROOT_BLOCK) for j in range(1, last + 1))
+
+
 def _block_factor(n: int, form: tuple[int, int, int] | None) -> int | None:
     """The smallest prime factor of n > _TABLE_LIMIT up to 2^J, or None,
     where form is _l_form(n) for n >= 2^64 and None below.  One gcd per
@@ -171,8 +178,8 @@ def _block_factor(n: int, form: tuple[int, int, int] | None) -> int | None:
         bits = n.bit_length()
         last = max(last, (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length())
         pm1_mod_5 = form is not None
-    for j in range(1, last + 1):
-        g = math.gcd(n, _prime_block(j, pm1_mod_5 and j > _ROOT_BLOCK))
+    for j, block in enumerate(_prime_blocks(last, pm1_mod_5), 1):
+        g = math.gcd(n, block)
         if g > 1:
             return g if g <= 1 << j else next(q for q in _block_range(j) if g % q == 0)
     return None

@@ -8,7 +8,10 @@ scan tests is below 2^64 or of L-form, which is_prime decides from the value
 alone, so the spec's seed and extra_rounds, kept in it and in the engine
 fingerprint, change no record.  Progress can be journaled to an append-only
 checkpoint file (one JSON object per line) and picked up later with
-resume().
+resume().  The journal header's spec_sha256 is SHA-256, computed here in
+pure Python (_sha256), so no launch loads hashlib and OpenSSL with it.
+A spec whose values would exceed eval_exact's bit budget is refused when
+it is made, before the first value is evaluated.
 
 jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -31,7 +35,7 @@ from .arith import (
     multiplicative_order,
     sieve_primes,
 )
-from .lfamily import LFamily, builtin_congruence_rules, eval_exact, residue
+from .lfamily import DEFAULT_EVAL_BIT_BUDGET, LFamily, builtin_congruence_rules, eval_exact, residue
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -61,11 +65,38 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _sha256(text: str) -> Any:
-    """The SHA-256 hash object of ASCII text: the one place a digest is taken."""
-    import hashlib  # maps OpenSSL; a launch that takes no digest never loads it
+def _sha256(text: str) -> str:
+    """The hex SHA-256 (FIPS 180-4) of ASCII text: the one place a digest is
+    taken.  Pure Python, so that no launch maps OpenSSL through hashlib (a
+    spec of about 110 bytes takes about 0.4 ms).  The constants are the first
+    32 fractional bits of the square roots of the first 8 primes and of the
+    cube roots of the first 64."""
+    primes, mask = sieve_primes(311), 0xFFFFFFFF
+    h = [math.isqrt(p << 64) & mask for p in primes[:8]]
+    k = []
+    for p in primes:
+        root = int(p ** (1 / 3) * 2**32)  # within one of the cube root of p * 2^96
+        root -= root**3 > p << 96
+        k.append((root + ((root + 1) ** 3 <= p << 96)) & mask)
 
-    return hashlib.sha256(text.encode("ascii"))
+    def rotr(x: int, n: int) -> int:
+        return (x >> n | x << (32 - n)) & mask
+
+    data = text.encode("ascii")
+    data += b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    for start in range(0, len(data), 64):
+        w = [int.from_bytes(data[i : i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        a, b, c, d, e, f, g, hh = h
+        for t in range(64):
+            t1 = hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + k[t] + w[t]
+            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
+        h = [(x + y) & mask for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
+    return "".join(f"{x:08x}" for x in h)
 
 
 class ResumeError(Exception):
@@ -119,6 +150,12 @@ class ScanSpec:
         ]
         if unused:
             raise ValueError(f"scan kind {self.kind!r} does not use {', '.join(unused)}")
+        # eval_exact's own check, made before the first value is evaluated.
+        if kind.top is not None and 2 * kind.top(self) + 1 > DEFAULT_EVAL_BIT_BUDGET:
+            raise ValueError(
+                f"scan kind {self.kind!r} reaches values past the evaluation bit budget "
+                f"of {DEFAULT_EVAL_BIT_BUDGET} bits"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -138,7 +175,7 @@ class ScanSpec:
         return _canonical_json(self.to_dict())
 
     def sha256(self) -> str:
-        return _sha256(self.canonical()).hexdigest()
+        return _sha256(self.canonical())
 
 
 def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
@@ -262,6 +299,10 @@ class _Kind:
     bounds maps each bound field the kind reads to its minimum (in checking
     order); family is "required", "optional" or None when the kind does not
     read it.  summary returns the summary's JSON fields and its table line.
+    top returns the largest sequence index whose value the kind evaluates,
+    which ScanSpec checks against the evaluation bit budget; it is None where
+    the bounds do not fix that index (the largest prime up to p_max) or the
+    kind evaluates no value.
     """
 
     bounds: dict[str, int]
@@ -269,6 +310,7 @@ class _Kind:
     evaluate: Callable[[ScanSpec, tuple[int, ...]], tuple[str, dict[str, Any]]]
     summary: Callable[[ScanReport], tuple[dict[str, Any], str]]
     family: str | None = None
+    top: Callable[[ScanSpec], int] | None = None
 
 
 def _prime_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
@@ -281,15 +323,24 @@ def _prime_kind(
     sequence_index: Callable[..., int],
     bounds: dict[str, int],
     candidates: Callable[[ScanSpec], list[tuple[int, ...]]],
+    exponents: bool = True,
 ) -> _Kind:
-    """A kind that classifies the family's value at sequence_index(*index)."""
+    """A kind that classifies the family's value at sequence_index(*index).
+    When its bounds are exponents, its top index is sequence_index(*bounds)."""
 
     def evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
         n = sequence_index(*index)
         result = _classify(family, n)
         return result.pop("classification"), {"sequence_index": n, **result}
 
-    return _Kind(bounds, candidates, evaluate, _prime_summary)
+    def top(spec: ScanSpec) -> int:
+        # An exponent at or past the budget's bit length puts the index past
+        # the budget already, so capping it there keeps the verdict and
+        # builds no index wider than a few dozen bits.
+        cap = DEFAULT_EVAL_BIT_BUDGET.bit_length()
+        return sequence_index(*(min(getattr(spec, name), cap) for name in bounds))
+
+    return _Kind(bounds, candidates, evaluate, _prime_summary, top=top if exponents else None)
 
 
 def _evaluate_twins(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
@@ -374,7 +425,11 @@ def _audit_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
 
 _KINDS: dict[str, _Kind] = {
     "l2_prime_exponent": _prime_kind(
-        LFamily.L2, lambda p: p, {"p_max": 2}, lambda s: [(p,) for p in sieve_primes(s.p_max)]
+        LFamily.L2,
+        lambda p: p,
+        {"p_max": 2},
+        lambda s: [(p,) for p in sieve_primes(s.p_max)],
+        exponents=False,
     ),
     "l2_pow2": _prime_kind(
         LFamily.L2, lambda n: 2**n, {"n_max": 1}, lambda s: [(n,) for n in range(1, s.n_max + 1)]
@@ -392,7 +447,11 @@ _KINDS: dict[str, _Kind] = {
         LFamily.L1, lambda k: 3**k, {"k_max": 0}, lambda s: [(k,) for k in range(s.k_max + 1)]
     ),
     "l4_twins": _Kind(
-        {"n_max": 2}, lambda s: [(n,) for n in range(1, s.n_max)], _evaluate_twins, _twin_summary
+        {"n_max": 2},
+        lambda s: [(n,) for n in range(1, s.n_max)],
+        _evaluate_twins,
+        _twin_summary,
+        top=lambda s: s.n_max,
     ),
     "square_divisors": _Kind(
         {"n_max": 1, "p_max": 3},
@@ -594,7 +653,7 @@ def resume(
     # The hash covers the spec as written, defaults filled in: a journal
     # whose header spells the family "l4" resumes as the "L4" scan.
     written = _canonical_json({**spec.to_dict(), **header["spec"]})
-    if header.get("spec_sha256") != _sha256(written).hexdigest():
+    if header.get("spec_sha256") != _sha256(written):
         raise ResumeError("stored spec hash does not match the stored spec")
     if header.get("fingerprint") != engine_fingerprint(spec):
         raise ResumeError("engine fingerprint changed; refusing to mix results")

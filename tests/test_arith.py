@@ -977,14 +977,17 @@ def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
         p for p in sieve_primes(2048) if p > 1024 and p % 5 in (1, 4)
     )
     # An L4 value takes those blocks, up to its bound 2^14; a value of no
-    # L-form takes the full ones.
-    kinds = []
-    real = arith._prime_block
-    monkeypatch.setattr(arith, "_prime_block", lambda j, pm1: kinds.append(pm1) or real(j, pm1))
+    # L-form takes the full ones, up to the cap 2^18.  Each call looks its
+    # blocks up once.
+    calls = []
+    real = arith._prime_blocks
+    monkeypatch.setattr(arith, "_prime_blocks", lambda last, pm1: calls.append((last, pm1)) or real(last, pm1))
     l4_184 = eval_exact(LFamily.L4, 184)
     assert arith._block_factor(l4_184, arith._l_form(l4_184)) == 16139
     assert arith._block_factor(1013 * (2**2203 - 1), None) == 1013
-    assert kinds == [False] * 10 + [True] * 4 + [False] * 10
+    assert calls == [(14, True), (18, False)]
+    assert real(14, True) == tuple(arith._prime_block(j, j > 10) for j in range(1, 15))
+    assert real(18, False) == tuple(arith._prime_block(j, False) for j in range(1, 19))
 
 
 def test_block_stage_skips_l1_l3_values():

@@ -121,8 +121,8 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     assert mr["strong_tests"] == 7 * primes + len(survivors) - primes
     assert set(mr["ms"]) == timing
     launch = layers["launch"]
-    assert set(launch) == {"pass", "import_cli", "version", "cli_modules"}
-    for name in ("pass", "import_cli", "version"):
+    assert set(launch) == {"pass", "import_cli", "version", "scan", "cli_modules"}
+    for name in ("pass", "import_cli", "version", "scan"):
         assert set(launch[name]) == {"ms", "rss_mb"}
         assert set(launch[name]["ms"]) == timing
         assert launch[name]["rss_mb"] > 0

@@ -734,9 +734,9 @@ def test_startup_builds_no_smallest_factor_table():
 def test_pool_and_tempfile_load_only_when_used(tmp_path):
     # -S: the site module may import tempfile itself.  Modules are compared
     # with the set loaded before lseq, so what the interpreter preloads does
-    # not matter.  The same holds for hashlib, which maps OpenSSL and loads
-    # with the first digest, and for the modules of the gcd, repunit and
-    # verify-paper commands.
+    # not matter.  The same holds for the modules of the gcd, repunit and
+    # verify-paper commands.  hashlib, which maps OpenSSL, never loads: the
+    # spec digest is computed in pure Python.
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -769,15 +769,14 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
         unused = added("hashlib", "_hashlib", "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
         assert not unused, unused
         run("verify-paper", "--only", "golden-values,square-divisors", "--json")
-        assert not added("_hashlib")
+        assert not added("hashlib", "_hashlib")
         scan = ["scan", "--kind", "l4-twins", "--n-max", "30", "--json"]
         solo = run(*scan, "--jobs", "1")
-        assert added("_hashlib")
-        import hashlib
-        canonical = ScanSpec(kind="l4_twins", n_max=30).canonical()
-        assert solo[0]["spec_sha256"] == hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        assert not added("hashlib", "_hashlib")
         run(*scan, "--limit", "7", "--checkpoint", {cut!r})
+        assert not added("hashlib", "_hashlib")
         run("resume", "--path", {cut!r}, "--json")
+        assert not added("hashlib", "_hashlib")
         loaded = sorted(
             name for name in set(sys.modules) - before
             if name == "concurrent.futures.process"
@@ -788,6 +787,10 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
         # Without elapsed_ms, the --json lines carry every canonical_bytes() field.
         assert run(*scan, "--jobs", "2") == solo
         assert "concurrent.futures.process" in sys.modules
+        assert not added("hashlib", "_hashlib")
+        import hashlib
+        canonical = ScanSpec(kind="l4_twins", n_max=30).canonical()
+        assert solo[0]["spec_sha256"] == hashlib.sha256(canonical.encode("ascii")).hexdigest()
         """
     )
     proc = subprocess.run(
@@ -938,6 +941,22 @@ def test_resume_mistyped_spec_field_exits_2(tmp_path, capsys, argv, field, value
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"requires {field} >= " in err
+
+
+def test_scan_past_the_bit_budget_exits_2_before_any_value(tmp_path, capsys, monkeypatch):
+    # L3(2^25) needs 2^26 + 1 bits, one past the budget; the values before it
+    # would take days, so the spec is refused before the first.
+    monkeypatch.setattr(search, "_classify", lambda family, n: pytest.fail("value evaluated"))
+    message = "scan kind 'l3_pow2' reaches values past the evaluation bit budget of 67108864 bits"
+    code, out, err = run_cli(capsys, "scan", "--kind", "l3-pow2", "--n-max", "25")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # A journal whose header spec was raised past the budget refuses to resume.
+    path = tmp_path / "scan.jsonl"
+    spec = {**search.ScanSpec(kind="l3_pow2", n_max=24).to_dict(), "n_max": 25}
+    header = {"type": "header", "format": 1, "spec": spec, "spec_sha256": _spec_sha256(spec)}
+    path.write_text(json.dumps(header) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "resume", "--path", str(path))
+    assert (code, out, err) == (2, "", f"error: invalid spec in checkpoint: {message}\n")
 
 
 @pytest.mark.parametrize(

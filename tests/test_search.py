@@ -1,5 +1,6 @@
 """Tests for the resumable scan engine: determinism, checkpoints, resume."""
 
+import hashlib
 import json
 import time
 
@@ -48,6 +49,28 @@ def test_spec_rejects_wrong_types(fields, message):
     with pytest.raises(ValueError) as info:
         ScanSpec(**fields)
     assert str(info.value) == message
+
+
+# Each kind's bounds just below and just past the evaluation bit budget: the
+# largest sequence index i must keep 2i + 1 <= 2^26.  These are never run.
+@pytest.mark.parametrize(
+    "kind, below, past",
+    [
+        ("l2_pow2", {"n_max": 24}, {"n_max": 25}),
+        ("l3_pow2", {"n_max": 24}, {"n_max": 25}),
+        ("l1_pow3", {"k_max": 15}, {"k_max": 16}),
+        ("l3_mixed", {"m_max": 1, "n_max": 23}, {"m_max": 1, "n_max": 24}),
+        ("l3_mixed", {"m_max": 15, "n_max": 1}, {"m_max": 16, "n_max": 1}),
+        ("l4_twins", {"n_max": 2**25 - 1}, {"n_max": 2**25}),
+    ],
+)
+def test_spec_rejects_bounds_past_the_bit_budget(kind, below, past):
+    ScanSpec(kind=kind, **below)
+    with pytest.raises(ValueError) as info:
+        ScanSpec(kind=kind, **past)
+    assert str(info.value) == (
+        f"scan kind {kind!r} reaches values past the evaluation bit budget of 67108864 bits"
+    )
 
 
 def test_scan_shorthands_reject_unknown_keywords():
@@ -261,7 +284,7 @@ def test_journaled_scan_takes_one_digest(tmp_path, monkeypatch):
     run_scan(spec, checkpoint_path=str(path))
     assert digests == [spec.canonical()]
     header = json.loads(path.read_text().splitlines()[0])
-    assert header["spec_sha256"] == real(spec.canonical()).hexdigest()
+    assert header["spec_sha256"] == real(spec.canonical())
 
 
 # A small spec of each scan kind whose values, where it makes any, reach past
@@ -276,6 +299,17 @@ _SMALL_SPECS = [
     {"kind": "square_divisors", "family": "L1", "n_max": 20, "p_max": 50},
     {"kind": "congruence_audit", "n_max": 20},
 ]
+
+
+def test_spec_digest_is_sha256():
+    # hashlib, which lseq does not load, is the reference: the FIPS 180-4
+    # examples, ASCII text of every length 0-130 (the padding takes a second
+    # block from 56 bytes and a third from 120) and each kind's spec.
+    fips = ["", "abc", "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"]
+    lengths = ["".join(chr(32 + (7 * i + n) % 95) for i in range(n)) for n in range(131)]
+    specs = [ScanSpec(**fields).canonical() for fields in _SMALL_SPECS]
+    for text in fips + lengths + specs:
+        assert search._sha256(text) == hashlib.sha256(text.encode("ascii")).hexdigest(), text
 
 
 def test_small_specs_cover_every_kind():

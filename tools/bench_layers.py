@@ -41,8 +41,9 @@ be told apart from a change in speed.  The layers:
   memo emptied before each value.  The work is the number of values, of
   primes among them and of strong tests made.
 - launch: fresh ``python -S`` processes for ``-c pass`` (the interpreter
-  alone), ``-c "import lseq.cli"`` and ``-m lseq.cli --version`` (bench/run.py
-  times it, with site, as setup_s), each with its peak RSS from wait4.  They
+  alone), ``-c "import lseq.cli"``, ``-m lseq.cli --version`` (bench/run.py
+  times it, with site, as setup_s) and a small ``l3-pow2`` scan with --json,
+  which takes the spec digest, each with its peak RSS from wait4.  They
   run in turn, LAUNCH_ROUNDS times per repeat, so that they share the host's
   load.  The work is the number of modules ``import lseq.cli`` adds.
 """
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import itertools
@@ -79,6 +81,7 @@ LAUNCHES = {
     "pass": ["-c", "pass"],
     "import_cli": ["-c", "import lseq.cli"],
     "version": ["-m", "lseq.cli", "--version"],
+    "scan": ["-m", "lseq.cli", "scan", "--kind", "l3-pow2", "--n-max", "6", "--json"],
 }
 LAUNCH_ROUNDS = 4
 
@@ -248,13 +251,13 @@ def _trial_row(numbers, repeats: int) -> dict:
             arith.is_prime(n)
     finally:
         arith._block_factor = real
-    # _block_factor makes one gcd per _prime_block call.
-    block = arith._prime_block
-    arith._prime_block, gcds = _counting(block)
+    # Nothing but _block_factor calls math.gcd while it is counted.
+    gcd = math.gcd
+    math.gcd, gcds = _counting(gcd)
     try:
         found = sum(real(*call) is not None for call in calls)
     finally:
-        arith._prime_block = block
+        math.gcd = gcd
     return {
         "ms": _timed(lambda: [real(*call) for call in calls], repeats),
         "values": len(calls),
