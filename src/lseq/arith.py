@@ -18,10 +18,10 @@ N-1 power and the L2/L4 base-2 power are one routine of 2h - 1 squarings and
 one product, and every product modulo an L-form value is reduced by one
 shift-add fold in place of a long division; both parameter searches end, so
 every L-form verdict depends on n alone.  A value of no L-form that survives
-gets BPSW, with builtin pow and %: a square check, a base-2 strong test, the
-extra strong Lucas test on the N+1 proof's V-chain, and a configurable
-number of seeded random-base rounds.  The last verdict above 2^20 is kept:
-an L4 twin scan, which tests each value twice in a row, decides each once.
+gets BPSW, with builtin pow and %: a square check, a base-2 strong test and
+the extra strong Lucas test on the N+1 proof's V-chain.  Every verdict
+depends on n alone.  The last verdict above 2^20 is kept: an L4 twin scan,
+which tests each value twice in a row, decides each once.
 
 sieve_primes is a plain sieve of Eratosthenes.  The primes up to
 isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
@@ -39,7 +39,6 @@ from typing import Callable, Iterator
 
 __all__ = [
     "DETERMINISTIC_LIMIT",
-    "DEFAULT_EXTRA_ROUNDS",
     "DEFAULT_TRIAL_BOUND",
     "DEFAULT_RHO_BUDGET",
     "OrderSearchError",
@@ -55,7 +54,6 @@ __all__ = [
 # Verdicts for n below this bound are deterministic.
 DETERMINISTIC_LIMIT = 1 << 64
 
-DEFAULT_EXTRA_ROUNDS = 2
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 200_000
 
@@ -204,8 +202,7 @@ class PrimalityVerdict:
     failed-test witness ("mr_witness=2", "euler_witness=7"), or a marker for
     the deterministic method used ("proth:a=7", "llr:p=4").  rounds counts
     the tests applied above 2^64: 1 for an N-1 proof or a failed base-2
-    test, 2 for an N+1 proof, up to 2 + extra_rounds for BPSW, the one
-    verdict that depends on more than n (its seeded rounds).
+    test, 2 for an N+1 proof or for BPSW ("bpsw", probable_prime).
     """
 
     n: int
@@ -485,12 +482,13 @@ def _l_form_proof(n: int, h: int, s1: int, s0: int) -> PrimalityVerdict:
     return PrimalityVerdict(n, "composite", f"euler_witness={a}", rounds=1)
 
 
-def _bpsw(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
+def _bpsw(n: int) -> PrimalityVerdict:
     """Probable prime or composite, for n above 2^64 of no L-form that
-    trial division leaves: a square check, a base-2 strong test, the extra
-    strong Lucas test, and extra_rounds strong tests to bases drawn from
-    random.Random(seed), all with builtin pow and %.  The Lucas test needs a
-    non-square n; 4^h +- 2^h +- 1 lies strictly between consecutive squares."""
+    trial division leaves: a square check, a base-2 strong test and the
+    extra strong Lucas test, with builtin pow and %.  No composite is known
+    to pass both tests (Baillie, Fiori and Wagstaff 2021).  The Lucas test
+    needs a non-square n; 4^h +- 2^h +- 1 lies strictly between consecutive
+    squares."""
     root = math.isqrt(n)
     if root * root == n:
         return PrimalityVerdict(n, "composite", f"square_of={root}")
@@ -498,19 +496,14 @@ def _bpsw(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
         return PrimalityVerdict(n, "composite", "mr_witness=2", rounds=1)
     if not _extra_strong_lucas_probable_prime(n):
         return PrimalityVerdict(n, "composite", "lucas_witness", rounds=2)
-    rng = random.Random(seed)
-    for i in range(extra_rounds):
-        a = rng.randrange(3, n - 1)
-        if not _strong_probable_prime(n, a):
-            return PrimalityVerdict(n, "composite", f"mr_witness={a}", rounds=3 + i)
-    return PrimalityVerdict(n, "probable_prime", f"bpsw+{extra_rounds}r:seed={seed}", rounds=2 + extra_rounds)
+    return PrimalityVerdict(n, "probable_prime", "bpsw", rounds=2)
 
 
 # Kept for the last call only: an L4 twin scan tests each value twice in a
 # row (as L4(n + 1) of candidate n, then as L4(n) of candidate n + 1), while
 # a re-run or a resumed scan still recomputes every value.
 @functools.lru_cache(maxsize=1)
-def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdict:
+def _verdict_above_table(n: int) -> PrimalityVerdict:
     """is_prime's verdict for n > _TABLE_LIMIT: trial division, then one test."""
     form = _l_form(n) if n >= DETERMINISTIC_LIMIT else None
     q = _block_factor(n, form)
@@ -523,15 +516,10 @@ def _verdict_above_table(n: int, extra_rounds: int, seed: int) -> PrimalityVerdi
         return PrimalityVerdict(n, "prime", f"mr_deterministic:{','.join(map(str, _MR_BASES))}")
     if form is not None:
         return _l_form_proof(n, *form)
-    return _bpsw(n, extra_rounds, seed)
+    return _bpsw(n)
 
 
-def is_prime(
-    n: int,
-    *,
-    extra_rounds: int = DEFAULT_EXTRA_ROUNDS,
-    seed: int = 0,
-) -> PrimalityVerdict:
+def is_prime(n: int) -> PrimalityVerdict:
     """Classify n as unit, prime, probable_prime, or composite.
 
     Below 2^64 the verdict is deterministic.  n <= 2^20 is one lookup in the
@@ -550,22 +538,20 @@ def is_prime(
     "composite" with lucas_v_witness=P, rounds 2.  Those proofs reduce every
     product by the shift-add fold of _l_form_reducer; a Jacobi symbol of 0
     in their parameter search reads factor=q, n's least prime factor.  Any
-    other n is labeled probable_prime after BPSW: a square check
-    (square_of=r), a base-2 strong test, the extra strong Lucas test, and
-    extra_rounds random-base strong tests drawn from the given seed, all
-    with builtin pow and %.  The verdict of the last call above 2^20 is
-    kept, so a repeated call (an L4 twin scan makes them) runs no test.
+    other n is labeled probable_prime with evidence bpsw, rounds 2, after
+    BPSW: a square check (square_of=r), a base-2 strong test and the extra
+    strong Lucas test, with builtin pow and %.  The verdict of the last call
+    above 2^20 is kept, so a repeated call (an L4 twin scan makes them) runs
+    no test.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if extra_rounds < 0:
-        raise ValueError(f"extra_rounds must be >= 0, got {extra_rounds}")
     if 1 < n <= _TABLE_LIMIT:
         classification, evidence = _TABLE_VERDICTS[(_spf or _spf_table())[n]]
         return _set_fields(_new_object(PrimalityVerdict), n, classification, evidence, 0)
     if n <= 1:
         return PrimalityVerdict(1, "unit") if n else PrimalityVerdict(0, "composite", "zero")
-    return _verdict_above_table(n, extra_rounds, seed)
+    return _verdict_above_table(n)
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:

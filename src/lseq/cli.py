@@ -2,10 +2,10 @@
 
 Every subcommand supports a human-readable table form (default) and a
 structured form (--json, one JSON object per line) in which all integers
-are exact decimal strings.  Headers always carry the engine version and the
-seed and round count of the commands that take them, so any verdict can be
-reproduced (prime-check draws random bases only for values above 2^64 of no
-L-form; a scan keeps them in its spec, but they change no record).
+are exact decimal strings.  Headers always carry the engine version, and
+insularity's header its sampling seed, so any output can be reproduced:
+every primality verdict depends on the value alone (a scan's --seed is a
+label kept in its spec; it changes no record).
 Verification commands exit 0 only when every requested check passed; scans
 exit 0 only when they ran to completion.
 """
@@ -18,13 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import __version__
-from .arith import (
-    DEFAULT_EXTRA_ROUNDS,
-    OrderSearchError,
-    is_prime,
-    lemma2_witness,
-    multiplicative_order,
-)
+from .arith import OrderSearchError, is_prime, lemma2_witness, multiplicative_order
 from .lfamily import (
     DEFAULT_EVAL_BIT_BUDGET,
     DEFAULT_PRODUCT_BIT_BUDGET,
@@ -101,14 +95,10 @@ class _Output:
             for text in table_lines:
                 print(text)
 
-    def header(
-        self, params: dict[str, Any], seed: int | None = None, extra_rounds: int | None = None
-    ) -> None:
+    def header(self, params: dict[str, Any], seed: int | None = None) -> None:
         provenance: dict[str, Any] = {"engine": "lseq", "version": __version__}
         if seed is not None:
             provenance["seed"] = seed
-        if extra_rounds is not None:
-            provenance["extra_rounds"] = extra_rounds
         pairs = " ".join(
             f"{k}={self.num(v) if type(v) is int else v}"
             for k, v in params.items()
@@ -172,8 +162,8 @@ def _cmd_residue(args: argparse.Namespace, out: _Output) -> int:
 
 def _cmd_prime_check(args: argparse.Namespace, out: _Output) -> int:
     n = int(args.n)
-    verdict = is_prime(n, extra_rounds=args.extra_rounds, seed=args.seed)
-    out.header({"n": n}, seed=args.seed, extra_rounds=args.extra_rounds)
+    verdict = is_prime(n)
+    out.header({"n": n})
     return out.result(
         "primality",
         {
@@ -369,7 +359,7 @@ def _report_lines(out: _Output, report: ScanReport) -> int:
         _header_line(spec),
         [
             f"# lseq scan kind={spec.kind} spec={spec.canonical()}"
-            f" [version={__version__} seed={spec.seed} extra_rounds={spec.extra_rounds}]"
+            f" [version={__version__}]"
         ],
     )
     for pos, rec in enumerate(report.records):
@@ -406,7 +396,6 @@ def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
         p_max=args.p_max,
         m_max=args.m_max,
         k_max=args.k_max,
-        extra_rounds=args.extra_rounds,
         seed=args.seed,
     )
     report = run_scan(
@@ -433,7 +422,7 @@ def _cmd_verify_paper(args: argparse.Namespace, out: _Output) -> int:
         unknown = selected - set(paper.ANCHORS)
         if unknown:
             raise ValueError(f"unknown anchors {sorted(unknown)}; known: {sorted(paper.ANCHORS)}")
-    out.header({"only": args.only}, seed=0, extra_rounds=DEFAULT_EXTRA_ROUNDS)
+    out.header({"only": args.only})
     all_ok = True
     for anchor, check in paper.ANCHORS.items():
         if anchor not in selected:
@@ -466,9 +455,6 @@ def _int(flag: str, default: int | None, help_text: str | None = None) -> _Argum
 
 
 _FAMILY = ("--family", {"required": True})
-_SEED = _int("--seed", 0)
-_EXTRA_ROUNDS = _int("--extra-rounds", DEFAULT_EXTRA_ROUNDS)
-_KEPT_IN_SPEC = "kept in the spec and fingerprint; changes no scan record"
 _FSYNC = ("--fsync", {"action": "store_true"})
 _REPUNIT_KINDS = ["minus", "plus"]
 
@@ -493,7 +479,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
     "prime-check": (
         "classify an integer",
         _cmd_prime_check,
-        [("--n", {"required": True, "help": "decimal integer"}), _EXTRA_ROUNDS, _SEED],
+        [("--n", {"required": True, "help": "decimal integer"})],
     ),
     "order": ("multiplicative order of a mod m", _cmd_order, _ints("--a", "--m")),
     "lemma2-witness": (
@@ -527,7 +513,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
             ("--kind", {"default": "minus", "choices": _REPUNIT_KINDS}),
             _int("--bound", 10_000),
             _int("--pairs", 20),
-            _SEED,
+            _int("--seed", 0),
         ],
     ),
     "orbit": (
@@ -560,8 +546,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
             ("--kind", {"required": True, "choices": [k.replace("_", "-") for k in SCAN_KINDS]}),
             ("--family", {}),
             *[_int(flag, None) for flag in ("--n-max", "--p-max", "--m-max", "--k-max")],
-            _int("--seed", 0, _KEPT_IN_SPEC),
-            _int("--extra-rounds", DEFAULT_EXTRA_ROUNDS, _KEPT_IN_SPEC),
+            _int("--seed", 0, "a label kept in the spec; changes no record"),
             _int("--jobs", None, "default: LSEQ_JOBS or 1"),
             ("--checkpoint", {"help": "journal progress to this file"}),
             _int("--limit", None, "evaluate at most this many candidates"),

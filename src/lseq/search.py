@@ -4,14 +4,15 @@ index families, twin searches, square-divisor sweeps, and congruence audits.
 Every scan is driven by a ScanSpec and produces a ScanReport whose records
 are deterministic functions of the spec: the same spec yields the same
 records regardless of worker count or interruption points.  Every value a
-scan tests is below 2^64 or of L-form, which is_prime decides from the value
-alone, so the spec's seed and extra_rounds, kept in it and in the engine
-fingerprint, change no record.  Progress can be journaled to an append-only
+scan tests is below 2^64 or of L-form, and is_prime decides every value
+from the value alone; the spec's seed is a label, kept in the spec and its
+digest, that changes no record.  Progress can be journaled to an append-only
 checkpoint file (one JSON object per line) and picked up later with
 resume().  The journal header's spec_sha256 is SHA-256, computed here in
 pure Python (_sha256), so no launch loads hashlib and OpenSSL with it.
 A spec whose values would exceed eval_exact's bit budget is refused when
-it is made, before the first value is evaluated.
+it is made, before the first value is evaluated, as is a square-divisor
+sweep whose sieve of primes up to p_max would pass 2^25 entries.
 
 jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
@@ -24,17 +25,11 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Any, Callable, Iterator
 
 from . import __version__
-from .arith import (
-    DEFAULT_EXTRA_ROUNDS,
-    DETERMINISTIC_LIMIT,
-    is_prime,
-    multiplicative_order,
-    sieve_primes,
-)
+from .arith import DETERMINISTIC_LIMIT, is_prime, multiplicative_order, sieve_primes
 from .lfamily import DEFAULT_EVAL_BIT_BUDGET, LFamily, builtin_congruence_rules, eval_exact, residue
 
 __all__ = [
@@ -51,7 +46,7 @@ __all__ = [
     "scan_square_divisors",
 ]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 _PRIMEISH = ("prime", "probable_prime")
 
@@ -109,7 +104,9 @@ class ScanSpec:
 
     Construction checks the fields against the kind's entry in the kind
     table: integers must be ints (not bools), the kind's bounds must be at or
-    above their minimums, and fields the kind does not read must be None.
+    above their minimums and at or below their maximums, and fields the kind
+    does not read must be None.  seed is a label: it is kept in the spec and
+    its digest, and changes no record.
     """
 
     kind: str
@@ -118,17 +115,15 @@ class ScanSpec:
     p_max: int | None = None
     m_max: int | None = None
     k_max: int | None = None
-    extra_rounds: int = DEFAULT_EXTRA_ROUNDS
     seed: int = 0
 
     def __post_init__(self) -> None:
         kind = _KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown scan kind {self.kind!r}")
-        for name in ("extra_rounds", "seed"):
-            # type(), not isinstance(): True and False must not pass as int.
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # type(), not isinstance(): True and False must not pass as int.
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.family is not None:
             if type(self.family) is not str:
                 raise ValueError(f"family must be a string, got {self.family!r}")
@@ -136,13 +131,16 @@ class ScanSpec:
             object.__setattr__(self, "family", LFamily.parse(self.family).name)
         elif kind.family == "required":
             raise ValueError(f"{self.kind} scan requires a family")
-        if self.extra_rounds < 0:
-            raise ValueError(f"extra_rounds must be >= 0, got {self.extra_rounds}")
         for name, minimum in kind.bounds.items():
             value = getattr(self, name)
             if type(value) is not int or value < minimum:
                 raise ValueError(
                     f"scan kind {self.kind!r} requires {name} >= {minimum}, got {value!r}"
+                )
+        for name, maximum in kind.maxima.items():
+            if getattr(self, name) > maximum:
+                raise ValueError(
+                    f"scan kind {self.kind!r} requires {name} <= {maximum}, got {getattr(self, name)}"
                 )
         used = {*kind.bounds, "family"} if kind.family else set(kind.bounds)
         unused = [
@@ -178,8 +176,9 @@ class ScanSpec:
         return _sha256(self.canonical())
 
 
-def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
-    """Engine identity and thresholds that a checkpoint must match to resume."""
+def engine_fingerprint() -> dict[str, Any]:
+    """Engine identity and thresholds that a checkpoint must match to resume;
+    the header's spec_sha256 covers the spec."""
     return {
         "engine": "lseq",
         "version": __version__,
@@ -195,9 +194,8 @@ def engine_fingerprint(spec: ScanSpec) -> dict[str, Any]:
         # 5: n between 2^20 and 2^64 is decided by Sinclair's seven bases
         # alone, so primes read mr_deterministic:2,325,... and some base-2
         # strong pseudoprimes a new mr_witness=a.
-        "primality": 5,
-        "extra_rounds": spec.extra_rounds,
-        "seed": spec.seed,
+        # 6: a value above 2^64 of no L-form reads bpsw, rounds 2 (no seeded rounds).
+        "primality": 6,
     }
 
 
@@ -220,7 +218,7 @@ class ScanReport:
 
     @property
     def fingerprint(self) -> dict[str, Any]:
-        return engine_fingerprint(self.spec)
+        return engine_fingerprint()
 
     @property
     def completed_through(self) -> int:
@@ -231,7 +229,7 @@ class ScanReport:
         return self.completed_through == self.total
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic serialization: identical for identical spec + seed,
+        """Deterministic serialization: identical for identical specs,
         independent of worker count, interruptions, and wall time."""
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -297,12 +295,12 @@ class _Kind:
     """One scan kind.
 
     bounds maps each bound field the kind reads to its minimum (in checking
-    order); family is "required", "optional" or None when the kind does not
-    read it.  summary returns the summary's JSON fields and its table line.
-    top returns the largest sequence index whose value the kind evaluates,
-    which ScanSpec checks against the evaluation bit budget; it is None where
-    the bounds do not fix that index (the largest prime up to p_max) or the
-    kind evaluates no value.
+    order), and maxima some of them to their maximum; family is "required",
+    "optional" or None when the kind does not read it.  summary returns the
+    summary's JSON fields and its table line.  top returns the largest
+    sequence index whose value the kind evaluates, which ScanSpec checks
+    against the evaluation bit budget; it is None where the kind evaluates no
+    value.
     """
 
     bounds: dict[str, int]
@@ -311,6 +309,7 @@ class _Kind:
     summary: Callable[[ScanReport], tuple[dict[str, Any], str]]
     family: str | None = None
     top: Callable[[ScanSpec], int] | None = None
+    maxima: dict[str, int] = field(default_factory=dict)
 
 
 def _prime_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
@@ -323,24 +322,42 @@ def _prime_kind(
     sequence_index: Callable[..., int],
     bounds: dict[str, int],
     candidates: Callable[[ScanSpec], list[tuple[int, ...]]],
-    exponents: bool = True,
+    top: Callable[[ScanSpec], int] | None = None,
 ) -> _Kind:
     """A kind that classifies the family's value at sequence_index(*index).
-    When its bounds are exponents, its top index is sequence_index(*bounds)."""
+    Its top index is top(spec), by default sequence_index(*bounds), for
+    bounds that are exponents."""
 
     def evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
         n = sequence_index(*index)
         result = _classify(family, n)
         return result.pop("classification"), {"sequence_index": n, **result}
 
-    def top(spec: ScanSpec) -> int:
+    def exponent_top(spec: ScanSpec) -> int:
         # An exponent at or past the budget's bit length puts the index past
         # the budget already, so capping it there keeps the verdict and
         # builds no index wider than a few dozen bits.
         cap = DEFAULT_EVAL_BIT_BUDGET.bit_length()
         return sequence_index(*(min(getattr(spec, name), cap) for name in bounds))
 
-    return _Kind(bounds, candidates, evaluate, _prime_summary, top=top if exponents else None)
+    return _Kind(bounds, candidates, evaluate, _prime_summary, top=top or exponent_top)
+
+
+def _largest_prime_exponent(spec: ScanSpec) -> int:
+    """The largest prime p <= p_max, or <= the evaluation bit budget when
+    p_max is above it, where L2(p) is past the budget already: the top index
+    of l2_prime_exponent, found by stepping down with is_prime before any
+    sieve is built.  The budget then bounds the sieve too.  Every step is
+    below 2^27 and takes microseconds."""
+    p = min(spec.p_max, DEFAULT_EVAL_BIT_BUDGET)
+    while not is_prime(p).is_prime_or_probable:
+        p -= 1
+    return p
+
+
+# square_divisors evaluates no value, so the bit budget does not bound its
+# sieve of the primes up to p_max: this does, at 32 MiB.
+_SIEVE_LIMIT = 1 << 25
 
 
 def _evaluate_twins(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
@@ -429,7 +446,7 @@ _KINDS: dict[str, _Kind] = {
         lambda p: p,
         {"p_max": 2},
         lambda s: [(p,) for p in sieve_primes(s.p_max)],
-        exponents=False,
+        _largest_prime_exponent,
     ),
     "l2_pow2": _prime_kind(
         LFamily.L2, lambda n: 2**n, {"n_max": 1}, lambda s: [(n,) for n in range(1, s.n_max + 1)]
@@ -459,6 +476,7 @@ _KINDS: dict[str, _Kind] = {
         _evaluate_square,
         _square_summary,
         family="required",
+        maxima={"p_max": _SIEVE_LIMIT},
     ),
     "congruence_audit": _Kind(
         {"n_max": 1}, _audit_candidates, _evaluate_audit, _audit_summary, family="optional"
@@ -489,7 +507,7 @@ def _header_line(spec: ScanSpec) -> dict[str, Any]:
         "format": CHECKPOINT_FORMAT,
         "spec": spec.to_dict(),
         "spec_sha256": spec.sha256(),
-        "fingerprint": engine_fingerprint(spec),
+        "fingerprint": engine_fingerprint(),
     }
 
 
@@ -655,7 +673,7 @@ def resume(
     written = _canonical_json({**spec.to_dict(), **header["spec"]})
     if header.get("spec_sha256") != _sha256(written):
         raise ResumeError("stored spec hash does not match the stored spec")
-    if header.get("fingerprint") != engine_fingerprint(spec):
+    if header.get("fingerprint") != engine_fingerprint():
         raise ResumeError("engine fingerprint changed; refusing to mix results")
     candidates = _KINDS[spec.kind].candidates(spec)
     records: list[ScanRecord] = []
@@ -692,25 +710,16 @@ def resume(
     return _execute(spec, candidates, records, jobs, limit, journal, fsync, raw.rfind("\n") + 1)
 
 
-def scan_l4_twins(
-    n_max: int, *, seed: int = 0, extra_rounds: int = DEFAULT_EXTRA_ROUNDS, **run_kwargs: Any
-) -> ScanReport:
+def scan_l4_twins(n_max: int, **run_kwargs: Any) -> ScanReport:
     """Find all n < n_max with L4(n) and L4(n+1) both prime; the pair
-    starting at the unit L4(1) = 1 is flagged separately.  Other keywords go
-    to run_scan."""
-    spec = ScanSpec(kind="l4_twins", n_max=n_max, seed=seed, extra_rounds=extra_rounds)
-    return run_scan(spec, **run_kwargs)
+    starting at the unit L4(1) = 1 is flagged separately.  Keywords go to
+    run_scan."""
+    return run_scan(ScanSpec(kind="l4_twins", n_max=n_max), **run_kwargs)
 
 
-def scan_square_divisors(
-    family: LFamily | str, n_max: int, p_max: int, *,
-    seed: int = 0, extra_rounds: int = DEFAULT_EXTRA_ROUNDS, **run_kwargs: Any,
-) -> ScanReport:
+def scan_square_divisors(family: LFamily | str, n_max: int, p_max: int, **run_kwargs: Any) -> ScanReport:
     """Report every (n, p, e) with p^e dividing the value at n, e >= 2, over
     odd primes p <= p_max and indices n <= n_max.  An LFamily is passed by
-    its name; other keywords go to run_scan."""
+    its name; keywords go to run_scan."""
     name = family.name if isinstance(family, LFamily) else family
-    spec = ScanSpec(
-        kind="square_divisors", family=name, n_max=n_max, p_max=p_max, seed=seed, extra_rounds=extra_rounds
-    )
-    return run_scan(spec, **run_kwargs)
+    return run_scan(ScanSpec(kind="square_divisors", family=name, n_max=n_max, p_max=p_max), **run_kwargs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import pickle
@@ -217,11 +218,9 @@ def test_is_prime_below_2_64_on_strong_pseudoprimes():
 
 def test_is_prime_probabilistic_above_2_64():
     v = is_prime(2**64 + 13)
-    assert v.classification == "probable_prime"
-    assert v.rounds == 4  # base-2 + Lucas + 2 extra rounds
-    assert "seed=0" in v.evidence
+    assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw", 2)  # base 2 + Lucas
     v = is_prime(2**127 - 1)
-    assert v.classification == "probable_prime"
+    assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw", 2)
 
 
 def test_is_prime_lucas_catches_base2_pseudoprime():
@@ -295,15 +294,14 @@ def test_is_prime_evidence_strings():
 
 
 def test_is_prime_rounds_and_determinism():
-    a = is_prime(2**89 - 1, extra_rounds=5, seed=3)
-    b = is_prime(2**89 - 1, extra_rounds=5, seed=3)
-    assert a == b
+    a = is_prime(2**89 - 1)
+    arith._verdict_above_table.cache_clear()
+    b = is_prime(2**89 - 1)
+    assert a == b and a is not b
     assert a.classification == "probable_prime"
-    assert a.rounds == 7
-    # 7 and 2^20 would be answered by the table lookup.
-    for n in (10, 7, 2**20):
-        with pytest.raises(ValueError):
-            is_prime(n, extra_rounds=-1)
+    assert a.rounds == 2
+    with pytest.raises(ValueError):
+        is_prime(-1)
 
 
 def test_primality_verdict_is_a_frozen_dataclass():
@@ -332,7 +330,7 @@ def test_primality_verdict_is_a_frozen_dataclass():
         (2**20 + 7, "mr_deterministic:2,325,9375,28178,450775,9780504,1795265022"),
         (eval_exact(LFamily.L3, 36), "euler_witness=11"),
         (1009 * (2**89 - 1), "factor=1009"),
-        (2**89 - 1, "bpsw+2r:seed=0"),
+        (2**89 - 1, "bpsw"),
     ]:
         v = is_prime(n)
         assert type(v) is PrimalityVerdict
@@ -388,16 +386,21 @@ def test_twin_scan_tests_each_l4_value_once(monkeypatch):
     assert second.canonical_bytes() == first.canonical_bytes()
 
 
-def test_seeded_rounds_rerun_on_a_repeated_value():
-    # A prime above 2^64 of no L-form keeps BPSW (L2/L4 primes get a proof).
+def test_bpsw_verdict_is_kept_for_a_repeated_value(monkeypatch):
+    # A prime above 2^64 of no L-form keeps BPSW (L2/L4 primes get a proof):
+    # a repeated call runs no test and returns the kept verdict.
+    calls = _count_base2_tests(monkeypatch)
     n = 2**127 - 1
-    for seed in (1, 2):
-        v = is_prime(n, seed=seed)
-        assert (v.classification, v.evidence, v.rounds) == (
-            "probable_prime", f"bpsw+2r:seed={seed}", 4
-        )
-    assert is_prime(n, extra_rounds=0).rounds == 2
-    assert is_prime(n, extra_rounds=2).rounds == 4
+    arith._verdict_above_table.cache_clear()
+    first = is_prime(n)
+    assert (first.classification, first.evidence, first.rounds) == ("probable_prime", "bpsw", 2)
+    assert calls == [n]
+    assert is_prime(n) is first
+    assert calls == [n]
+    # Another value takes the memo's one slot, so n is tested again.
+    is_prime(2**89 - 1)
+    assert is_prime(n) == first
+    assert calls == [n, 2**89 - 1, n]
 
 
 def test_factor_trial_examples():
@@ -601,7 +604,7 @@ def test_l_form_reducer_rejects_other_moduli(monkeypatch):
 
 def _without_l_form_proof(monkeypatch):
     """Send L-form values to BPSW, as if they had no L-form."""
-    monkeypatch.setattr(arith, "_l_form_proof", lambda n, h, s1, s0: arith._bpsw(n, 2, 0))
+    monkeypatch.setattr(arith, "_l_form_proof", lambda n, h, s1, s0: arith._bpsw(n))
 
 
 def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
@@ -624,8 +627,7 @@ def test_is_prime_with_reducer_equals_builtin_path(monkeypatch):
     assert reduced == []
     evidence = [v.evidence for v in bpsw]
     assert evidence[:5] == ["lucas_witness"] * 5
-    assert bpsw[5].classification == "probable_prime"
-    assert bpsw[5].rounds == 4
+    assert (bpsw[5].classification, bpsw[5].evidence, bpsw[5].rounds) == ("probable_prime", "bpsw", 2)
     assert "mr_witness=2" in evidence
     # With it on, every value past trial division and the blocks takes the
     # reducer path, with the verdicts of builtin %.
@@ -710,7 +712,7 @@ def test_values_without_l_form_keep_bpsw():
     for n in (2**89 - 1, 2**127 - 1):
         assert arith._l_form(n) is None
         v = is_prime(n)
-        assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw+2r:seed=0", 4)
+        assert (v.classification, v.evidence, v.rounds) == ("probable_prime", "bpsw", 2)
 
 
 # --- N+1 proofs for L2/L4 values ----------------------------------------------
@@ -825,13 +827,13 @@ def test_n_plus_1_proof_rejects_composites():
 
 
 def test_l2_l4_verdicts_do_not_depend_on_seed_or_rounds():
+    # is_prime takes n alone, and a value tested afresh reads its verdict again.
+    assert list(inspect.signature(is_prime).parameters) == ["n"]
     for n in (eval_exact(LFamily.L4, 597), eval_exact(LFamily.L2, 379), eval_exact(LFamily.L4, 40)):
         first = is_prime(n)
         assert first.rounds in (1, 2)
-        for seed in (0, 1, 7):
-            for extra_rounds in (0, 2, 5):
-                arith._verdict_above_table.cache_clear()
-                assert is_prime(n, seed=seed, extra_rounds=extra_rounds) == first
+        arith._verdict_above_table.cache_clear()
+        assert is_prime(n) == first
 
 
 def test_l3_pow2_scan_bytes_pinned():
@@ -840,9 +842,11 @@ def test_l3_pow2_scan_bytes_pinned():
     # euler_witness=7, and the fingerprint gained "primality"), and again when
     # the block stage moved "primality" to 3, the L2/L4 N+1 proofs to 4 and
     # the one witness set below 2^64 to 5 (header only: no L3 verdict
-    # changed).  The reducer must not change a byte.
+    # changed), and when BPSW lost its seeded rounds: "format" 2, "primality"
+    # 6, and no extra_rounds or seed in the fingerprint or extra_rounds in the
+    # spec (header only again).  The reducer must not change a byte.
     digest = hashlib.sha256(run_scan(ScanSpec(kind="l3_pow2", n_max=11)).canonical_bytes()).hexdigest()
-    assert digest == "ffffd0d7a688aac54c36b701e84686a77bf3980576844a5d0ca2e515f134fff7"
+    assert digest == "7e172eaef0312f07559fe099ee73b6551b625c24cc91f6ffaffdf14a6ebeaeb9"
 
 
 # --- trial division by blocks of primes ------------------------------------

@@ -13,17 +13,24 @@ import sys
 from lseq import arith
 from lseq.lfamily import LFamily, eval_exact
 from lseq.paper import ANCHORS
-from lseq.search import resume, run_scan
+from lseq.cli import _build_parser
+from lseq.search import ScanSpec, resume, run_scan
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
-def test_traced_functions_exist(monkeypatch):
+def _bench_run(monkeypatch):
+    """bench/run.py, loaded as a module."""
     monkeypatch.syspath_prepend(BENCH)  # run.py imports spans.py from its directory
     spec = importlib.util.spec_from_file_location("bench_run", os.path.join(BENCH, "run.py"))
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_traced_functions_exist(monkeypatch):
+    run = _bench_run(monkeypatch)
     targets = run._targets(run.Tracer())
     assert targets
     for name, (module, attr, _) in targets.items():
@@ -32,6 +39,19 @@ def test_traced_functions_exist(monkeypatch):
     assert "checkpoint_path" in inspect.signature(run_scan).parameters
     assert list(inspect.signature(resume).parameters)[0] == "report_path"
     assert [name for name in run.PAPER_ANCHORS if name not in ANCHORS] == []
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # Every argv a workload passes to the CLI, and the spec its pool timing
+    # builds, are accepted: a dropped flag fails here, not as a
+    # success_rate of 0.
+    run = _bench_run(monkeypatch)
+    parser = _build_parser()
+    argvs = [step.argv for workload in run.WORKLOADS.values() for step in workload.steps(0, str(tmp_path))]
+    assert {argv[0] for argv in argvs} == {"scan", "resume", "verify-paper"}
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert ScanSpec(kind="l4_twins", n_max=603, seed=0).seed == 0
 
 
 def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
@@ -83,12 +103,11 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     assert 0 < small["proofs"] < small["values"]
     assert set(small["reducer_ms"]) == set(small["builtin_ms"]) == timing
     assert small["builtin_over_reducer"] > 0
-    # A prime of no L-form passes the base-2 and Lucas tests and both
-    # seeded rounds.
+    # A prime of no L-form passes the base-2 and Lucas tests: rounds 2.
     assert [row["bits"] for row in layers["bpsw"]] == [128, 256]
     for row in layers["bpsw"]:
         assert set(row["ms"]) == timing
-        assert row["rounds"] == 4
+        assert row["rounds"] == 2
     build = layers["block_build"]
     assert build["blocks"] == [1, 18]
     for kind in ("all", "pm1_mod_5"):

@@ -188,13 +188,11 @@ def test_prime_check(capsys):
     assert result["classification"] == "prime"
     assert result["evidence"] == "trial_division"
 
-    code, out, _ = run_cli(
-        capsys, "prime-check", "--n", str(2**127 - 1), "--extra-rounds", "4", "--json"
-    )
+    code, out, _ = run_cli(capsys, "prime-check", "--n", str(2**127 - 1), "--json")
     assert code == 0
-    result = json_lines(out)[-1]["result"]
-    assert result["classification"] == "probable_prime"
-    assert result["rounds"] == "6"
+    header, result = json_lines(out)
+    assert header["provenance"] == {"engine": "lseq", "version": lseq.__version__}
+    assert result["result"] == {"classification": "probable_prime", "evidence": "bpsw", "rounds": "2"}
 
 
 def test_prime_check_proves_an_l4_prime(capsys):
@@ -407,7 +405,8 @@ def test_scan_family_spelling_is_one_scan(capsys):
     assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
     header = outputs[1][0]
     assert header["spec"]["family"] == "L4"
-    assert header["spec_sha256"] == "6c8f5fd2aee458b7d42d0426becdbe5786edc34b714d7b9e374f531baa44bf54"
+    # Re-taken when the spec lost its extra_rounds field.
+    assert header["spec_sha256"] == "a4314eebcf0cc76a9fb3ab97ea73017ea32cef7a989a95765b20685a2fc0a8dd"
 
 
 def test_journal_with_lower_case_family_resumes(tmp_path, capsys):
@@ -420,7 +419,8 @@ def test_journal_with_lower_case_family_resumes(tmp_path, capsys):
     old = json.loads(header)
     old["spec"]["family"] = "l4"
     old["spec_sha256"] = _spec_sha256(old["spec"])
-    assert old["spec_sha256"] == "55465660dec9754b9155b7dc72ee056d59a0a1fb2f3dd7dd79e6fb6cb6a226bf"
+    # Re-taken when the spec lost its extra_rounds field.
+    assert old["spec_sha256"] == "ac31b0f5fcf86b7700f63e4af4e65abfafbd794ec19d7fb5e2e353ba39e2a9e9"
     text = json.dumps(old, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join([text, *records]) + "\n", encoding="ascii")
     code, resumed, _ = run_cli(capsys, "resume", "--path", str(path), "--json")
@@ -653,7 +653,9 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     # bound now reads factor=q.  With "primality": 3, an L2 or L4 prime above
     # 2^64 reads bpsw+2r:seed=S where it now reads llr:p=P or morrison:p=P.
     # With "primality": 4, a prime between 2^20 and 2^64 may read a shorter
-    # mr_deterministic base list.  None may be extended.
+    # mr_deterministic base list.  With "primality": 5, a value above 2^64 of
+    # no L-form reads bpsw+2r:seed=S where it now reads bpsw.  None may be
+    # extended.
     path = tmp_path / "scan.jsonl"
     code, _, _ = run_cli(
         capsys, "scan", "--kind", "l3-pow2", "--n-max", "9",
@@ -661,7 +663,7 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
     )
     assert code == 1
     lines = path.read_text(encoding="ascii").splitlines()
-    for older in (None, 2, 3, 4):
+    for older in (None, 2, 3, 4, 5):
         header = json.loads(lines[0])
         if older is None:
             del header["fingerprint"]["primality"]
@@ -672,6 +674,30 @@ def test_resume_refuses_journal_of_older_primality_engine(tmp_path, capsys):
         code, out, err = run_cli(capsys, "resume", "--path", str(path))
         assert (code, out) == (2, ""), older
         assert err == "error: engine fingerprint changed; refusing to mix results\n"
+
+
+# A journal as written before BPSW lost its seeded rounds: format 1, with
+# extra_rounds in its spec and extra_rounds and seed in its fingerprint.
+_FORMAT_1_JOURNAL = [
+    '{"fingerprint":{"deterministic_limit":18446744073709551616,"engine":"lseq","extra_rounds":2,'
+    '"format":1,"primality":5,"seed":0,"version":"0.1.0"},"format":1,"spec":{"extra_rounds":2,'
+    '"family":null,"k_max":null,"kind":"l3_pow2","m_max":null,"n_max":9,"p_max":null,"seed":0},'
+    '"spec_sha256":"913aefb2372fe5c2d8263a9dc2f317411d74b0df7e29f7a0a3a44ec235a4afa3","type":"header"}',
+    '{"detail":{"evidence":"trial_division","rounds":0,"sequence_index":1},"elapsed_ms":2,'
+    '"index":[0],"pos":0,"type":"record","verdict":"prime"}',
+    '{"detail":{"evidence":"trial_division","rounds":0,"sequence_index":2},"elapsed_ms":0,'
+    '"index":[1],"pos":1,"type":"record","verdict":"prime"}',
+]
+
+
+def test_resume_refuses_a_format_1_journal(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    path.write_text("\n".join(_FORMAT_1_JOURNAL) + "\n", encoding="ascii")
+    before = path.read_bytes()
+    assert run_cli(capsys, "resume", "--path", str(path)) == (
+        2, "", "error: checkpoint format 1 is not 2\n"
+    )
+    assert path.read_bytes() == before
 
 
 def test_resume_malformed_header_exits_2(tmp_path, capsys):
@@ -953,10 +979,43 @@ def test_scan_past_the_bit_budget_exits_2_before_any_value(tmp_path, capsys, mon
     # A journal whose header spec was raised past the budget refuses to resume.
     path = tmp_path / "scan.jsonl"
     spec = {**search.ScanSpec(kind="l3_pow2", n_max=24).to_dict(), "n_max": 25}
-    header = {"type": "header", "format": 1, "spec": spec, "spec_sha256": _spec_sha256(spec)}
+    header = {"type": "header", "format": 2, "spec": spec, "spec_sha256": _spec_sha256(spec)}
     path.write_text(json.dumps(header) + "\n", encoding="ascii")
     code, out, err = run_cli(capsys, "resume", "--path", str(path))
     assert (code, out, err) == (2, "", f"error: invalid spec in checkpoint: {message}\n")
+
+
+# Each would sieve the primes up to 10^11 before its first value; under an
+# address-space limit that raised MemoryError.  Only ever run under the limit.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["l2-prime-exponent", "--p-max", "100000000000"],
+            "scan kind 'l2_prime_exponent' reaches values past the evaluation bit budget of 67108864 bits",
+        ),
+        (
+            ["square-divisors", "--family", "L1", "--n-max", "10", "--p-max", "100000000000"],
+            "scan kind 'square_divisors' requires p_max <= 33554432, got 100000000000",
+        ),
+    ],
+    ids=["l2-prime-exponent", "square-divisors"],
+)
+def test_scan_of_an_unbounded_sieve_exits_2_under_a_memory_limit(argv, message):
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lseq.cli", "scan", "--kind", *argv, "--limit", "1"],
+        capture_output=True, env=env, timeout=60, preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"error: {message}\n".encode())
 
 
 @pytest.mark.parametrize(
@@ -991,47 +1050,51 @@ def test_scan_rejects_field_the_kind_does_not_use(capsys, argv, field):
 # and L1(27) (l1-pow3) read mr_witness=325, not 13 and 3.  The table
 # lines of the prime kinds print the evidence, so the table digests of
 # l2-pow2, l3-mixed and l1-pow3 were re-taken with them; the table has no
-# header fingerprint, and the other table digests stand.
+# header fingerprint, and the other table digests stood.  All sixteen were
+# re-taken when BPSW lost its seeded rounds: the spec has no extra_rounds,
+# the fingerprint no extra_rounds or seed, "format" and the fingerprint's
+# "format" went from 1 to 2 and "primality" from 5 to 6, and the table
+# header reads [version=V] alone.  No record line changed.
 PINNED_SCANS = [
     (
         ["l2-prime-exponent", "--p-max", "200"],
-        "39d2797ecf19cd14f26aafaad5fb1740c3a1f314f4ef6dddb144f000fa6a7b60",
-        "183eecaa02503a69d9de396370fad87affa695837c581aaa49f284d4802374e0",
+        "c6ea4c4cb736862a76b3cf5e3d3bdc8c30d2e992d6a96028ce4b88c15cec53be",
+        "aeb08dd9a39353a2cc3f6f730973d191eace277dbb1703e0ff8949a3a281c8bf",
     ),
     (
         ["l2-pow2", "--n-max", "8"],
-        "e0225550299dc2ca03cf765ecad10cad45837c0b854f0d87b2396ac4ad052d64",
-        "8ece2d3ae93883a2925f6aa3b53a8e4e67f584a248e66936671514ab5d501386",
+        "558e8f263042a9dc301bd8d0385eb892769a3d74cb4754605fb89abe8cd5cdc2",
+        "b4b501f85df76f24823ca8aab62a49fcb041d05a2a341e99dc66a0bf08aaaacb",
     ),
     (
         ["l3-pow2", "--n-max", "9"],
-        "f81136bfd4851dca64a5137431d23dc87bea20cb560ac8e708b74c4ce79e7fef",
-        "d25835f718d6b3598840a758e1bfb3159df6fc6f790c9408b8efe79aa9c20626",
+        "2e2bd535b4e94c8211cf682c48a11311b4a6f6609f0d75aefda12990a3afb6ff",
+        "f1993a2906328b8b650e82a9a7747bdf9ef5e56d9bd7471d2a47454b9804eccc",
     ),
     (
         ["l3-mixed", "--m-max", "2", "--n-max", "3"],
-        "e5806017be5cf2739a649b3b02c76043de42d01256d75d8a1929752a008e2993",
-        "e0bdeaf92e6d598f2121110637d9068ddad92f58582b84cd3364046e9be828a8",
+        "5a1f63e7bdead7df5e23249d4294fefc0663aaf51e0f1155b75b7bffa410b53e",
+        "35328cef2822aba4c0bd9ea735ea34d10077e447c8cf0bf33722740384dbe0a5",
     ),
     (
         ["l1-pow3", "--k-max", "4"],
-        "adedcda2105fbc56313d17cc5c3fc1feef350360d9d281227e2656ea23a015de",
-        "b5227a94b1c691be33d052a8e57192aa249ee2f83218a13409f0dd3916fed5af",
+        "898ed1326256d04f7741b6df2cff9a0cc9104a6ba1c849a502124cbdfcea129e",
+        "99417463e0c0685e49facb1285bf91eb6b44498032ffd13b6bc9b8d4fc08a1b1",
     ),
     (
         ["l4-twins", "--n-max", "60"],
-        "3b49cc24c908a74d1e637929511dd427a08193131ac33ad559df1eb7638438aa",
-        "340690fc5c444649dc5ccc94675786f6c9ab993061e6c708a85114c7cd00c29a",
+        "cdf7743ec21cb3d25fae0a293262108dd2e7f1fb53537becbcf7d33de3bbb8e5",
+        "089e8093ed490e699f61510a94872f34d8c6b2f2ec979d960ad65f02512f52c6",
     ),
     (
         ["square-divisors", "--family", "L4", "--n-max", "130", "--p-max", "20"],
-        "723fa20c3935b85e55553b16b1de5395c7cda999702d5391b87bcdc6463682a9",
-        "922cae484a192d3d4b3e7cd1ee405aaf8bf94f15aa4f07152dea12a10a40bb7f",
+        "d0f14fa4eb0d430d361b52f104f56fb7e258831488161912a0aa66f9396cf93e",
+        "1ea418b6c9eb519f998d9afad0e6e8b441a55a24c75374766fc12c3872519af0",
     ),
     (
         ["congruence-audit", "--n-max", "200"],
-        "ba1b9f028c1153ad216f924384fe26d56ec4879e8af460acedc5d4be547280c5",
-        "9fb3e4ed98e863560431fe537380315857e3ecb0cd15265bde579bbbe170c540",
+        "2c1273ae02028c3c5bbd4f92ada65062b160e232c5cf0824327eb775d1731726",
+        "4ac8f4546c089192d6306abb22ea53b249e983080082a3570e8f98ed9a55dba6",
     ),
 ]
 
@@ -1072,6 +1135,9 @@ def _digest(code, out, err):
 # Every subcommand but the scans (pinned above) in both forms, and one error
 # path (exit 2) each: sha256 of [exit code, stdout, stderr] for the table
 # form and for --json, taken before the subcommands moved into one table.
+# The prime-check and verify-paper digests were re-taken when BPSW lost its
+# seeded rounds: their headers lost the seed=0 extra_rounds=2 provenance, and
+# 2^127 - 1, checked without --extra-rounds and --seed, reads bpsw, rounds 2.
 _FAST_CHECKS = (
     "golden-values,congruence-orbits,gcd-insularity-l1,gcd-insularity-l3,"
     "gcd-insularity-repunit,seven-power-orbit,product-identity,square-divisors"
@@ -1093,11 +1159,11 @@ PINNED_COMMANDS = [
      "7f0991b104c1e1ccc252b245b326907dff74b7a38957effb76fc3b1bb21ac534",
      "7f0991b104c1e1ccc252b245b326907dff74b7a38957effb76fc3b1bb21ac534"),
     (["prime-check", "--n", "262657"],
-     "0c5521d84f2a55a6db212a0d1e789dc7293ad9429cd9f6365b1d2ccf4546c1c2",
-     "b9576eda385a28a1da0d828159c9221de468f0aff12f27c375ed220e98912fb4"),
-    (["prime-check", "--n", str(2**127 - 1), "--extra-rounds", "4", "--seed", "5"],
-     "470fa6a47685dbc97901285ae73f404a8583716d0e2ad73f364057a9bc53df79",
-     "11f688aec8a6a8127f094d219a42bf4ad40354d323721c3e383ca39e256ae349"),
+     "7c52a8879c5e9f721c7b319a999b864b24d82961ed7db08abbd19950eec7aaa8",
+     "cff2a012963193cdc07eb8c1e8b4b4aabdc32368ee4f402488fae69faeab537a"),
+    (["prime-check", "--n", str(2**127 - 1)],
+     "3cff51402774d100ac5596d86c62de9222d749f536f269a6f5582f5c4b1854ab",
+     "2b1980fb1b58c1c52e4bdb62eb83475c7d91aa57c735ee396a728ea6838c43ff"),
     (["prime-check", "--n", "x"],
      "ffdcb7b3fb8ed037922f8357004a60ed20e1b773f186dc6a53f0ffa174d7b195",
      "ffdcb7b3fb8ed037922f8357004a60ed20e1b773f186dc6a53f0ffa174d7b195"),
@@ -1188,8 +1254,8 @@ PINNED_COMMANDS = [
      "6945d14c5740b400d197e19f00da29545838463cdab163e7c4e54912848e0efe",
      "6945d14c5740b400d197e19f00da29545838463cdab163e7c4e54912848e0efe"),
     (["verify-paper", "--only", _FAST_CHECKS],
-     "bc4e48c36a8af8ae5f936041d61521ea2dcbde26c69247734900f8c9a1a102bb",
-     "d802bf05edb4772c52e931a298367f809be88010ea0b298a5f2f45c8a20eb416"),
+     "83aa82549b5c00e9e0ea31310348402eb3b99fcaf0ac9b367d5c9999c20c5f87",
+     "3cfa311e7f8248f3e8ac56f1e0973afc1e9331177bc002a51463f4851af32a3d"),
     # Re-taken when the gcd-all-pairs anchor joined the known anchors that
     # this error lists.
     (["verify-paper", "--only", "nonsense"],
@@ -1229,19 +1295,20 @@ def test_argument_specs_are_pinned():
     # Flags, destinations, action, type, default, required, choices and help
     # of every subcommand, as taken before the subcommands moved into one
     # table; pinned instead of --help text, whose layout varies by Python.
-    # scan's --seed and --extra-rounds have since gained a help text, checked
-    # here and then taken out, so the pinned specs are the earlier ones.
+    # scan's --seed has since gained a help text, checked here and then
+    # taken out, so the pinned specs are the earlier ones.  Re-taken when
+    # prime-check lost --seed and --extra-rounds and scan --extra-rounds: the
+    # specs are the former ones without those three options.
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     helps = {}
     for action in sub.choices["scan"]._actions:
-        if action.dest in ("seed", "extra_rounds"):
+        if action.dest == "seed":
             helps[action.dest], action.help = action.help, None
-    kept = "kept in the spec and fingerprint; changes no scan record"
-    assert helps == {"seed": kept, "extra_rounds": kept}
+    assert helps == {"seed": "a label kept in the spec; changes no record"}
     specs = json.dumps(_argument_specs(parser))
     assert hashlib.sha256(specs.encode("utf-8")).hexdigest() == (
-        "f0f9205b8b06dafda6e6063924d430187d8498da132f4809c1a4fae52b7e774a"
+        "8cf9c6bcd6807ca7bda5816efd29dc8afab734cedfc0de5347131a99c6762e78"
     )
 
 

@@ -26,8 +26,9 @@ def test_spec_validation():
         ScanSpec(kind="bogus")
     with pytest.raises(ValueError):
         ScanSpec(kind="l4_twins", family="L7")
-    with pytest.raises(ValueError):
-        ScanSpec(kind="l4_twins", n_max=10, extra_rounds=-1)
+    # BPSW has no seeded rounds to count, so a spec has no extra_rounds.
+    with pytest.raises(TypeError):
+        ScanSpec(kind="l4_twins", n_max=10, extra_rounds=2)
 
 
 @pytest.mark.parametrize(
@@ -35,15 +36,11 @@ def test_spec_validation():
     [
         ({"kind": "l4_twins", "n_max": 5, "seed": True}, "seed must be an integer, got True"),
         (
-            {"kind": "l4_twins", "n_max": 5, "extra_rounds": "2"},
-            "extra_rounds must be an integer, got '2'",
-        ),
-        (
             {"kind": "square_divisors", "family": 4, "n_max": 10, "p_max": 10},
             "family must be a string, got 4",
         ),
     ],
-    ids=["seed-bool", "extra-rounds-str", "family-int"],
+    ids=["seed-bool", "family-int"],
 )
 def test_spec_rejects_wrong_types(fields, message):
     with pytest.raises(ValueError) as info:
@@ -53,6 +50,8 @@ def test_spec_rejects_wrong_types(fields, message):
 
 # Each kind's bounds just below and just past the evaluation bit budget: the
 # largest sequence index i must keep 2i + 1 <= 2^26.  These are never run.
+# For l2_prime_exponent i is the largest prime up to p_max: 33,554,393 is the
+# last below 2^25 and 33,554,467 the first above.
 @pytest.mark.parametrize(
     "kind, below, past",
     [
@@ -62,6 +61,8 @@ def test_spec_rejects_wrong_types(fields, message):
         ("l3_mixed", {"m_max": 1, "n_max": 23}, {"m_max": 1, "n_max": 24}),
         ("l3_mixed", {"m_max": 15, "n_max": 1}, {"m_max": 16, "n_max": 1}),
         ("l4_twins", {"n_max": 2**25 - 1}, {"n_max": 2**25}),
+        ("l2_prime_exponent", {"p_max": 33_554_466}, {"p_max": 33_554_467}),
+        ("l2_prime_exponent", {"p_max": 33_554_393}, {"p_max": 10**11}),
     ],
 )
 def test_spec_rejects_bounds_past_the_bit_budget(kind, below, past):
@@ -73,11 +74,23 @@ def test_spec_rejects_bounds_past_the_bit_budget(kind, below, past):
     )
 
 
+def test_spec_rejects_a_square_divisor_sieve_past_2_25():
+    # square_divisors evaluates no value; its sieve of primes up to p_max is
+    # bounded on its own.  Never run.
+    ScanSpec(kind="square_divisors", family="L1", n_max=10, p_max=2**25)
+    with pytest.raises(ValueError) as info:
+        ScanSpec(kind="square_divisors", family="L1", n_max=10, p_max=2**25 + 1)
+    assert str(info.value) == "scan kind 'square_divisors' requires p_max <= 33554432, got 33554433"
+
+
 def test_scan_shorthands_reject_unknown_keywords():
     with pytest.raises(TypeError):
         scan_l4_twins(5, bogus=1)
     with pytest.raises(TypeError):
         scan_square_divisors("L1", 20, 12, bogus=1)
+    # The seed is a spec label that changes no record; the shorthands take none.
+    with pytest.raises(TypeError):
+        scan_l4_twins(5, seed=1)
 
 
 def test_spec_serialization_round_trip():
@@ -264,10 +277,10 @@ def test_resume_through_the_pool(tmp_path):
 
 
 def test_canonical_bytes_seed_sensitivity():
-    # The seed and extra_rounds are kept in the spec and the fingerprint, so
-    # the bytes differ; the values reach L4(60), past 2^64, where every
-    # verdict is a proof from the value alone, so the records do not.
-    reports = [scan_l4_twins(60, seed=seed, extra_rounds=rounds) for seed in (0, 1) for rounds in (0, 3)]
+    # The seed is kept in the spec, so the bytes differ; the values reach
+    # L4(60), past 2^64, where every verdict is a proof from the value alone,
+    # so the records do not.
+    reports = [run_scan(ScanSpec(kind="l4_twins", n_max=60, seed=seed)) for seed in (0, 1, 7)]
     assert len({report.canonical_bytes() for report in reports}) == len(reports)
     records = [json.loads(report.canonical_bytes())["records"] for report in reports]
     assert all(other == records[0] for other in records[1:])
@@ -319,10 +332,13 @@ def test_small_specs_cover_every_kind():
 @pytest.mark.parametrize("fields", _SMALL_SPECS)
 def test_no_scan_record_reads_bpsw(fields):
     # Every value a scan kind makes is below 2^64 or of L-form, so none
-    # reaches BPSW and its seeded rounds.
+    # reaches BPSW: no record reads probable_prime, the one classification
+    # only BPSW gives.
     report = run_scan(ScanSpec(**fields, seed=3))
     assert report.complete
-    assert b"bpsw+" not in report.canonical_bytes()
+    records = json.loads(report.canonical_bytes())["records"]
+    assert len(records) == report.total
+    assert [rec for rec in records if "probable_prime" in json.dumps(rec)] == []
 
 
 def test_checkpoint_write_and_resume(tmp_path):
@@ -493,12 +509,15 @@ def test_resume_rejects_missing_or_bad_header(tmp_path):
 
 
 def test_fingerprint_contents():
-    spec = ScanSpec(kind="l4_twins", n_max=5, seed=3)
-    fp = engine_fingerprint(spec)
-    assert fp["engine"] == "lseq"
-    assert fp["seed"] == 3
-    assert fp["deterministic_limit"] == 1 << 64
-    assert fp["primality"] == 5
+    # The spec, its seed included, is covered by the header's spec_sha256.
+    assert engine_fingerprint() == {
+        "engine": "lseq",
+        "version": search.__version__,
+        "format": 2,
+        "deterministic_limit": 1 << 64,
+        "primality": 6,
+    }
+    assert run_scan(ScanSpec(kind="l4_twins", n_max=5, seed=3)).fingerprint == engine_fingerprint()
 
 
 def test_limit_validation(tmp_path):

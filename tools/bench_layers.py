@@ -28,8 +28,8 @@ be told apart from a change in speed.  The layers:
   and the blocks decide the rest.
 - bpsw: is_prime on a fixed prime of no L-form, the first at or above a
   seeded random odd value, at 512, 1024 and 2048 bits: a base-2 strong
-  test, the extra strong Lucas test and two seeded rounds, with builtin %.
-  Its memo is emptied before each run.  The work is the verdict's rounds.
+  test and the extra strong Lucas test, with builtin %.  Its memo is
+  emptied before each run.  The work is the verdict's rounds, 2.
 - block_build: building the blocks of primes 1..18 from the smallest-factor
   table, the full blocks ("all") and the blocks an L2/L4 value takes, the
   full ones up to 10 and above them those of primes = +-1 mod 5.
