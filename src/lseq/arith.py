@@ -5,11 +5,12 @@ Primality verdicts are deterministic below 2^64.  n <= 2^20 is decided by
 one lookup in a smallest-prime-factor table, built on first use (evidence
 "trial_division" for a prime, "factor=p" for a composite).  Every larger n
 takes one trial-division stage, a gcd per block of primes between
-consecutive powers of two from 2 up (its least factor there reads factor=p),
-then one deciding test.  The stage reaches 2^10, the table's primes, below
-2^64 and for values 4^h +/- 2^h + 1 (L1, L3); for any other n about b^2/16
-for b bits (at most 2^18), and for 4^h +/- 2^h - 1 (L2, L4) only the primes
-= +-1 mod 5 above 2^10, the only ones that can divide them.  The test is
+consecutive powers of two from 2 up, each block built when the loop first
+reaches it (its least factor there reads factor=p), then one deciding test.
+The stage reaches 2^10, the table's primes, below 2^64 and for values 4^h
++/- 2^h + 1 (L1, L3); for any other n about b^2/16 for b bits (at most
+2^18), and for 4^h +/- 2^h - 1 (L2, L4) only the primes = +-1 mod 5 above
+2^10, the only ones that can divide them.  The test is
 Miller-Rabin to seven bases proven exhaustive below 2^64; above, one N-1
 exponentiation proves an L1/L3 value prime or composite, and an L2/L4 value
 gets a base-2 strong test and, if it passes, an N+1 proof by one Lucas
@@ -147,19 +148,13 @@ def _prime_block(j: int, pm1_mod_5: bool) -> int:
     return parts[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _prime_blocks(last: int, pm1_mod_5: bool) -> tuple[int, ...]:
-    """Blocks 1..last, those above _ROOT_BLOCK of only the primes = +-1 mod 5
-    when pm1_mod_5: one cache lookup per _block_factor call."""
-    return tuple(_prime_block(j, pm1_mod_5 and j > _ROOT_BLOCK) for j in range(1, last + 1))
-
-
 def _block_factor(n: int, form: tuple[int, int, int] | None) -> int | None:
     """The smallest prime factor of n > _TABLE_LIMIT up to 2^J, or None,
     where form is _l_form(n) for n >= 2^64 and None below.  One gcd per
-    block from block 1 up: a gcd g > 1 is a product of the block's primes,
-    so its least divisor there is n's factor; two primes of block j multiply
-    past 2^j, so g <= 2^j is that prime.
+    block from block 1 up, each built when the loop first reaches it: a gcd
+    g > 1 is a product of the block's primes, so its least divisor there is
+    n's factor; two primes of block j multiply past 2^j, so g <= 2^j is that
+    prime.
 
     J is _ROOT_BLOCK below 2^64 and for L1/L3 values, whose prime factors in
     the scan kinds are 1 mod a large power of 2 or 3, far above the blocks.
@@ -176,8 +171,8 @@ def _block_factor(n: int, form: tuple[int, int, int] | None) -> int | None:
         bits = n.bit_length()
         last = max(last, (min(_BLOCK_CAP, bits * bits >> _BLOCK_SHIFT) - 1).bit_length())
         pm1_mod_5 = form is not None
-    for j, block in enumerate(_prime_blocks(last, pm1_mod_5), 1):
-        g = math.gcd(n, block)
+    for j in range(1, last + 1):
+        g = math.gcd(n, _prime_block(j, pm1_mod_5 and j > _ROOT_BLOCK))
         if g > 1:
             return g if g <= 1 << j else next(q for q in _block_range(j) if g % q == 0)
     return None

@@ -136,9 +136,6 @@ class CongruenceRule:
                     return n
         return None
 
-    def holds_through(self, n_max: int) -> bool:
-        return self.first_violation(n_max) is None
-
 
 _RULES: dict[LFamily, tuple[CongruenceRule, ...]] = {
     LFamily.L1: (

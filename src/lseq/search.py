@@ -12,7 +12,9 @@ resume().  The journal header's spec_sha256 is SHA-256, computed here in
 pure Python (_sha256), so no launch loads hashlib and OpenSSL with it.
 A spec whose values would exceed eval_exact's bit budget is refused when
 it is made, before the first value is evaluated, as is a square-divisor
-sweep whose sieve of primes up to p_max would pass 2^25 entries.
+sweep whose sieve of primes up to p_max would pass 2^25 entries (a peak of
+about 127 MiB).  Candidates are read one index at a time from their range
+or list of primes; only the exponent kinds and the audit list theirs.
 
 jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import __version__
 from .arith import DETERMINISTIC_LIMIT, is_prime, multiplicative_order, sieve_primes
@@ -217,10 +220,6 @@ class ScanReport:
     total: int
 
     @property
-    def fingerprint(self) -> dict[str, Any]:
-        return engine_fingerprint()
-
-    @property
     def completed_through(self) -> int:
         return len(self.records)
 
@@ -234,7 +233,7 @@ class ScanReport:
         payload = {
             "format": CHECKPOINT_FORMAT,
             "spec": self.spec.to_dict(),
-            "fingerprint": self.fingerprint,
+            "fingerprint": engine_fingerprint(),
             "total": self.total,
             "completed_through": self.completed_through,
             # The journal's record lines without their informational fields.
@@ -304,12 +303,26 @@ class _Kind:
     """
 
     bounds: dict[str, int]
-    candidates: Callable[[ScanSpec], list[tuple[int, ...]]]
+    candidates: Callable[[ScanSpec], Sequence[tuple[int, ...]]]
     evaluate: Callable[[ScanSpec, tuple[int, ...]], tuple[str, dict[str, Any]]]
     summary: Callable[[ScanReport], tuple[dict[str, Any], str]]
     family: str | None = None
     top: Callable[[ScanSpec], int] | None = None
     maxima: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Singles:
+    """The candidates (v,) of the values of a range or a list, read one
+    index at a time; a slice is another view."""
+
+    values: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: Any) -> Any:
+        return _Singles(self.values[i]) if isinstance(i, slice) else (self.values[i],)
 
 
 def _prime_summary(report: ScanReport) -> tuple[dict[str, Any], str]:
@@ -321,12 +334,13 @@ def _prime_kind(
     family: LFamily,
     sequence_index: Callable[..., int],
     bounds: dict[str, int],
-    candidates: Callable[[ScanSpec], list[tuple[int, ...]]],
+    candidates: Callable[[ScanSpec], Sequence[tuple[int, ...]]] | None = None,
     top: Callable[[ScanSpec], int] | None = None,
 ) -> _Kind:
     """A kind that classifies the family's value at sequence_index(*index).
-    Its top index is top(spec), by default sequence_index(*bounds), for
-    bounds that are exponents."""
+    By default its bounds are exponents: its candidates are every tuple of
+    them from each bound's minimum up to its value, the last bound varying
+    fastest, and its top index is sequence_index(*bounds)."""
 
     def evaluate(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
         n = sequence_index(*index)
@@ -340,7 +354,11 @@ def _prime_kind(
         cap = DEFAULT_EVAL_BIT_BUDGET.bit_length()
         return sequence_index(*(min(getattr(spec, name), cap) for name in bounds))
 
-    return _Kind(bounds, candidates, evaluate, _prime_summary, top=top or exponent_top)
+    def exponents(spec: ScanSpec) -> list[tuple[int, ...]]:
+        ranges = (range(low, getattr(spec, name) + 1) for name, low in bounds.items())
+        return list(itertools.product(*ranges))
+
+    return _Kind(bounds, candidates or exponents, evaluate, _prime_summary, top=top or exponent_top)
 
 
 def _largest_prime_exponent(spec: ScanSpec) -> int:
@@ -356,7 +374,7 @@ def _largest_prime_exponent(spec: ScanSpec) -> int:
 
 
 # square_divisors evaluates no value, so the bit budget does not bound its
-# sieve of the primes up to p_max: this does, at 32 MiB.
+# sieve of the primes up to p_max: this does, at a peak of about 127 MiB.
 _SIEVE_LIMIT = 1 << 25
 
 
@@ -445,34 +463,23 @@ _KINDS: dict[str, _Kind] = {
         LFamily.L2,
         lambda p: p,
         {"p_max": 2},
-        lambda s: [(p,) for p in sieve_primes(s.p_max)],
+        lambda s: _Singles(sieve_primes(s.p_max)),
         _largest_prime_exponent,
     ),
-    "l2_pow2": _prime_kind(
-        LFamily.L2, lambda n: 2**n, {"n_max": 1}, lambda s: [(n,) for n in range(1, s.n_max + 1)]
-    ),
-    "l3_pow2": _prime_kind(
-        LFamily.L3, lambda n: 2**n, {"n_max": 0}, lambda s: [(n,) for n in range(s.n_max + 1)]
-    ),
-    "l3_mixed": _prime_kind(
-        LFamily.L3,
-        lambda m, n: 3**m * 2**n,
-        {"m_max": 1, "n_max": 1},
-        lambda s: [(m, n) for m in range(1, s.m_max + 1) for n in range(1, s.n_max + 1)],
-    ),
-    "l1_pow3": _prime_kind(
-        LFamily.L1, lambda k: 3**k, {"k_max": 0}, lambda s: [(k,) for k in range(s.k_max + 1)]
-    ),
+    "l2_pow2": _prime_kind(LFamily.L2, lambda n: 2**n, {"n_max": 1}),
+    "l3_pow2": _prime_kind(LFamily.L3, lambda n: 2**n, {"n_max": 0}),
+    "l3_mixed": _prime_kind(LFamily.L3, lambda m, n: 3**m * 2**n, {"m_max": 1, "n_max": 1}),
+    "l1_pow3": _prime_kind(LFamily.L1, lambda k: 3**k, {"k_max": 0}),
     "l4_twins": _Kind(
         {"n_max": 2},
-        lambda s: [(n,) for n in range(1, s.n_max)],
+        lambda s: _Singles(range(1, s.n_max)),
         _evaluate_twins,
         _twin_summary,
         top=lambda s: s.n_max,
     ),
     "square_divisors": _Kind(
         {"n_max": 1, "p_max": 3},
-        lambda s: [(p,) for p in sieve_primes(s.p_max) if p != 2],
+        lambda s: _Singles(sieve_primes(s.p_max))[1:],
         _evaluate_square,
         _square_summary,
         family="required",
@@ -551,7 +558,7 @@ def _effective_jobs(jobs: int | None, limit: int | None) -> int:
 
 def _execute(
     spec: ScanSpec,
-    candidates: list[tuple[int, ...]],
+    candidates: Sequence[tuple[int, ...]],
     records: list[ScanRecord],
     jobs: int,
     limit: int | None,

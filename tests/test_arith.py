@@ -980,18 +980,37 @@ def test_l2_l4_blocks_hold_only_primes_plus_minus_one_mod_5(monkeypatch):
     assert arith._prime_block(11, True) == math.prod(
         p for p in sieve_primes(2048) if p > 1024 and p % 5 in (1, 4)
     )
-    # An L4 value takes those blocks, up to its bound 2^14; a value of no
-    # L-form takes the full ones, up to the cap 2^18.  Each call looks its
-    # blocks up once.
+    # An L2/L4 value takes those blocks, up to its bound 2^14 at 368 bits
+    # (L4(184)) and 369 bits (L2(184)); a value of no L-form takes the full
+    # ones, up to the cap 2^18.  Each block is looked up when the loop
+    # reaches it, so the lookups end at the factor's block, or at the bound
+    # when there is no factor: L2(184) has none up to 2^14, and the Mersenne
+    # prime 2^2203 - 1 none up to 2^18.
     calls = []
-    real = arith._prime_blocks
-    monkeypatch.setattr(arith, "_prime_blocks", lambda last, pm1: calls.append((last, pm1)) or real(last, pm1))
-    l4_184 = eval_exact(LFamily.L4, 184)
-    assert arith._block_factor(l4_184, arith._l_form(l4_184)) == 16139
-    assert arith._block_factor(1013 * (2**2203 - 1), None) == 1013
-    assert calls == [(14, True), (18, False)]
-    assert real(14, True) == tuple(arith._prime_block(j, j > 10) for j in range(1, 15))
-    assert real(18, False) == tuple(arith._prime_block(j, False) for j in range(1, 19))
+    real = arith._prime_block
+    monkeypatch.setattr(arith, "_prime_block", lambda j, pm1: calls.append((j, pm1)) or real(j, pm1))
+
+    def lookups(n, form):
+        calls.clear()
+        return arith._block_factor(n, form), list(calls)
+
+    l4_184, l2_184 = eval_exact(LFamily.L4, 184), eval_exact(LFamily.L2, 184)
+    assert (l4_184.bit_length(), l2_184.bit_length()) == (368, 369)
+    l2_l4_blocks = [(j, j > 10) for j in range(1, 15)]
+    assert lookups(l4_184, arith._l_form(l4_184)) == (16139, l2_l4_blocks)
+    assert lookups(l2_184, arith._l_form(l2_184)) == (None, l2_l4_blocks)
+    assert lookups(1013 * (2**2203 - 1), None) == (1013, [(j, False) for j in range(1, 11)])
+    assert lookups(2**2203 - 1, None) == (None, [(j, False) for j in range(1, 19)])
+
+
+def test_trial_division_builds_only_the_blocks_it_reaches():
+    # 3 * (2^2203 - 1), of no L-form, has the full blocks up to 2^18 as its
+    # bound, and its factor 3 is in block 2: blocks 1 and 2 are all it builds.
+    arith._prime_block.cache_clear()
+    arith._verdict_above_table.cache_clear()
+    n = 3 * (2**2203 - 1)
+    assert is_prime(n) == PrimalityVerdict(n, "composite", "factor=3")
+    assert arith._prime_block.cache_info().currsize == 2
 
 
 def test_block_stage_skips_l1_l3_values():

@@ -985,6 +985,24 @@ def test_scan_past_the_bit_budget_exits_2_before_any_value(tmp_path, capsys, mon
     assert (code, out, err) == (2, "", f"error: invalid spec in checkpoint: {message}\n")
 
 
+def _scan_under_a_memory_limit(*argv):
+    """lseq scan with argv in a child process whose address space is capped
+    at 1.5 GB."""
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "lseq.cli", "scan", "--kind", *argv],
+        capture_output=True, env=env, timeout=60, preexec_fn=cap_address_space,
+    )
+
+
 # Each would sieve the primes up to 10^11 before its first value; under an
 # address-space limit that raised MemoryError.  Only ever run under the limit.
 @pytest.mark.parametrize(
@@ -1002,20 +1020,24 @@ def test_scan_past_the_bit_budget_exits_2_before_any_value(tmp_path, capsys, mon
     ids=["l2-prime-exponent", "square-divisors"],
 )
 def test_scan_of_an_unbounded_sieve_exits_2_under_a_memory_limit(argv, message):
-    resource = pytest.importorskip("resource")
-    limit = 1_500_000_000
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lseq.cli", "scan", "--kind", *argv, "--limit", "1"],
-        capture_output=True, env=env, timeout=60, preexec_fn=cap_address_space,
-    )
+    proc = _scan_under_a_memory_limit(*argv, "--limit", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"error: {message}\n".encode())
+
+
+def test_scan_of_the_largest_twin_range_runs_one_record_under_a_memory_limit():
+    # The largest n_max within the bit budget: 33,554,430 candidates, read
+    # one index at a time, so a one-record run holds no list of them (a list
+    # of tuples raised MemoryError here).  Both ways exit 1, as the scan is
+    # incomplete, so the lines are what tells them apart.  Only ever run
+    # under the limit.
+    proc = _scan_under_a_memory_limit("l4-twins", "--n-max", "33554431", "--limit", "1", "--json")
+    header, record, summary = map(json.loads, proc.stdout.decode("ascii").splitlines())
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert header["type"] == "header" and header["spec"]["n_max"] == 33554431
+    assert (record["type"], record["pos"], record["index"]) == ("record", 0, [1])
+    # The summary's integers are decimal strings in --json output.
+    assert (summary["type"], summary["completed_through"], summary["total"]) == ("summary", "1", "33554430")
+    assert summary["complete"] is False
 
 
 @pytest.mark.parametrize(

@@ -156,7 +156,6 @@ def test_builtin_rules_catalog():
 def test_builtin_rules_hold():
     for family in LFamily:
         for rule in builtin_congruence_rules(family):
-            assert rule.holds_through(2000)
             assert rule.first_violation(2000) is None
 
 
@@ -172,10 +171,8 @@ def test_false_rule_is_violated():
     # 7 divides L1(n) exactly when 3 does not divide n, and L1(3) = 73.
     rule = CongruenceRule(LFamily.L1, 7, 3, (3,), "divisible by 7 at multiples of 3")
     assert rule.first_violation(2) is None
-    assert rule.holds_through(2)
     assert rule.first_violation(3) == 3
     assert rule.first_violation(10**6) == 3
-    assert not rule.holds_through(3)
 
 
 def test_congruence_anchor_names_a_violated_rule(monkeypatch):

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from lseq.arith import is_prime
+from lseq.arith import is_prime, sieve_primes
 from lseq import search
-from lseq.lfamily import LFamily, eval_exact, residue
+from lseq.lfamily import LFamily, builtin_congruence_rules, eval_exact, residue
 from lseq.search import (
     SCAN_KINDS,
     ResumeError,
@@ -329,6 +329,55 @@ def test_small_specs_cover_every_kind():
     assert sorted(fields["kind"] for fields in _SMALL_SPECS) == sorted(SCAN_KINDS)
 
 
+# Each kind's candidates as the list they were once built as, written out.
+_LISTED_CANDIDATES = {
+    "l2_prime_exponent": lambda s: [(p,) for p in sieve_primes(s.p_max)],
+    "l2_pow2": lambda s: [(n,) for n in range(1, s.n_max + 1)],
+    "l3_pow2": lambda s: [(n,) for n in range(s.n_max + 1)],
+    "l3_mixed": lambda s: [(m, n) for m in range(1, s.m_max + 1) for n in range(1, s.n_max + 1)],
+    "l1_pow3": lambda s: [(k,) for k in range(s.k_max + 1)],
+    "l4_twins": lambda s: [(n,) for n in range(1, s.n_max)],
+    "square_divisors": lambda s: [(p,) for p in sieve_primes(s.p_max) if p != 2],
+    "congruence_audit": lambda s: [
+        (fam_pos, rule_pos)
+        for fam_pos, fam in enumerate(LFamily, 1)
+        if s.family is None or fam.name == s.family
+        for rule_pos in range(len(builtin_congruence_rules(fam)))
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    _SMALL_SPECS
+    + [
+        {"kind": "l2_prime_exponent", "p_max": 2},
+        {"kind": "l2_pow2", "n_max": 1},
+        {"kind": "l3_pow2", "n_max": 0},
+        {"kind": "l3_mixed", "m_max": 3, "n_max": 1},
+        {"kind": "l3_mixed", "m_max": 1, "n_max": 3},
+        {"kind": "l1_pow3", "k_max": 0},
+        {"kind": "l4_twins", "n_max": 2},
+        {"kind": "square_divisors", "family": "L2", "n_max": 1, "p_max": 3},
+        {"kind": "congruence_audit", "family": "L3", "n_max": 1},
+    ],
+)
+def test_candidates_are_the_listed_tuples_in_order(fields):
+    spec = ScanSpec(**fields)
+    candidates = search._KINDS[spec.kind].candidates(spec)
+    listed = _LISTED_CANDIDATES[spec.kind](spec)
+    assert list(candidates) == listed
+    assert len(candidates) == len(listed)
+    assert candidates[len(listed) // 2] == listed[len(listed) // 2]
+    assert candidates[-1] == listed[-1]
+    part = candidates[1:-1]
+    assert (len(part), list(part)) == (len(listed[1:-1]), listed[1:-1])
+    # The index and prime kinds read their candidates from a range or the
+    # list of primes rather than list them.
+    if spec.kind in ("l2_prime_exponent", "l4_twins", "square_divisors"):
+        assert type(candidates) is not list and type(part) is type(candidates)
+
+
 @pytest.mark.parametrize("fields", _SMALL_SPECS)
 def test_no_scan_record_reads_bpsw(fields):
     # Every value a scan kind makes is below 2^64 or of L-form, so none
@@ -517,7 +566,8 @@ def test_fingerprint_contents():
         "deterministic_limit": 1 << 64,
         "primality": 6,
     }
-    assert run_scan(ScanSpec(kind="l4_twins", n_max=5, seed=3)).fingerprint == engine_fingerprint()
+    report = run_scan(ScanSpec(kind="l4_twins", n_max=5, seed=3))
+    assert json.loads(report.canonical_bytes())["fingerprint"] == engine_fingerprint()
 
 
 def test_limit_validation(tmp_path):
