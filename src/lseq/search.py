@@ -8,8 +8,8 @@ scan tests is below 2^64 or of L-form, and is_prime decides every value
 from the value alone; the spec's seed is a label, kept in the spec and its
 digest, that changes no record.  Progress can be journaled to an append-only
 checkpoint file (one JSON object per line) and picked up later with
-resume().  The journal header's spec_sha256 is SHA-256, computed here in
-pure Python (_sha256), so no launch loads hashlib and OpenSSL with it.
+resume().  The journal header's spec_sha256 is SHA-256 from CPython's own
+C module (_sha2 or _sha256, else hashlib), so no launch loads OpenSSL with it.
 A spec whose values would exceed eval_exact's bit budget is refused when
 it is made, before the first value is evaluated, as is a square-divisor
 sweep whose sieve of primes up to p_max would pass 2^25 entries (a peak of
@@ -25,14 +25,13 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .arith import DETERMINISTIC_LIMIT, is_prime, multiplicative_order, sieve_primes
+from .arith import DETERMINISTIC_LIMIT, is_prime, sieve_primes
 from .lfamily import DEFAULT_EVAL_BIT_BUDGET, LFamily, builtin_congruence_rules, eval_exact, residue
 
 __all__ = [
@@ -63,38 +62,24 @@ def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def _sha256_new() -> Callable[[bytes], Any]:
+    """CPython's SHA-256 constructor: the C module hashlib falls back on (_sha2
+    from 3.12, _sha256 before), else hashlib's.  Resolved on the first digest,
+    so no launch maps OpenSSL, and one that takes no digest loads neither."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _sha256(text: str) -> str:
-    """The hex SHA-256 (FIPS 180-4) of ASCII text: the one place a digest is
-    taken.  Pure Python, so that no launch maps OpenSSL through hashlib (a
-    spec of about 110 bytes takes about 0.4 ms).  The constants are the first
-    32 fractional bits of the square roots of the first 8 primes and of the
-    cube roots of the first 64."""
-    primes, mask = sieve_primes(311), 0xFFFFFFFF
-    h = [math.isqrt(p << 64) & mask for p in primes[:8]]
-    k = []
-    for p in primes:
-        root = int(p ** (1 / 3) * 2**32)  # within one of the cube root of p * 2^96
-        root -= root**3 > p << 96
-        k.append((root + ((root + 1) ** 3 <= p << 96)) & mask)
-
-    def rotr(x: int, n: int) -> int:
-        return (x >> n | x << (32 - n)) & mask
-
-    data = text.encode("ascii")
-    data += b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
-    for start in range(0, len(data), 64):
-        w = [int.from_bytes(data[i : i + 4], "big") for i in range(start, start + 64, 4)]
-        for t in range(16, 64):
-            s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ w[t - 15] >> 3
-            s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ w[t - 2] >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
-        a, b, c, d, e, f, g, hh = h
-        for t in range(64):
-            t1 = hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + k[t] + w[t]
-            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
-            a, b, c, d, e, f, g, hh = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
-        h = [(x + y) & mask for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
-    return "".join(f"{x:08x}" for x in h)
+    """The hex SHA-256 of ASCII text: the one place a digest is taken."""
+    return _sha256_new()(text.encode("ascii")).hexdigest()
 
 
 class ResumeError(Exception):
@@ -284,9 +269,9 @@ def _classify(family: LFamily, n: int) -> dict[str, Any]:
 # --- the scan kinds -------------------------------------------------------
 #
 # Candidate evaluation is pure: its only inputs are the spec and the index.
-# The functions below look up is_prime, eval_exact, residue and
-# multiplicative_order as module globals when called, so replacing those
-# names on this module intercepts every call.
+# The functions below look up is_prime, eval_exact and residue as module
+# globals when called, so replacing those names on this module intercepts
+# every call.
 
 
 @dataclass(frozen=True)
@@ -404,12 +389,16 @@ def _evaluate_square(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[
     """Find every index n <= n_max with p^e | value, e >= 2, for one prime p.
 
     Divisibility by p repeats with period ord_p(2) in the index, so only the
-    residue classes where p divides at all are swept for higher powers.
+    residue classes where p divides at all are swept for higher powers.  One
+    walk of 2^l mod p, from l = 1 to l = ord_p(2), finds both.
     """
     p = index[0]
     family = LFamily.parse(spec.family)
-    order = multiplicative_order(2, p).order
-    roots = [l for l in range(1, order + 1) if residue(family, l, p) == 0]
+    x, order, roots = 1, 0, []
+    while x != 1 or not order:
+        x, order = 2 * x % p, order + 1
+        if (x * x + family.mid_sign * x + family.unit_sign) % p == 0:
+            roots.append(order)
     hits = []
     for root in roots:
         for n in range(root, spec.n_max + 1, order):

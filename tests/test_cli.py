@@ -761,8 +761,10 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
     # -S: the site module may import tempfile itself.  Modules are compared
     # with the set loaded before lseq, so what the interpreter preloads does
     # not matter.  The same holds for the modules of the gcd, repunit and
-    # verify-paper commands.  hashlib, which maps OpenSSL, never loads: the
-    # spec digest is computed in pure Python.
+    # verify-paper commands.  hashlib, which maps OpenSSL, never loads where
+    # CPython's SHA-256 module (_sha2 from 3.12, _sha256 before) is importable:
+    # the spec digest comes from it, and only once a scan takes one.  random,
+    # which lseq imports, loads _sha2 itself on 3.12, so it is loaded first.
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -770,9 +772,10 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
     cut = str(tmp_path / "cut.jsonl")
     code = textwrap.dedent(
         f"""
-        import contextlib, io, json, sys
+        import contextlib, importlib.util, io, json, random, sys
+        builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
         before = set(sys.modules)
-        from lseq import cli
+        from lseq import cli, search
         from lseq.search import ScanSpec
 
         def added(*names):
@@ -792,17 +795,20 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
             cli.main(["--version"])
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["eval", "--family", "L1", "--n", "9"]) == 0
-        unused = added("hashlib", "_hashlib", "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
+        digests = ("_sha2", "_sha256", "hashlib", "_hashlib")
+        unused = added(*digests, "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
         assert not unused, unused
         run("verify-paper", "--only", "golden-values,square-divisors", "--json")
-        assert not added("hashlib", "_hashlib")
+        assert not added(*digests)
+        assert search._sha256_new.cache_info().currsize == 0
+        openssl = ("hashlib", "_hashlib") if builtin else ()
         scan = ["scan", "--kind", "l4-twins", "--n-max", "30", "--json"]
         solo = run(*scan, "--jobs", "1")
-        assert not added("hashlib", "_hashlib")
+        assert not added(*openssl)
         run(*scan, "--limit", "7", "--checkpoint", {cut!r})
-        assert not added("hashlib", "_hashlib")
+        assert not added(*openssl)
         run("resume", "--path", {cut!r}, "--json")
-        assert not added("hashlib", "_hashlib")
+        assert not added(*openssl)
         loaded = sorted(
             name for name in set(sys.modules) - before
             if name == "concurrent.futures.process"
@@ -813,7 +819,7 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
         # Without elapsed_ms, the --json lines carry every canonical_bytes() field.
         assert run(*scan, "--jobs", "2") == solo
         assert "concurrent.futures.process" in sys.modules
-        assert not added("hashlib", "_hashlib")
+        assert not added(*openssl)
         import hashlib
         canonical = ScanSpec(kind="l4_twins", n_max=30).canonical()
         assert solo[0]["spec_sha256"] == hashlib.sha256(canonical.encode("ascii")).hexdigest()

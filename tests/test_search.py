@@ -1,12 +1,14 @@
 """Tests for the resumable scan engine: determinism, checkpoints, resume."""
 
+import functools
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from lseq.arith import is_prime, sieve_primes
+from lseq.arith import is_prime, multiplicative_order, sieve_primes
 from lseq import search
 from lseq.lfamily import LFamily, builtin_congruence_rules, eval_exact, residue
 from lseq.search import (
@@ -219,6 +221,18 @@ def test_square_hits_obey_root_classes():
         assert n % detail["order"] in detail["roots"]
 
 
+def test_square_divisor_walk_finds_the_order_and_roots():
+    # The one walk of 2^l mod p gives what ord_p(2) and one residue per l gave.
+    for family in LFamily:
+        for record in scan_square_divisors(family, 1, 1000).records:
+            p, detail = record.index[0], record.detail
+            order = multiplicative_order(2, p).order
+            assert detail["order"] == order, (family, p)
+            assert detail["roots"] == [
+                l for l in range(1, order + 1) if residue(family, l, p) == 0
+            ], (family, p)
+
+
 def test_congruence_audit():
     report = run_scan(ScanSpec(kind="congruence_audit", n_max=300))
     assert report.total == 8
@@ -314,10 +328,23 @@ _SMALL_SPECS = [
 ]
 
 
-def test_spec_digest_is_sha256():
-    # hashlib, which lseq does not load, is the reference: the FIPS 180-4
-    # examples, ASCII text of every length 0-130 (the padding takes a second
-    # block from 56 bytes and a third from 120) and each kind's spec.
+@pytest.mark.parametrize("source", ["_sha2", "_sha256", "hashlib"])
+def test_spec_digest_is_sha256(monkeypatch, source):
+    # The digest comes from CPython's C module (_sha2 from 3.12, _sha256
+    # before), else from hashlib; each source runs here with the others
+    # hidden.  The one this interpreter has also stands in for the one it lacks.
+    try:
+        import _sha2 as builtin
+    except ImportError:
+        import _sha256 as builtin
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, builtin if name == source else None)
+    monkeypatch.setattr(search, "_sha256_new", functools.cache(search._sha256_new.__wrapped__))
+    expected = hashlib.sha256 if source == "hashlib" else builtin.sha256
+    assert search._sha256_new() is expected
+    # hashlib is the reference: the FIPS 180-4 examples, ASCII text of every
+    # length 0-130 (the padding takes a second block from 56 bytes and a
+    # third from 120) and each kind's spec.
     fips = ["", "abc", "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"]
     lengths = ["".join(chr(32 + (7 * i + n) % 95) for i in range(n)) for n in range(131)]
     specs = [ScanSpec(**fields).canonical() for fields in _SMALL_SPECS]
