@@ -34,9 +34,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = [
     "DETERMINISTIC_LIMIT",
@@ -57,6 +59,9 @@ DETERMINISTIC_LIMIT = 1 << 64
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 200_000
+
+# The classifications of a value that is prime or a probable prime.
+_PRIMEISH = ("prime", "probable_prime")
 
 # n <= _TABLE_LIMIT is decided by one lookup in _spf_table().
 _TABLE_LIMIT = 1 << 20
@@ -215,7 +220,7 @@ class PrimalityVerdict:
 
     @property
     def is_prime_or_probable(self) -> bool:
-        return self.classification in ("prime", "probable_prime")
+        return self.classification in _PRIMEISH
 
 
 # is_prime builds its n <= 2^20 verdicts by _set_fields(_new_object(
@@ -612,6 +617,8 @@ def factor_trial(n: int, bound: int, *, rho_budget: int = 0) -> tuple[list[tuple
         counts[m] = counts.get(m, 0) + 1
         m = 1
     if m > 1 and rho_budget > 0:
+        import random  # only the rho stage samples; other launches skip the import
+
         rng = random.Random(0)
         remaining = rho_budget
         pending = [m]

@@ -33,6 +33,7 @@ from .lfamily import (
 )
 from .search import (
     SCAN_KINDS,
+    _BOUNDS,
     ResumeError,
     ScanReport,
     ScanSpec,
@@ -392,11 +393,8 @@ def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
     spec = ScanSpec(
         kind=args.kind.replace("-", "_"),
         family=args.family,
-        n_max=args.n_max,
-        p_max=args.p_max,
-        m_max=args.m_max,
-        k_max=args.k_max,
         seed=args.seed,
+        **{name: getattr(args, name) for name in _BOUNDS},
     )
     report = run_scan(
         spec,
@@ -455,7 +453,12 @@ def _int(flag: str, default: int | None, help_text: str | None = None) -> _Argum
 
 
 _FAMILY = ("--family", {"required": True})
-_FSYNC = ("--fsync", {"action": "store_true"})
+# How scan and resume run; none of these options changes a record's bytes.
+_RUN = [
+    _int("--jobs", 1, "worker processes (default 1)"),
+    _int("--limit", None, "evaluate at most this many candidates"),
+    ("--fsync", {"action": "store_true"}),
+]
 _REPUNIT_KINDS = ["minus", "plus"]
 
 # Subcommand name -> (help, handler, options).  Every subcommand also takes
@@ -545,18 +548,16 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
         [
             ("--kind", {"required": True, "choices": [k.replace("_", "-") for k in SCAN_KINDS]}),
             ("--family", {}),
-            *[_int(flag, None) for flag in ("--n-max", "--p-max", "--m-max", "--k-max")],
+            *[_int("--" + name.replace("_", "-"), None) for name in _BOUNDS],
             _int("--seed", 0, "a label kept in the spec; changes no record"),
-            _int("--jobs", None, "default: LSEQ_JOBS or 1"),
             ("--checkpoint", {"help": "journal progress to this file"}),
-            _int("--limit", None, "evaluate at most this many candidates"),
-            _FSYNC,
+            *_RUN,
         ],
     ),
     "resume": (
         "continue a checkpointed scan",
         _cmd_resume,
-        [("--path", {"required": True}), _int("--jobs", None), _int("--limit", None), _FSYNC],
+        [("--path", {"required": True}), *_RUN],
     ),
     "verify-paper": (
         "run the verification fixture suite",

@@ -18,7 +18,6 @@ computed and the predicted gcd so mismatches are auditable.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -178,6 +177,8 @@ def insularity_harness(
     candidates = index_set.indices()
     if not candidates:
         raise ValueError(f"index set {index_set} is empty")
+    import random  # only the sampler draws; other launches skip the import
+
     rng = random.Random(seed)
     draws = [(rng.choice(candidates), rng.choice(candidates)) for _ in range(sample_pairs)]
     pairs = sorted((min(n, m), max(n, m)) for n, m in draws)

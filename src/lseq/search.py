@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .arith import DETERMINISTIC_LIMIT, is_prime, sieve_primes
+from .arith import DETERMINISTIC_LIMIT, _PRIMEISH, is_prime, sieve_primes
 from .lfamily import DEFAULT_EVAL_BIT_BUDGET, LFamily, builtin_congruence_rules, eval_exact, residue
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = 2
-
-_PRIMEISH = ("prime", "probable_prime")
 
 # The optional bound fields of a ScanSpec; each kind reads some of them.
 _BOUNDS = ("n_max", "p_max", "m_max", "k_max")
@@ -528,23 +526,6 @@ def _append(handle: IO[str], line: dict[str, Any], fsync: bool) -> None:
         os.fsync(handle.fileno())
 
 
-def _effective_jobs(jobs: int | None, limit: int | None) -> int:
-    """jobs, else LSEQ_JOBS, else 1.  Checks jobs and limit, so callers call
-    it before they touch a journal."""
-    name = "jobs" if jobs is not None else "LSEQ_JOBS"
-    if jobs is None:
-        env = os.environ.get("LSEQ_JOBS")
-        try:
-            jobs = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"LSEQ_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{name} must be >= 1, got {jobs}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    return jobs
-
-
 def _execute(
     spec: ScanSpec,
     candidates: Sequence[tuple[int, ...]],
@@ -557,7 +538,13 @@ def _execute(
 ) -> ScanReport:
     """Evaluate up to limit candidates after records.  The journal, when
     given, is cut to its first keep bytes (its complete lines), gets the
-    header line when that leaves it empty, and one record line per result."""
+    header line when that leaves it empty, and one record line per result.
+    jobs and limit are checked before the journal is opened, so a bad value
+    leaves it as it was."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     start = len(records)
     todo = candidates[start:] if limit is None else candidates[start : start + limit]
     evaluate = functools.partial(_timed, spec)
@@ -594,7 +581,7 @@ def _execute(
 def run_scan(
     spec: ScanSpec,
     *,
-    jobs: int | None = None,
+    jobs: int = 1,
     checkpoint_path: str | None = None,
     limit: int | None = None,
     fsync: bool = False,
@@ -602,8 +589,8 @@ def run_scan(
     """Run a scan from the beginning, optionally journaling to a checkpoint.
 
     limit caps how many candidates are evaluated in this call (the report is
-    then incomplete but resumable); jobs > 1 fans candidates out to worker
-    processes without changing any output content.
+    then incomplete but resumable); jobs, the worker count (default 1), fans
+    candidates out to that many processes without changing any output content.
     """
     candidates = _KINDS[spec.kind].candidates(spec)
     if (
@@ -612,7 +599,6 @@ def run_scan(
         and os.path.getsize(checkpoint_path) > 0
     ):
         raise ValueError(f"checkpoint {checkpoint_path!r} already exists; use resume()")
-    jobs = _effective_jobs(jobs, limit)
     return _execute(spec, candidates, [], jobs, limit, checkpoint_path, fsync, 0)
 
 
@@ -637,7 +623,7 @@ def _entries(path: str, lines: list[str]) -> Iterator[dict[str, Any]]:
 def resume(
     report_path: str,
     *,
-    jobs: int | None = None,
+    jobs: int = 1,
     limit: int | None = None,
     fsync: bool = False,
 ) -> ScanReport:
@@ -645,7 +631,7 @@ def resume(
     candidates).  Refuses to run when the stored spec hash or the engine
     fingerprint does not match what this engine would recompute, or when the
     record positions do not run 0, 1, 2, ... over the candidates; a finished
-    scan is returned unchanged."""
+    scan is returned unchanged.  jobs and limit are as for run_scan."""
     try:
         with open(report_path, encoding="ascii") as handle:
             raw = handle.read()
@@ -701,7 +687,6 @@ def resume(
                 f"record {pos} index {index} does not match candidate {candidates[pos]}"
             )
         records.append(ScanRecord(index, entry["verdict"], entry["detail"], entry["elapsed_ms"]))
-    jobs = _effective_jobs(jobs, limit)
     journal = report_path if len(records) < len(candidates) else None
     return _execute(spec, candidates, records, jobs, limit, journal, fsync, raw.rfind("\n") + 1)
 

@@ -515,27 +515,21 @@ def test_scan_checkpoint_in_missing_directory_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, env, message",
+    "flags, message",
     [
-        (["--limit", "0"], None, "limit must be >= 1, got 0"),
-        (["--jobs", "0"], None, "jobs must be >= 1, got 0"),
-        ([], "0", "LSEQ_JOBS must be >= 1, got 0"),
+        (["--limit", "0"], "limit must be >= 1, got 0"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
     ],
-    ids=["limit", "jobs", "LSEQ_JOBS"],
+    ids=["limit", "jobs"],
 )
-def test_scan_invalid_run_arguments_create_no_checkpoint(
-    tmp_path, capsys, monkeypatch, flags, env, message
-):
+def test_scan_invalid_run_arguments_create_no_checkpoint(tmp_path, capsys, flags, message):
     # The journal used to be created with its header first, so the corrected
     # command then refused to overwrite it.
-    if env is not None:
-        monkeypatch.setenv("LSEQ_JOBS", env)
     path = tmp_path / "ck.jsonl"
     argv = ["scan", "--kind", "l4-twins", "--n-max", "20", "--checkpoint", str(path)]
     code, out, err = run_cli(capsys, *argv, *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not path.exists()
-    monkeypatch.delenv("LSEQ_JOBS", raising=False)
     code, _, _ = run_cli(capsys, *argv, "--limit", "5")
     assert code == 1
 
@@ -763,16 +757,16 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
     # not matter.  The same holds for the modules of the gcd, repunit and
     # verify-paper commands.  hashlib, which maps OpenSSL, never loads where
     # CPython's SHA-256 module (_sha2 from 3.12, _sha256 before) is importable:
-    # the spec digest comes from it, and only once a scan takes one.  random,
-    # which lseq imports, loads _sha2 itself on 3.12, so it is loaded first.
+    # the spec digest comes from it, and only once a scan takes one.  No
+    # launch loads random (which loads _sha2 itself from 3.12) unless it
+    # samples; the pool stack may load it, so the --jobs 2 run comes last.
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(lseq.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("LSEQ_JOBS", None)
     cut = str(tmp_path / "cut.jsonl")
     code = textwrap.dedent(
         f"""
-        import contextlib, importlib.util, io, json, random, sys
+        import contextlib, importlib.util, io, json, sys
         builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
         before = set(sys.modules)
         from lseq import cli, search
@@ -796,19 +790,20 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["eval", "--family", "L1", "--n", "9"]) == 0
         digests = ("_sha2", "_sha256", "hashlib", "_hashlib")
-        unused = added(*digests, "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
+        sampler = ("random", "_random", "bisect")
+        unused = added(*digests, *sampler, "lseq.paper", "lseq.gcdlaws", "lseq.repunit")
         assert not unused, unused
         run("verify-paper", "--only", "golden-values,square-divisors", "--json")
-        assert not added(*digests)
+        assert not added(*digests, *sampler)
         assert search._sha256_new.cache_info().currsize == 0
         openssl = ("hashlib", "_hashlib") if builtin else ()
         scan = ["scan", "--kind", "l4-twins", "--n-max", "30", "--json"]
         solo = run(*scan, "--jobs", "1")
-        assert not added(*openssl)
+        assert not added(*openssl, *sampler)
         run(*scan, "--limit", "7", "--checkpoint", {cut!r})
-        assert not added(*openssl)
+        assert not added(*openssl, *sampler)
         run("resume", "--path", {cut!r}, "--json")
-        assert not added(*openssl)
+        assert not added(*openssl, *sampler)
         loaded = sorted(
             name for name in set(sys.modules) - before
             if name == "concurrent.futures.process"
@@ -831,25 +826,28 @@ def test_pool_and_tempfile_load_only_when_used(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def test_lseq_jobs_env(tmp_path, capsys, monkeypatch):
-    code, solo, _ = run_cli(
-        capsys, "scan", "--kind", "square-divisors", "--family", "L3",
-        "--n-max", "60", "--p-max", "10", "--json",
-    )
+def test_scan_lines_do_not_depend_on_jobs(capsys):
+    scan = [
+        "scan", "--kind", "square-divisors", "--family", "L3", "--n-max", "60", "--p-max", "10", "--json",
+    ]
+    code, solo, _ = run_cli(capsys, *scan, "--jobs", "1")
     assert code == 0
-    monkeypatch.setenv("LSEQ_JOBS", "2")
-    code, multi, _ = run_cli(
-        capsys, "scan", "--kind", "square-divisors", "--family", "L3",
-        "--n-max", "60", "--p-max", "10", "--json",
-    )
+    code, multi, _ = run_cli(capsys, *scan, "--jobs", "2")
     assert code == 0
     assert json_lines_without_elapsed(solo) == json_lines_without_elapsed(multi)
+
+
+def test_scan_reads_no_environment(tmp_path, capsys, monkeypatch):
+    # LSEQ_JOBS once set the default worker count, and this value exited 2.
+    plain, env = tmp_path / "plain.jsonl", tmp_path / "env.jsonl"
+    argv = ["scan", "--kind", "l4-twins", "--n-max", "20", "--json", "--checkpoint"]
+    code, out, err = run_cli(capsys, *argv, str(plain))
+    assert (code, err) == (0, "")
     monkeypatch.setenv("LSEQ_JOBS", "zero")
-    code, _, err = run_cli(
-        capsys, "scan", "--kind", "l4-twins", "--n-max", "10", "--json"
-    )
-    assert code == 2
-    assert "LSEQ_JOBS" in err
+    code, out_env, err = run_cli(capsys, *argv, str(env))
+    assert (code, err) == (0, "")
+    assert json_lines_without_elapsed(out_env) == json_lines_without_elapsed(out)
+    assert json_lines_without_elapsed(env.read_text()) == json_lines_without_elapsed(plain.read_text())
 
 
 def test_verify_paper_single_anchor(capsys):
@@ -1326,7 +1324,10 @@ def test_argument_specs_are_pinned():
     # scan's --seed has since gained a help text, checked here and then
     # taken out, so the pinned specs are the earlier ones.  Re-taken when
     # prime-check lost --seed and --extra-rounds and scan --extra-rounds: the
-    # specs are the former ones without those three options.
+    # specs are the former ones without those three options.  Re-taken when
+    # scan and resume came to share --jobs, --limit and --fsync: --jobs
+    # defaults to 1 with a help text and follows scan's --checkpoint, and
+    # resume's --jobs and --limit carry scan's help texts.
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     helps = {}
@@ -1336,7 +1337,7 @@ def test_argument_specs_are_pinned():
     assert helps == {"seed": "a label kept in the spec; changes no record"}
     specs = json.dumps(_argument_specs(parser))
     assert hashlib.sha256(specs.encode("utf-8")).hexdigest() == (
-        "8cf9c6bcd6807ca7bda5816efd29dc8afab734cedfc0de5347131a99c6762e78"
+        "7a444b9063ecd4eb53b993a8b9ac8e7a9a5067db9978177c090617c3e1a09bf5"
     )
 
 
