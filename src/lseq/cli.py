@@ -567,7 +567,12 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace, _Output], int], li
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of command alone, or
+    of every subcommand when command is None.  The subcommand names and
+    help texts are always there, so --help and an unknown name read the
+    same.  argparse formats each option as it adds it, so a launch builds
+    no option it will not parse."""
     parser = argparse.ArgumentParser(
         prog="lseq",
         description="Evaluate, verify, and search the sequences 2^(2n) +/- 2^n +/- 1.",
@@ -576,6 +581,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command is not None and name != command:
+            continue
         for flag, settings in options:
             p.add_argument(flag, **settings)
         p.add_argument(
@@ -595,7 +602,13 @@ def main(argv: list[str] | None = None) -> int:
         # CPython 3.11+ refuses to convert ints of more than 4,300 digits to
         # or from decimal; values here are exact and printed in full.
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the first
+    # argument that is not an option names the subcommand; with none, ""
+    # builds no subcommand's options.
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = _build_parser(command).parse_args(argv)
     try:
         code = _COMMANDS[args.command][1](args, _Output(args))
         sys.stdout.flush()  # a closed pipe then shows up here, not at exit

@@ -125,15 +125,33 @@ class CongruenceRule:
         """Smallest covered index <= n_max where the claim fails, if any.
 
         Walks the progressions in ascending order, block by block of step
-        indices (the offsets lie in [1, step]), without listing them."""
+        indices (the offsets lie in [1, step]), without listing them, and
+        stops after one period of 2^n mod m.  L(n) mod m is a polynomial
+        in 2^n mod m, so a block's residues follow from y = 2^base mod m,
+        which each block multiplies by 2^step.  From base v2(m) on (the
+        exponent of 2 in m) y is purely periodic; once it comes back to
+        its value at the first such block, every later block repeats an
+        earlier one and can hold no first violation.  Each catalogued rule
+        has an odd m and a step that ord_m(2) divides: it walks one block.
+        """
+        m = self.modulus
         offsets = sorted(set(self.offsets))
+        two_adic = (m & -m).bit_length() - 1
+        shift = pow(2, self.step, m)
+        y, period_start = 1, None
         for base in range(0, n_max, self.step):
+            if period_start is None:
+                if base >= two_adic:
+                    period_start = y
+            elif y == period_start:
+                return None
             for off in offsets:
                 n = base + off
                 if n > n_max:
                     return None
-                if residue(self.family, n, self.modulus) != 0:
+                if residue(self.family, n, m) != 0:
                     return n
+            y = y * shift % m
         return None
 
 

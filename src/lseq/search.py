@@ -13,8 +13,8 @@ C module (_sha2 or _sha256, else hashlib), so no launch loads OpenSSL with it.
 A spec whose values would exceed eval_exact's bit budget is refused when
 it is made, before the first value is evaluated, as is a square-divisor
 sweep whose sieve of primes up to p_max would pass 2^25 entries (a peak of
-about 127 MiB).  Candidates are read one index at a time from their range
-or list of primes; only the exponent kinds and the audit list theirs.
+about 64 MiB).  Candidates are read one index at a time from their range
+or array of primes; only the exponent kinds and the audit list theirs.
 
 jobs=1 runs in-process; jobs > 1 loads a pool of at most one worker per candidate left.
 """
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .arith import DETERMINISTIC_LIMIT, _PRIMEISH, is_prime, sieve_primes
+from .arith import DETERMINISTIC_LIMIT, _PRIMEISH, _sieve, is_prime
 from .lfamily import DEFAULT_EVAL_BIT_BUDGET, LFamily, builtin_congruence_rules, eval_exact, residue
 
 __all__ = [
@@ -357,8 +357,17 @@ def _largest_prime_exponent(spec: ScanSpec) -> int:
 
 
 # square_divisors evaluates no value, so the bit budget does not bound its
-# sieve of the primes up to p_max: this does, at a peak of about 127 MiB.
+# sieve of the primes up to p_max: this does.
 _SIEVE_LIMIT = 1 << 25
+
+
+def _primes(limit: int) -> Sequence[int]:
+    """The primes <= limit, ascending, in an array of 4-byte ints: every
+    p_max a spec accepts is at most 2^26.  At limit 2^25 the 2,063,689
+    primes take 8 MiB, where a list of them held 75 MiB."""
+    from array import array  # only the prime kinds read one; other launches skip the import
+
+    return array("i", itertools.compress(range(limit + 1), _sieve(limit)))
 
 
 def _evaluate_twins(spec: ScanSpec, index: tuple[int, ...]) -> tuple[str, dict[str, Any]]:
@@ -450,7 +459,7 @@ _KINDS: dict[str, _Kind] = {
         LFamily.L2,
         lambda p: p,
         {"p_max": 2},
-        lambda s: _Singles(sieve_primes(s.p_max)),
+        lambda s: _Singles(_primes(s.p_max)),
         _largest_prime_exponent,
     ),
     "l2_pow2": _prime_kind(LFamily.L2, lambda n: 2**n, {"n_max": 1}),
@@ -466,7 +475,7 @@ _KINDS: dict[str, _Kind] = {
     ),
     "square_divisors": _Kind(
         {"n_max": 1, "p_max": 3},
-        lambda s: _Singles(sieve_primes(s.p_max))[1:],
+        lambda s: _Singles(_primes(s.p_max))[1:],
         _evaluate_square,
         _square_summary,
         family="required",

@@ -300,8 +300,10 @@ def test_is_prime_rounds_and_determinism():
     assert a == b and a is not b
     assert a.classification == "probable_prime"
     assert a.rounds == 2
-    with pytest.raises(ValueError):
-        is_prime(-1)
+    # A negative n fails the table test and reaches the same error.
+    for n in (-1, -2, -(2**20), -(2**70)):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            is_prime(n)
 
 
 def test_primality_verdict_is_a_frozen_dataclass():
@@ -320,8 +322,8 @@ def test_primality_verdict_is_a_frozen_dataclass():
     }
     assert pickle.loads(pickle.dumps(v)) == v
     # The same for the verdicts is_prime returns: the table path (7, 10^6)
-    # builds them without calling the class; above 2^20 the seven bases, the
-    # N-1 stage, a block and BPSW decide.
+    # builds them in is_prime's own frame, without calling the class; above
+    # 2^20 the seven bases, the N-1 stage, a block and BPSW decide.
     for n, evidence in [
         (7, "trial_division"),
         (10**6, "factor=2"),
@@ -337,6 +339,10 @@ def test_primality_verdict_is_a_frozen_dataclass():
         assert (v.n, v.evidence) == (n, evidence)
         built = PrimalityVerdict(n, v.classification, evidence, v.rounds)
         assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+        # The same fields in field order: a writer that skips, renames or
+        # reorders one fails here, though == and repr read them by name.
+        assert list(vars(built)) == [f.name for f in dataclasses.fields(PrimalityVerdict)]
+        assert list(vars(v).items()) == list(vars(built).items())
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.classification = "prime"
         assert dataclasses.replace(v, rounds=9) == PrimalityVerdict(n, v.classification, evidence, 9)

@@ -67,6 +67,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
         ("BPSW_BITS", (128, 256)),
         ("P_MAX", 400),
         ("WINDOW", 200),
+        ("TABLE", range(2, 1001)),
         ("REPEATS", 1),
     )
     for name, value in small:
@@ -77,7 +78,7 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     assert report["label"] == "small" and report["repeats"] == 1
     layers = report["layers"]
     assert set(layers) == {
-        "l_form_test", "small_l_form", "bpsw", "block_build", "trial", "mr64", "launch"
+        "l_form_test", "small_l_form", "bpsw", "block_build", "trial", "mr64", "table", "launch"
     }
     timing = {"median", "q1", "q3"}
     # The power of all four families and the N+1 proof of L2/L4 make
@@ -139,6 +140,12 @@ def test_layer_benchmark_writes_its_keys(monkeypatch, tmp_path):
     assert mr["primes"] == primes > 0
     assert mr["strong_tests"] == 7 * primes + len(survivors) - primes
     assert set(mr["ms"]) == timing
+    # One table lookup per n in 2..1000.
+    lookup = layers["table"]
+    assert set(lookup) == {"n", "ms", "calls", "ns_per_call"}
+    assert lookup["n"] == [2, 1000] and lookup["calls"] == 999
+    assert set(lookup["ms"]) == timing
+    assert lookup["ns_per_call"] == lookup["ms"]["median"] * 1e6 / 999 > 0
     launch = layers["launch"]
     assert set(launch) == {"pass", "import_cli", "version", "scan", "cli_modules"}
     for name in ("pass", "import_cli", "version", "scan"):

@@ -1341,6 +1341,37 @@ def test_argument_specs_are_pinned():
     )
 
 
+def test_a_launch_builds_the_options_of_its_subcommand_alone():
+    # _build_parser(name) gives subcommand name the options _build_parser()
+    # gives it, and every other subcommand none; all keep their help texts.
+    def subparsers(parser):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    full = subparsers(_build_parser())
+    for name in _COMMANDS:
+        built = subparsers(_build_parser(name))
+        assert list(built) == list(full)
+        assert _argument_specs(built[name]) == _argument_specs(full[name]), name
+        assert all(len(p._actions) == 1 for other, p in built.items() if other != name)
+    assert _argument_specs(_build_parser("")) != _argument_specs(_build_parser())
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["scan", "--json"], ["--json", "scan"], []])
+def test_parse_errors_read_as_with_every_option_built(capsys, monkeypatch, argv):
+    # An unknown subcommand, a scan without --kind, an option before the
+    # subcommand and no argument at all exit 2 with the same stderr bytes as
+    # the parser that builds every subcommand's options.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    with pytest.raises(SystemExit) as launched:
+        main(argv)
+    assert (launched.value.code, capsys.readouterr().err) == (full.value.code, expected)
+    assert full.value.code == 2 and expected.startswith("usage: lseq")
+
+
 def test_docs_show_every_subcommand():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
         readme = handle.read()

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -200,19 +201,64 @@ def test_first_violation_walks_covered_indices_in_order():
     ]
     for rule in rules:
         for n_max in (-1, 0, 1, 2, rule.step - 1, rule.step, rule.step + 1, 97, 600):
-            expected = next(
-                (n for n in rule.covered_indices(n_max) if residue(rule.family, n, rule.modulus)),
-                None,
-            )
-            assert rule.first_violation(n_max) == expected, (rule.description, n_max)
+            assert rule.first_violation(n_max) == _scanned_violation(rule, n_max), (rule.description, n_max)
+    # Seeded random rules, so that the walk's stop after one period of
+    # 2^n mod m is checked on odd, even and power-of-two moduli, with
+    # offsets equal to the step and repeated offsets, at n_max around a few
+    # periods.  Every L(n) is odd, so an even modulus fails at its first
+    # covered index; an odd one divides some L(n) with n <= ord_m(2), and
+    # most rules take offsets whose residues are 0 in the first block, so
+    # that many hold to n_max and others fail only in a later block.
+    rng = random.Random(30)
+    for _ in range(600):
+        family = rng.choice(list(LFamily))
+        odd, order = 1, 1
+        while odd == 1 or all(residue(family, k, odd) for k in range(1, order + 1)):
+            odd = rng.randrange(3, 60, 2)
+            order = next(k for k in range(1, odd) if pow(2, k, odd) == 1)
+        modulus = odd << rng.choice((0, 0, 0, 1, 3)) if rng.random() < 0.9 else 1 << rng.randrange(1, 7)
+        step = order * rng.randrange(1, 3) if rng.random() < 0.5 else rng.randrange(1, 25)
+        zeros = [off for off in range(1, step + 1) if residue(family, off, modulus) == 0]
+        if zeros and rng.random() < 0.7:
+            offsets = tuple(rng.sample(zeros, rng.randrange(1, len(zeros) + 1)))
+        else:
+            offsets = tuple(rng.randrange(1, step + 1) for _ in range(rng.randrange(1, 4)))
+        offsets += rng.choice(((), (step,), offsets[:1]))
+        rule = CongruenceRule(family, modulus, step, offsets, "random")
+        for n_max in (rng.randrange(0, 4 * order * step + 8), rng.randrange(0, 3 * step)):
+            assert rule.first_violation(n_max) == _scanned_violation(rule, n_max), (rule, n_max)
+
+
+def _scanned_violation(rule: CongruenceRule, n_max: int) -> int | None:
+    """The first covered index <= n_max with a nonzero residue, by a scan of
+    covered_indices."""
+    return next(
+        (n for n in rule.covered_indices(n_max) if residue(rule.family, n, rule.modulus)), None
+    )
+
+
+def test_first_violation_stops_after_one_period(monkeypatch):
+    # Each catalogued rule has an odd modulus and a step that the order of 2
+    # divides, so its walk makes one residue call per distinct offset, at
+    # any n_max.
+    calls = []
+    real = lfamily.residue
+    monkeypatch.setattr(lfamily, "residue", lambda family, n, m: calls.append(n) or real(family, n, m))
+    for family in LFamily:
+        for rule in builtin_congruence_rules(family):
+            calls.clear()
+            assert rule.first_violation(10**6) is None
+            assert calls == sorted(set(rule.offsets)), rule.description
 
 
 def test_first_violation_lists_no_indices(monkeypatch):
     # covered_indices(10**6) of this rule is a list of 666,667 ints (tens of
-    # MiB); the walk holds one index at a time.  residue is replaced so that
-    # only the walk's own memory is traced.
+    # MiB); the walk holds one index at a time.  2 is a primitive root of the
+    # prime 1,000,003, so 2^n mod m does not repeat before n_max and the walk
+    # visits all 333,334 blocks.  residue is replaced so that only the walk's
+    # own memory is traced.
     monkeypatch.setattr(lfamily, "residue", lambda family, n, m: 0)
-    rule = builtin_congruence_rules(LFamily.L1)[1]
+    rule = CongruenceRule(LFamily.L1, 1000003, 3, (1, 2), "a walk of 333,334 blocks")
     tracemalloc.start()
     try:
         assert rule.first_violation(10**6) is None

@@ -1,8 +1,11 @@
 """Tests for the resumable scan engine: determinism, checkpoints, resume."""
 
+import array
 import functools
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -399,10 +402,46 @@ def test_candidates_are_the_listed_tuples_in_order(fields):
     assert candidates[-1] == listed[-1]
     part = candidates[1:-1]
     assert (len(part), list(part)) == (len(listed[1:-1]), listed[1:-1])
-    # The index and prime kinds read their candidates from a range or the
-    # list of primes rather than list them.
+    # The index and prime kinds read their candidates from a range or an
+    # array of the primes rather than list them.
     if spec.kind in ("l2_prime_exponent", "l4_twins", "square_divisors"):
         assert type(candidates) is not list and type(part) is type(candidates)
+    if spec.kind in ("l2_prime_exponent", "square_divisors"):
+        assert type(candidates.values) is array.array
+
+
+# Forks the code in argv[1] from this small interpreter, so that the child's
+# peak RSS counts this interpreter's pages and not the test process's (Linux
+# carries a peak across fork and exec), and prints its exit code and peak
+# RSS in KiB.
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-S", "-c", sys.argv[1]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB after fork")
+def test_prime_candidates_at_the_sieve_limit_fit_in_96_mib():
+    # square_divisors at the largest p_max it accepts, 2^25: 2,063,688 odd
+    # primes, which a list of ints held at a peak of 127 MiB.
+    build = (
+        "from lseq import search\n"
+        "spec = search.ScanSpec(kind='square_divisors', family='L1', n_max=1, p_max=2**25)\n"
+        "c = search._KINDS['square_divisors'].candidates(spec)\n"
+        "assert (len(c), c[0], c[len(c) - 1]) == (2063688, (3,), (33554393,)), c\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(search.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, build],
+        env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 96 * 1024, peak_kib
 
 
 @pytest.mark.parametrize("fields", _SMALL_SPECS)

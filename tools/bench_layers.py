@@ -1,7 +1,7 @@
 """Layer benchmark: times the L-form proof, small L-form, BPSW, block,
-trial-division and below-2^64 Miller-Rabin layers of lseq.arith, and the
-launch of the CLI, on fixed inputs and writes BENCH_<label>.json at the
-repository root.
+trial-division, below-2^64 Miller-Rabin and table-lookup layers of
+lseq.arith, and the launch of the CLI, on fixed inputs and writes
+BENCH_<label>.json at the repository root.
 
     python3 tools/bench_layers.py --label L
 
@@ -40,6 +40,9 @@ be told apart from a change in speed.  The layers:
   leaves, which the seven bases of the strong tests below 2^64 decide, the
   memo emptied before each value.  The work is the number of values, of
   primes among them and of strong tests made.
+- table: is_prime on every n in TABLE, 2..2^20, each one lookup in the
+  smallest-factor table; the table is built by the untimed run.  The work
+  is the number of calls, and ns_per_call the median over it.
 - launch: fresh ``python -S`` processes for ``-c pass`` (the interpreter
   alone), ``-c "import lseq.cli"``, ``-m lseq.cli --version`` (bench/run.py
   times it, with site, as setup_s) and a small ``l3-pow2`` scan with --json,
@@ -51,6 +54,7 @@ be told apart from a change in speed.  The layers:
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -75,6 +79,7 @@ SMALL_H = range(33, 257)
 BPSW_BITS = (512, 1024, 2048)
 P_MAX = 2000
 WINDOW = 20_000
+TABLE = range(2, arith._TABLE_LIMIT + 1)
 REPEATS = 5
 BLOCKS = range(1, arith._BLOCK_CAP.bit_length())
 LAUNCHES = {
@@ -306,6 +311,25 @@ def mr64(window: int, repeats: int) -> dict:
     }
 
 
+def table(numbers: range, repeats: int) -> dict:
+    """is_prime on every n in numbers, all at most 2^20, the calls made from
+    C (a zero-length deque consumes the map) so that no Python loop is
+    timed with them."""
+    is_prime = arith.is_prime
+
+    def run() -> None:
+        collections.deque(map(is_prime, numbers), maxlen=0)
+
+    run()  # untimed; builds the table
+    ms = _timed(run, repeats)
+    return {
+        "n": [numbers.start, numbers.stop - 1],
+        "ms": ms,
+        "calls": len(numbers),
+        "ns_per_call": ms["median"] * 1e6 / len(numbers),
+    }
+
+
 # Runs one launch, python -S with the arguments given, and prints its wall
 # time in ns, exit code and peak RSS in KiB.  A process's peak RSS counts the
 # pages of the process it was forked from, so each launch is forked from this
@@ -359,7 +383,9 @@ def launch(repeats: int) -> dict:
     return {**row, "cli_modules": modules}
 
 
-def layers(l_form_bits, small_h, bpsw_bits, p_max: int, window: int, repeats: int) -> dict:
+def layers(
+    l_form_bits, small_h, bpsw_bits, p_max: int, window: int, numbers: range, repeats: int
+) -> dict:
     return {
         "l_form_test": l_form_rows(l_form_bits, repeats),
         "small_l_form": small_l_form(small_h, repeats),
@@ -367,6 +393,7 @@ def layers(l_form_bits, small_h, bpsw_bits, p_max: int, window: int, repeats: in
         "block_build": block_build(repeats),
         "trial": trial(p_max, window, repeats),
         "mr64": mr64(window, repeats),
+        "table": table(numbers, repeats),
         "launch": launch(repeats),
     }
 
@@ -396,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "layers": layers(L_FORM_BITS, SMALL_H, BPSW_BITS, P_MAX, WINDOW, REPEATS),
+        "layers": layers(L_FORM_BITS, SMALL_H, BPSW_BITS, P_MAX, WINDOW, TABLE, REPEATS),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as out:
